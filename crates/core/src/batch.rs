@@ -12,14 +12,14 @@
 //!   precharge + evaluate).
 //!
 //! The software execution of the batch is parallelized too:
-//! [`run_batch_parallel`] shards the queries across scoped worker threads
-//! in [`BatchOptions::chunk`]-sized work units pulled from a shared queue,
-//! so an uneven query mix (e.g. the degradation controller escalating a
-//! few hard queries) still load-balances. Results are bit-identical to
-//! the serial loop, in input order.
+//! [`run_batch_parallel`] runs the queries through the workspace's batch
+//! executor ([`hdc::parallel::execute`]) in [`BatchOptions::chunk`]-sized
+//! work units pulled from a shared queue, so an uneven query mix (e.g. the
+//! degradation controller escalating a few hard queries) still
+//! load-balances. Results are bit-identical to the serial loop, in input
+//! order.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hdc::prelude::*;
 
@@ -29,21 +29,6 @@ use crate::units::{Nanoseconds, Picojoules};
 /// Fraction of the search latency one pipelined query occupies (the
 /// evaluate phase of the two-phase search).
 const INITIATION_FRACTION: f64 = 0.5;
-
-/// Locks a mutex, taking the guard even from a poisoned lock. The work
-/// queue only ever holds plain indices and slices — a worker that
-/// panicked mid-search leaves the queue itself consistent, so the poison
-/// flag carries no information the batch engine needs, and honoring it
-/// would let one panicking worker take down every other worker's
-/// remaining work.
-///
-/// Public because every serving layer stacked on this engine (the shard
-/// workers, the TCP front end's connection registry) shares the same
-/// invariant: panics are contained per work item, so a poisoned registry
-/// lock must keep working rather than cascade the panic.
-pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Runs one search with the panic contained: a panicking design yields
 /// [`HamError::WorkerPanicked`] for this query instead of unwinding into
@@ -74,9 +59,6 @@ pub(crate) fn price_completed(
     };
     (cost.energy * n, cost.delay * n, pipelined)
 }
-
-/// One not-yet-/already-searched result slot in the parallel work queue.
-type SearchSlot = Option<Result<HamSearchResult, HamError>>;
 
 /// Cost and outcome of a batch run.
 #[derive(Debug, Clone)]
@@ -159,19 +141,6 @@ impl BatchOptions {
     pub fn resolved_chunk(&self, batch_len: usize) -> usize {
         self.chunk.max(1).min(batch_len.max(1))
     }
-
-    /// Debug-asserts that the resolved thread/chunk combination is sane,
-    /// with a message that prints the offending options.
-    fn debug_check(&self, batch_len: usize) {
-        debug_assert!(
-            self.resolved_threads(batch_len) >= 1 && self.resolved_chunk(batch_len) >= 1,
-            "BatchOptions resolved to a degenerate schedule: \
-             threads={} chunk={} over {batch_len} queries \
-             (use BatchOptions::new to clamp at construction)",
-            self.threads,
-            self.chunk,
-        );
-    }
 }
 
 impl Default for BatchOptions {
@@ -194,16 +163,16 @@ pub fn run_batch(design: &dyn HamDesign, queries: &[Hypervector]) -> Result<Batc
     Ok(price_batch(design, results))
 }
 
-/// Runs `queries` through `design` with the batch sharded across scoped
-/// worker threads, then prices it. Results are in input order and
-/// identical to [`run_batch`]; the hardware cost model is unchanged (it
-/// prices the modelled silicon, not the host machine).
+/// Runs `queries` through `design` on the batch executor
+/// ([`hdc::parallel::execute`]) with `options`' worker count and work-unit
+/// size, then prices it. Results are in input order and identical to
+/// [`run_batch`]; the hardware cost model is unchanged (it prices the
+/// modelled silicon, not the host machine).
 ///
 /// A panicking search is contained to its own query: the panic is caught
-/// in the worker, the work queue survives the poisoned lock, and the
-/// query surfaces as [`HamError::WorkerPanicked`] — which, under this
-/// function's first-error semantics, aborts the batch with a typed error
-/// instead of aborting the process. Use
+/// in the worker and the query surfaces as [`HamError::WorkerPanicked`] —
+/// which, under this function's first-error semantics, aborts the batch
+/// with a typed error instead of aborting the process. Use
 /// [`run_batch_resilient`](crate::resilience::serve::run_batch_resilient)
 /// for per-query error slots.
 ///
@@ -215,50 +184,18 @@ pub fn run_batch_parallel(
     queries: &[Hypervector],
     options: BatchOptions,
 ) -> Result<BatchReport, HamError> {
-    options.debug_check(queries.len());
-    let threads = options.resolved_threads(queries.len());
-    if threads <= 1 || queries.len() <= 1 {
-        return run_batch(design, queries);
-    }
-    let chunk = options.resolved_chunk(queries.len());
-    let mut slots: Vec<SearchSlot> = vec![None; queries.len()];
-    {
-        // Work queue: (query offset, result chunk) pairs claimed by
-        // whichever worker is free — uneven per-query cost load-balances.
-        let work: Mutex<Vec<(usize, &mut [SearchSlot])>> = Mutex::new(
-            slots
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(i, c)| (i * chunk, c))
-                .collect(),
-        );
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    // One scratch per worker, reused across every chunk it
-                    // claims — zero per-query allocations in steady state.
-                    let mut scratch = SearchScratch::new();
-                    loop {
-                        let Some((base, chunk)) = lock_unpoisoned(&work).pop() else {
-                            return;
-                        };
-                        for (offset, slot) in chunk.iter_mut().enumerate() {
-                            let index = base + offset;
-                            *slot =
-                                Some(search_caught(design, &queries[index], index, &mut scratch));
-                        }
-                    }
-                });
-            }
-        });
-    }
-    let mut results = Vec::with_capacity(queries.len());
-    for (index, slot) in slots.into_iter().enumerate() {
-        // Every slot is filled by `search_caught`; an unfilled slot means
-        // its worker died outside the catch (defensive) — a per-query
-        // error, never a process abort.
-        results.push(slot.unwrap_or(Err(HamError::WorkerPanicked { query: index }))?);
-    }
+    // One scratch per worker, reused across every unit it claims — zero
+    // per-query allocations in steady state.
+    let results = hdc::parallel::execute(
+        queries.len(),
+        options.threads,
+        options.chunk,
+        SearchScratch::new,
+        |scratch, index| Some(search_caught(design, &queries[index], index, scratch)),
+    )
+    .into_iter()
+    .map(|slot| slot.expect("no search declines"))
+    .collect::<Result<Vec<_>, _>>()?;
     Ok(price_batch(design, results))
 }
 

@@ -74,7 +74,7 @@ pub mod tech;
 pub mod units;
 
 pub use crate::aham::AHam;
-pub use crate::batch::{lock_unpoisoned, run_batch, run_batch_parallel, BatchOptions, BatchReport};
+pub use crate::batch::{run_batch, run_batch_parallel, BatchOptions, BatchReport};
 pub use crate::dham::DHam;
 pub use crate::index::{ensure_indexed, IndexPolicy};
 pub use crate::model::{

@@ -408,9 +408,9 @@ impl DegradationController {
         })
     }
 
-    /// Classifies a whole query stream, sharding it across `threads`
-    /// scoped worker threads (`0` means one per available core). Query `i`
-    /// of the batch is classified exactly as
+    /// Classifies a whole query stream, split evenly across `threads`
+    /// workers of the [`hdc::parallel`] executor (`0` means one per
+    /// available core). Query `i` of the batch is classified exactly as
     /// [`classify`](Self::classify)`(…, start_index + i)` would — the
     /// resample salts depend only on the stream position, so the batched
     /// ladder is replay-deterministic and bit-identical to the serial
@@ -425,36 +425,11 @@ impl DegradationController {
         start_index: u64,
         threads: usize,
     ) -> Result<Vec<QueryOutcome>, HamError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let threads = hdc::default_threads(threads, queries.len());
-        if threads <= 1 {
-            return queries
-                .iter()
-                .enumerate()
-                .map(|(i, q)| self.classify(q, start_index + i as u64))
-                .collect();
-        }
-        let mut slots: Vec<Option<Result<QueryOutcome, HamError>>> = vec![None; queries.len()];
-        let chunk_size = queries.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_idx, chunk) in slots.chunks_mut(chunk_size).enumerate() {
-                let base = chunk_idx * chunk_size;
-                scope.spawn(move || {
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        let position = base + offset;
-                        *slot =
-                            Some(self.classify(&queries[position], start_index + position as u64));
-                    }
-                });
-            }
-        });
-        let mut outcomes = Vec::with_capacity(queries.len());
-        for slot in slots {
-            outcomes.push(slot.expect("all slots classified")?);
-        }
-        Ok(outcomes)
+        hdc::parallel::map_even(queries.len(), threads, |i| {
+            self.classify(&queries[i], start_index + i as u64)
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Trust class of a margin measured by the *exact* search, the bottom

@@ -12,7 +12,7 @@
 //! * [`run_batch_resilient`] — per-query `Result` slots in input order.
 //!   A worker panic is contained to its slot ([`HamError::WorkerPanicked`]),
 //!   transient-classed errors get seeded, bounded retry-with-backoff, and
-//!   a [`Deadline`] is checked between work units with cooperative
+//!   a [`Deadline`] is checked before every query with cooperative
 //!   cancellation, so an expired budget yields partial results with
 //!   explicit [`HamError::TimedOut`] slots rather than a hung batch.
 //! * [`classify_batch_resilient`] — the same contract over a
@@ -26,12 +26,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use hdc::prelude::*;
 
-use crate::batch::{lock_unpoisoned, price_completed, BatchOptions};
+use crate::batch::{price_completed, BatchOptions};
 use crate::explore::DesignKind;
 use crate::model::{HamDesign, HamError, HamSearchResult, MarginSearchResult};
 use crate::resilience::degrade::{DegradationController, DegradationPolicy, QueryOutcome};
@@ -293,13 +292,10 @@ pub struct ClassifyReport {
     pub elapsed: Duration,
 }
 
-type Slot<T> = Option<Result<T, HamError>>;
-/// The parallel work queue: `(input-order offset, slot chunk)` pairs.
-type WorkQueue<'a, T> = Mutex<Vec<(usize, &'a mut [Slot<T>])>>;
-
-/// The shared scheduling core: runs `op(0..n)` under the resilient
-/// contract — panic containment, transient retry with backoff, deadline
-/// cancellation between work units — and returns input-order slots.
+/// The shared scheduling core: runs `op(0..n)` on the batch executor
+/// ([`hdc::parallel::execute`]) under the resilient contract — panic
+/// containment, transient retry with backoff, deadline cancellation
+/// before every query — and returns input-order slots.
 fn run_resilient<T: Send>(
     n: usize,
     options: &ResilientOptions,
@@ -309,8 +305,6 @@ fn run_resilient<T: Send>(
     let deadline = options.budget.arm();
     let retries = AtomicUsize::new(0);
     let cancelled = AtomicBool::new(false);
-    let mut slots: Vec<Slot<T>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
 
     let attempt = |index: usize| -> Result<T, HamError> {
         catch_unwind(AssertUnwindSafe(|| op(index)))
@@ -338,67 +332,31 @@ fn run_resilient<T: Send>(
     // saturates to immediate typed `TimedOut` slots: no worker threads
     // are spawned and no shard is touched.
     if deadline.expired() {
-        cancelled.store(true, Ordering::Relaxed);
         let results: Vec<Result<T, HamError>> = (0..n).map(|_| Err(HamError::TimedOut)).collect();
         let stats = ServeStats::tally(&results, 0);
         return (results, stats, started.elapsed());
     }
 
-    let threads = options.batch.resolved_threads(n);
-    if threads <= 1 || n <= 1 {
-        // Serial: the work unit is one query, so the deadline is checked
-        // before each.
-        for (index, slot) in slots.iter_mut().enumerate() {
-            if deadline.expired() {
+    let slots = hdc::parallel::execute(
+        n,
+        options.batch.threads,
+        options.batch.chunk,
+        || (),
+        |_, index| {
+            // The deadline is checked before every query; the cancel flag
+            // stops every worker cooperatively and ends in-flight retries.
+            if cancelled.load(Ordering::Relaxed) || deadline.expired() {
                 cancelled.store(true, Ordering::Relaxed);
-                break;
+                return None;
             }
-            *slot = Some(attempt_with_retry(index));
-        }
-    } else {
-        let chunk = options.batch.resolved_chunk(n);
-        let work: WorkQueue<'_, T> = Mutex::new(
-            slots
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(i, c)| (i * chunk, c))
-                .collect(),
-        );
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    // Deadline between work units; the cancel flag stops
-                    // every worker cooperatively.
-                    if cancelled.load(Ordering::Relaxed) || deadline.expired() {
-                        cancelled.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    let Some((base, chunk)) = lock_unpoisoned(&work).pop() else {
-                        return;
-                    };
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        if cancelled.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        *slot = Some(attempt_with_retry(base + offset));
-                    }
-                });
-            }
-        });
-    }
-
+            Some(attempt_with_retry(index))
+        },
+    );
+    // Only cancellation declines a query (panics are caught in `attempt`),
+    // so every empty slot is one the deadline cut off.
     let results: Vec<Result<T, HamError>> = slots
         .into_iter()
-        .enumerate()
-        .map(|(index, slot)| {
-            slot.unwrap_or(if cancelled.load(Ordering::Relaxed) {
-                Err(HamError::TimedOut)
-            } else {
-                // Defensive: a slot skipped without cancellation means a
-                // worker died outside the catch.
-                Err(HamError::WorkerPanicked { query: index })
-            })
-        })
+        .map(|slot| slot.unwrap_or(Err(HamError::TimedOut)))
         .collect();
     let stats = ServeStats::tally(&results, retries.load(Ordering::Relaxed));
     (results, stats, started.elapsed())

@@ -93,11 +93,11 @@ use std::sync::{Arc, Mutex};
 use hdc::prelude::*;
 use hdc::IndexBuildOptions;
 
-use crate::batch::lock_unpoisoned;
 use crate::resilience::snapshot::{
     crc32, load_snapshot, save_snapshot_with_lsn, words_to_hv, SnapshotError,
 };
 use crate::shard::UpdateOp;
+use hdc::parallel::lock_unpoisoned;
 
 /// Segment file magic ("HAM write-ahead log, layout 1").
 pub const WAL_MAGIC: [u8; 8] = *b"HAMWAL01";

@@ -81,7 +81,6 @@ use std::thread::JoinHandle;
 use hdc::prelude::*;
 use hdc::{active_backend, BucketIndex, IndexBuildOptions};
 
-use crate::batch::lock_unpoisoned;
 use crate::index::IndexPolicy;
 use crate::model::{HamError, MarginSearchResult};
 use crate::resilience::degrade::{Confidence, DegradationPolicy, EngineStage, QueryOutcome};
@@ -89,6 +88,7 @@ use crate::resilience::health::{HealthMonitor, HealthPolicy, HealthState};
 use crate::resilience::scrub::{ScrubReport, Scrubber};
 use crate::resilience::snapshot::{load_snapshot_rows, save_snapshot, SnapshotError};
 use crate::resilience::wal::{strike, CrashInjector, CrashPoint, Wal, WalRecord};
+use hdc::parallel::lock_unpoisoned;
 
 /// The contiguous partition of `rows` rows into `shards` shards.
 ///

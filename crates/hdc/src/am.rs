@@ -17,7 +17,7 @@ use crate::kernel::{
     active_backend, BitSlicedRows, BucketIndex, IndexBuildOptions, IndexStats, Min2, PackedRows,
     ResolvedScan, ScanCounters, ScanStrategy,
 };
-use crate::parallel::default_threads;
+use crate::parallel::map_even;
 
 /// Identifier of a stored class (its row index in the associative memory).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -409,52 +409,28 @@ impl AssociativeMemory {
         Ok((Self::from_min2(hit), counters))
     }
 
-    /// Classifies a whole batch of queries, sharding them across
-    /// `threads` scoped worker threads; results come back in input order
-    /// and are identical to calling [`search`](Self::search) per query.
+    /// Classifies a whole batch of queries, split evenly across `threads`
+    /// workers of the [`crate::parallel`] executor; results come back in
+    /// input order and are identical to calling [`search`](Self::search)
+    /// per query.
     ///
     /// `threads` is capped at the batch size; `0` means one thread per
     /// available core.
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::EmptyMemory`] when nothing is stored (and the
-    /// batch is nonempty) and [`HdcError::DimensionMismatch`] when any
-    /// query belongs to another space.
+    /// Returns the first (in input order) query error:
+    /// [`HdcError::EmptyMemory`] when nothing is stored (and the batch is
+    /// nonempty) and [`HdcError::DimensionMismatch`] when a query belongs
+    /// to another space.
     pub fn search_batch(
         &self,
         queries: &[Hypervector],
         threads: usize,
     ) -> Result<Vec<SearchResult>, HdcError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Validate the whole batch up front so workers cannot fail.
-        for query in queries {
-            self.check_query(query)?;
-        }
-        let threads = default_threads(threads, queries.len());
-        if threads <= 1 {
-            return queries.iter().map(|q| self.search(q)).collect();
-        }
-        let mut results: Vec<Option<SearchResult>> = vec![None; queries.len()];
-        let chunk_size = queries.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_idx, chunk) in results.chunks_mut(chunk_size).enumerate() {
-                let base = chunk_idx * chunk_size;
-                scope.spawn(move || {
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        let words = queries[base + offset].as_bitvec().as_words();
-                        let hit = self.scan(words, None, None).expect("checked non-empty");
-                        *slot = Some(Self::from_min2(hit));
-                    }
-                });
-            }
-        });
-        Ok(results
+        map_even(queries.len(), threads, |i| self.search(&queries[i]))
             .into_iter()
-            .map(|r| r.expect("all slots searched"))
-            .collect())
+            .collect()
     }
 
     /// [`search_batch`](Self::search_batch) with the serving contract: one
@@ -469,35 +445,10 @@ impl AssociativeMemory {
         threads: usize,
     ) -> Vec<Result<SearchResult, HdcError>> {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let caught = |index: usize| -> Result<SearchResult, HdcError> {
+        map_even(queries.len(), threads, |index| {
             catch_unwind(AssertUnwindSafe(|| self.search(&queries[index])))
                 .unwrap_or(Err(HdcError::SearchPanicked { query: index }))
-        };
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let threads = default_threads(threads, queries.len());
-        if threads <= 1 {
-            return (0..queries.len()).map(caught).collect();
-        }
-        let mut results: Vec<Option<Result<SearchResult, HdcError>>> = vec![None; queries.len()];
-        let chunk_size = queries.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_idx, chunk) in results.chunks_mut(chunk_size).enumerate() {
-                let base = chunk_idx * chunk_size;
-                let caught = &caught;
-                scope.spawn(move || {
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(caught(base + offset));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| slot.unwrap_or(Err(HdcError::SearchPanicked { query: index })))
-            .collect()
+        })
     }
 
     /// Search with the distance computed only on the dimensions kept by

@@ -53,11 +53,12 @@
 //!   that the hardware designs in `ham-core` are validated against); its
 //!   search paths run on the [`kernel`] engine.
 //! * [`parallel`] — the shared worker-count policy (`0` = one worker per
-//!   core) behind every batch API in the workspace.
+//!   core) and the one batch executor behind every batch API in the
+//!   workspace.
 //! * [`distortion`] — structured sampling and distance-error injection used
 //!   by the robustness study (paper Fig. 1).
-//! * [`level`] / [`seq`] / [`sparse`] — extension encoders: scalar levels
-//!   and records, generic token sequences, and sparse block codes.
+//! * [`level`] / [`seq`] — extension encoders: scalar levels and records,
+//!   and generic token sequences.
 
 // Unsafe is denied everywhere except the SIMD backend modules under
 // `kernel`, which opt back in (`#![allow(unsafe_code)]`) for the
@@ -77,7 +78,6 @@ pub mod level;
 pub mod ops;
 pub mod parallel;
 pub mod seq;
-pub mod sparse;
 
 mod error;
 
@@ -101,7 +101,6 @@ pub use crate::level::{LevelEncoder, RecordEncoder};
 pub use crate::ops::{Bundler, TieBreak};
 pub use crate::parallel::{available_threads, default_threads};
 pub use crate::seq::SequenceEncoder;
-pub use crate::sparse::{SparseHypervector, SparseShape};
 
 /// Convenience re-exports for typical use of the crate.
 pub mod prelude {
@@ -121,5 +120,4 @@ pub mod prelude {
     pub use crate::ops::{Bundler, TieBreak};
     pub use crate::parallel::{available_threads, default_threads};
     pub use crate::seq::SequenceEncoder;
-    pub use crate::sparse::{SparseHypervector, SparseShape};
 }

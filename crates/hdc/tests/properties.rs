@@ -163,10 +163,9 @@ proptest! {
     }
 }
 
-// ---- properties of the extension modules (level, seq, sparse) ----------
+// ---- properties of the extension modules (level, seq) ------------------
 
 use hdc::seq::SequenceEncoder;
-use hdc::sparse::{SparseHypervector, SparseShape};
 
 proptest! {
     #[test]
@@ -193,44 +192,6 @@ proptest! {
                 gap * step
             );
         }
-    }
-
-    #[test]
-    fn sparse_bind_is_a_distance_preserving_group_action(
-        segs in 2usize..200,
-        b in 2usize..32,
-        s1 in any::<u64>(),
-        s2 in any::<u64>(),
-        s3 in any::<u64>(),
-    ) {
-        let shape = SparseShape::new(segs, b).unwrap();
-        let x = SparseHypervector::random(shape, s1);
-        let y = SparseHypervector::random(shape, s2);
-        let z = SparseHypervector::random(shape, s3);
-        prop_assert_eq!(x.bind(&z).unbind(&z), x.clone());
-        prop_assert_eq!(
-            x.bind(&z).segment_distance(&y.bind(&z)),
-            x.segment_distance(&y)
-        );
-        // Associativity of the segment-wise group operation.
-        prop_assert_eq!(x.bind(&y).bind(&z), x.bind(&y.bind(&z)));
-    }
-
-    #[test]
-    fn sparse_dense_embedding_is_isometric(
-        segs in 1usize..150,
-        b in 2usize..24,
-        s1 in any::<u64>(),
-        s2 in any::<u64>(),
-    ) {
-        let shape = SparseShape::new(segs, b).unwrap();
-        let x = SparseHypervector::random(shape, s1);
-        let y = SparseHypervector::random(shape, s2);
-        prop_assert_eq!(
-            x.to_dense().hamming(&y.to_dense()).as_usize(),
-            2 * x.segment_distance(&y)
-        );
-        prop_assert_eq!(x.to_dense().count_ones(), segs);
     }
 
     #[test]

@@ -261,30 +261,13 @@ pub fn encode_corpus(
     corpus: &Corpus,
 ) -> Vec<(LanguageId, Hypervector)> {
     let samples = corpus.samples();
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    let mut encoded: Vec<Option<(LanguageId, Hypervector)>> = vec![None; samples.len()];
-    let threads = hdc::default_threads(0, samples.len());
-    let chunk_size = samples.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (chunk_idx, chunk) in encoded.chunks_mut(chunk_size).enumerate() {
-            let base = chunk_idx * chunk_size;
-            scope.spawn(move || {
-                for (offset, slot) in chunk.iter_mut().enumerate() {
-                    let sample = &samples[base + offset];
-                    *slot = Some((
-                        sample.language,
-                        classifier.encoder().encode_text(&sample.text),
-                    ));
-                }
-            });
-        }
-    });
-    encoded
-        .into_iter()
-        .map(|s| s.expect("all slots encoded"))
-        .collect()
+    hdc::parallel::map_even(samples.len(), 0, |i| {
+        let sample = &samples[i];
+        (
+            sample.language,
+            classifier.encoder().encode_text(&sample.text),
+        )
+    })
 }
 
 #[cfg(test)]

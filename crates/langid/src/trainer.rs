@@ -145,29 +145,13 @@ impl LanguageClassifier {
             NGramEncoder::new(config.ngram, ItemMemory::new(config.dim, config.item_seed))?;
 
         let samples = training.samples();
-        let mut encoded: Vec<Option<Hypervector>> = vec![None; samples.len()];
-        let threads = hdc::default_threads(0, samples.len());
-        std::thread::scope(|scope| {
-            for (chunk_idx, chunk) in encoded
-                .chunks_mut(samples.len().div_ceil(threads))
-                .enumerate()
-            {
-                let encoder = &encoder;
-                let chunk_size = samples.len().div_ceil(threads);
-                let base = chunk_idx * chunk_size;
-                scope.spawn(move || {
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(encoder.encode_text(&samples[base + offset].text));
-                    }
-                });
-            }
-        });
+        let encoded =
+            hdc::parallel::map_even(samples.len(), 0, |i| encoder.encode_text(&samples[i].text));
 
         let mut memory = AssociativeMemory::new(config.dim);
         let mut languages = Vec::with_capacity(samples.len());
         let mut accumulators = Accumulators::new(samples.len(), config.dim.get());
         for (class, (sample, hv)) in samples.iter().zip(encoded).enumerate() {
-            let hv = hv.expect("all slots encoded");
             accumulators.add(class, &hv, 1);
             memory.insert(sample.language.name(), hv)?;
             languages.push(sample.language);

@@ -29,9 +29,11 @@
 //! ```
 //!
 //! [`Server::drain`] consumes the server and returns a [`DrainReport`]
-//! accounting for every accept loop and connection thread — the
-//! zero-orphan guarantee the integration tests assert via
-//! `/proc/self/task`.
+//! accounting for every accept loop and connection thread. The server
+//! counts each thread it spawns, so the zero-orphan guarantee is
+//! `threads_spawned == accept_loops_joined + connection_threads_joined`,
+//! which the integration tests assert. (The batch workers a request runs
+//! on are scoped threads, joined before its response is written.)
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -41,9 +43,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ham_core::lock_unpoisoned;
 use ham_core::resilience::ResilientOptions;
 use ham_core::HamError;
+use hdc::parallel::lock_unpoisoned;
 
 use crate::frame::{
     encode_response, read_request_header, read_request_payload, write_frame, SlotResult,
@@ -103,6 +105,11 @@ pub struct DrainReport {
     pub forced_shutdowns: usize,
     /// Connection threads joined over the server's whole lifetime.
     pub connection_threads_joined: usize,
+    /// Threads the server spawned over its whole lifetime: the accept
+    /// loops plus every connection thread. A drain that joined them all
+    /// reports `accept_loops_joined + connection_threads_joined` equal
+    /// to this.
+    pub threads_spawned: usize,
     /// Snapshot files flushed (one per tenant when a snapshot dir is
     /// configured).
     pub snapshots_flushed: usize,
@@ -122,6 +129,7 @@ struct Shared {
     draining: AtomicBool,
     accepted: AtomicU64,
     registry: Mutex<Vec<ConnEntry>>,
+    spawned: AtomicU64,
     joined: AtomicU64,
 }
 
@@ -166,6 +174,7 @@ impl Server {
             draining: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
             registry: Mutex::new(Vec::new()),
+            spawned: AtomicU64::new(0),
             joined: AtomicU64::new(0),
         });
         let mut accept_handles = Vec::with_capacity(accept_threads);
@@ -218,6 +227,7 @@ impl Server {
     /// thread spawned by the server is alive.
     pub fn drain(self) -> DrainReport {
         self.shared.draining.store(true, Ordering::SeqCst);
+        let accept_loops = self.accept_handles.len();
         let mut accept_loops_joined = 0;
         for handle in self.accept_handles {
             if handle.join().is_ok() {
@@ -267,6 +277,7 @@ impl Server {
             drained_gracefully,
             forced_shutdowns,
             connection_threads_joined: self.shared.joined.load(Ordering::Relaxed) as usize,
+            threads_spawned: accept_loops + self.shared.spawned.load(Ordering::Relaxed) as usize,
             snapshots_flushed,
             flush_failures,
         }
@@ -326,6 +337,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                         conn_done.store(true, Ordering::Relaxed);
                     });
                 if let Ok(handle) = spawned {
+                    shared.spawned.fetch_add(1, Ordering::Relaxed);
                     lock_unpoisoned(&shared.registry).push(ConnEntry {
                         stream: registered,
                         done,

@@ -28,7 +28,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ham_core::explore::DesignKind;
-use ham_core::lock_unpoisoned;
 use ham_core::resilience::snapshot::{load_snapshot, save_snapshot, SnapshotError};
 use ham_core::resilience::wal::{Wal, WalOptions};
 use ham_core::resilience::{
@@ -36,6 +35,7 @@ use ham_core::resilience::{
     ServeReport, PRIORITY_HIGH,
 };
 use ham_core::{ensure_indexed, HamError, IndexPolicy, OnlineUpdater, VersionedMemory};
+use hdc::parallel::lock_unpoisoned;
 use hdc::prelude::*;
 
 /// A tenant's hard request-rate cap: a token bucket holding up to
