@@ -127,6 +127,17 @@ impl AHam {
         self
     }
 
+    /// The stored rows the TCAM crossbar holds.
+    pub fn rows(&self) -> &PackedRows {
+        &self.rows
+    }
+
+    /// Reprograms the rows `patch` changes (callers keep at least one
+    /// row and the design's space).
+    pub(crate) fn apply_patch(&mut self, patch: &RowPatch<'_>) {
+        patch.apply_to_packed(&mut self.rows);
+    }
+
     fn recompute_resolution(&mut self) {
         self.min_detectable = self
             .resolution

@@ -85,6 +85,17 @@ impl DHam {
         self
     }
 
+    /// The stored rows the CAM array holds.
+    pub fn rows(&self) -> &[Hypervector] {
+        &self.rows
+    }
+
+    /// Reprograms the rows `patch` changes (callers keep at least one
+    /// row and the design's space).
+    pub(crate) fn apply_patch(&mut self, patch: &RowPatch<'_>) {
+        patch.apply_to_rows(&mut self.rows);
+    }
+
     /// The number of sampled dimensions `d`.
     pub fn sampled_dimensions(&self) -> usize {
         self.sampled

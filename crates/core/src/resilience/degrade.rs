@@ -28,6 +28,7 @@ use crate::explore::DesignKind;
 use crate::model::HamDesign as _;
 use crate::model::{HamError, HamSearchResult, MarginSearchResult};
 use crate::rham::{BlockErrorModel, RHam};
+use crate::shard::MemoryVersion;
 
 /// Margin thresholds and retry budget of the degradation controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,6 +194,39 @@ impl Engine {
             Engine::Analog { .. } => DesignKind::Analog,
         }
     }
+
+    fn rung_rows(&self) -> [Vec<&[u64]>; 2] {
+        fn words(rows: &[Hypervector]) -> Vec<&[u64]> {
+            rows.iter().map(|hv| hv.as_bitvec().as_words()).collect()
+        }
+        match self {
+            Engine::Digital { primary, widened } => [words(primary.rows()), words(widened.rows())],
+            Engine::Resistive { primary, widened } => {
+                [words(primary.rows()), words(widened.rows())]
+            }
+            Engine::Analog { primary, widened } => [
+                primary.rows().iter_rows().collect(),
+                widened.rows().iter_rows().collect(),
+            ],
+        }
+    }
+
+    fn apply_patch(&mut self, patch: &RowPatch<'_>) {
+        match self {
+            Engine::Digital { primary, widened } => {
+                primary.apply_patch(patch);
+                widened.apply_patch(patch);
+            }
+            Engine::Resistive { primary, widened } => {
+                primary.apply_patch(patch);
+                widened.apply_patch(patch);
+            }
+            Engine::Analog { primary, widened } => {
+                primary.apply_patch(patch);
+                widened.apply_patch(patch);
+            }
+        }
+    }
 }
 
 /// Wraps an approximate HAM engine with margin-gated escalation over a
@@ -333,6 +367,66 @@ impl DegradationController {
     /// ran before construction).
     pub fn memory(&self) -> &AssociativeMemory {
         &self.memory
+    }
+
+    /// The packed words each rung's private row copy holds, primary then
+    /// widened — what [`advance`](Self::advance) keeps equal to the
+    /// searched memory's rows.
+    pub fn rung_rows(&self) -> [Vec<&[u64]>; 2] {
+        self.engine.rung_rows()
+    }
+
+    /// Switches the margin policy; the rungs do not depend on it.
+    pub(crate) fn set_policy(&mut self, policy: DegradationPolicy) {
+        self.policy = policy;
+    }
+
+    /// Carries the controller forward to `version`, given that it serves
+    /// `version`'s predecessor at epoch `since`: the rows and labels of
+    /// every chunk replaced after `since`
+    /// ([`MemoryVersion::patch_since`]) are written into the searched
+    /// memory and into each rung's private copy, the version's own
+    /// bucket index, bit-sliced mirror and scan strategy are attached,
+    /// and `policy` takes effect. The result is the controller
+    /// [`for_kind`](Self::for_kind) builds over `version.memory()`, at
+    /// the cost of the changed chunks — nothing is materialized and the
+    /// index and mirror are shared, never copied. Rows outside the
+    /// changed chunks are kept as served.
+    ///
+    /// # Errors
+    ///
+    /// [`HamError::NoClasses`] for an empty version and
+    /// [`HamError::DimensionMismatch`] for one from another space; the
+    /// controller is unchanged then.
+    pub fn advance(
+        &mut self,
+        version: &MemoryVersion,
+        since: u64,
+        policy: DegradationPolicy,
+    ) -> Result<(), HamError> {
+        if version.rows() == 0 {
+            return Err(HamError::NoClasses);
+        }
+        if version.dim() != self.memory.dim() {
+            return Err(HamError::DimensionMismatch {
+                expected: self.memory.dim().get(),
+                actual: version.dim().get(),
+            });
+        }
+        let patch = version.patch_since(since);
+        // `apply_patch` detaches the index and mirror before it writes,
+        // so no shared structure is copied on the way.
+        self.memory.apply_patch(&patch).map_err(HamError::Hdc)?;
+        if let Some(index) = version.index_handle() {
+            self.memory.attach_index(index).map_err(HamError::Hdc)?;
+        }
+        if let Some(sliced) = version.sliced_handle() {
+            self.memory.attach_sliced(sliced).map_err(HamError::Hdc)?;
+        }
+        self.memory.set_scan_strategy(version.scan_strategy());
+        self.engine.apply_patch(&patch);
+        self.policy = policy;
+        Ok(())
     }
 
     /// Classifies one query, escalating while the decision margin stays

@@ -59,7 +59,7 @@ pub use serve::{
 pub use snapshot::{
     load_golden, load_snapshot, load_snapshot_repaired, load_snapshot_rows, save_golden,
     save_snapshot, save_snapshot_with_lsn, RepairedLoad, SnapshotError, SnapshotLoad,
-    SnapshotSlice,
+    SnapshotSlice, SnapshotSource,
 };
 pub use wal::{
     oldest_segment_lsn, recover, replay_floor, strike, CrashAction, CrashInjector, CrashOnce,

@@ -110,6 +110,17 @@ impl Scrubber {
         self.golden.get(class.0)
     }
 
+    /// Every golden row, in class order.
+    pub fn golden_rows(&self) -> &[Hypervector] {
+        &self.golden
+    }
+
+    /// Rewrites the golden rows `patch` changes (callers keep at least
+    /// one row and the scrubber's space).
+    pub(crate) fn apply_patch(&mut self, patch: &RowPatch<'_>) {
+        patch.apply_to_rows(&mut self.golden);
+    }
+
     fn check(&self, memory: &AssociativeMemory) -> Result<(), HamError> {
         if memory.len() != self.golden.len() {
             return Err(HamError::GoldenMismatch {

@@ -37,6 +37,7 @@ use crate::resilience::degrade::{DegradationController, DegradationPolicy, Query
 use crate::resilience::health::{HealthMonitor, HealthPolicy, HealthState};
 use crate::resilience::scrub::Scrubber;
 use crate::resilience::snapshot::{load_snapshot, save_snapshot, SnapshotError};
+use crate::shard::MemoryVersion;
 use crate::units::{Nanoseconds, Picojoules};
 
 /// A wall-clock budget armed when a batch starts.
@@ -595,6 +596,48 @@ impl ResilientServer {
         &self.monitor
     }
 
+    /// The degradation controller serving the ladder.
+    pub fn controller(&self) -> &DegradationController {
+        &self.controller
+    }
+
+    /// The scrubber holding the golden rows.
+    pub fn scrubber(&self) -> &Scrubber {
+        &self.scrubber
+    }
+
+    /// Carries the server forward to `version`, given that it serves
+    /// `version`'s predecessor at epoch `since` — the only way a served
+    /// engine reaches a new epoch. The controller advances by the
+    /// chunks replaced after `since`
+    /// ([`DegradationController::advance`]), the scrubber's golden rows
+    /// take the same patch, and everything [`new`](Self::new) starts
+    /// fresh starts fresh again: the health monitor (same policy), the
+    /// rolling queue depth, the query stream index, and the base
+    /// degradation policy. A configured snapshot is rewritten with the
+    /// new golden state. The advanced server is the one `new` builds
+    /// over `version.memory()` with a [`Scrubber::from_memory`] of it,
+    /// at the cost of the changed chunks.
+    ///
+    /// # Errors
+    ///
+    /// As [`DegradationController::advance`] (the server is unchanged
+    /// then), plus [`HamError::Durability`] when the snapshot rewrite
+    /// fails.
+    pub fn advance(&mut self, version: &MemoryVersion, since: u64) -> Result<(), HamError> {
+        self.controller.advance(version, since, self.base_policy)?;
+        self.scrubber.apply_patch(&version.patch_since(since));
+        self.monitor = HealthMonitor::new(self.monitor.policy());
+        self.rolling_depth = 0;
+        self.next_index = 0;
+        if let Some(path) = &self.snapshot_path {
+            save_snapshot(&self.golden_memory(), path).map_err(|error| HamError::Durability {
+                detail: error.to_string(),
+            })?;
+        }
+        Ok(())
+    }
+
     /// The degradation policy currently in force (the base policy,
     /// tightened while degraded).
     pub fn policy(&self) -> DegradationPolicy {
@@ -712,21 +755,37 @@ impl ResilientServer {
         actions
     }
 
-    /// The golden state: the scrubber's rows under the serving labels.
+    /// The golden state: the served memory with every row that differs
+    /// from its golden copy rewritten. Labels, scan strategy, bucket
+    /// index and bit-sliced mirror carry over, and the row rewrites keep
+    /// the index and mirror coherent, so a restored tenant keeps its
+    /// pruned scan.
     fn golden_memory(&self) -> AssociativeMemory {
-        let memory = self.controller.memory();
-        let mut golden = AssociativeMemory::new(memory.dim());
-        for (class, label, _) in memory.iter() {
-            let row = self
-                .scrubber
-                .golden_row(class)
-                .expect("scrubber matches the served memory")
-                .clone();
-            golden
-                .insert(label, row)
-                .expect("golden rows share the serving space");
-        }
+        let mut golden = self.controller.memory().clone();
+        self.scrubber
+            .repair(&mut golden)
+            .expect("scrubber matches the served memory");
         golden
+    }
+
+    /// The served memory with its rows replaced by `restored`'s where
+    /// they differ, then repaired against the golden rows — the scan
+    /// state carries over as in [`golden_memory`](Self::golden_memory).
+    /// `None` when `restored` holds another row count or space.
+    fn served_with_rows(&self, restored: &AssociativeMemory) -> Option<AssociativeMemory> {
+        let mut memory = self.controller.memory().clone();
+        if restored.len() != memory.len() || restored.dim() != memory.dim() {
+            return None;
+        }
+        for (class, _, row) in restored.iter() {
+            if memory.row(class) != Some(row) {
+                memory.replace_row(class, row.clone()).ok()?;
+            }
+        }
+        // Rows corrupted on disk are repaired from the in-memory golden
+        // rows before the memory goes back into service.
+        self.scrubber.repair(&mut memory).ok()?;
+        Some(memory)
     }
 
     /// Rebuilds the controller over `memory` at `policy`. The engines
@@ -742,7 +801,7 @@ impl ResilientServer {
         match self.monitor.state() {
             HealthState::Healthy => {
                 if self.controller.policy() != self.base_policy {
-                    self.rebuild(self.controller.memory().clone(), self.base_policy);
+                    self.controller.set_policy(self.base_policy);
                     actions.push(HealthAction::RelaxedPolicy);
                 }
             }
@@ -762,11 +821,13 @@ impl ResilientServer {
                 }
                 // …and serve more cautiously until telemetry recovers.
                 let tightened = self.monitor.tightened(self.base_policy);
-                if repaired || self.controller.policy() != tightened {
-                    if self.controller.policy() != tightened {
-                        actions.push(HealthAction::TightenedPolicy(tightened));
-                    }
+                if self.controller.policy() != tightened {
+                    actions.push(HealthAction::TightenedPolicy(tightened));
+                }
+                if repaired {
                     self.rebuild(memory, tightened);
+                } else {
+                    self.controller.set_policy(tightened);
                 }
                 // Scrub findings can escalate straight to quarantine.
                 if self.monitor.state() == HealthState::Quarantined {
@@ -784,10 +845,7 @@ impl ResilientServer {
         let tightened = self.monitor.tightened(self.base_policy);
         let restored = self.snapshot_path.as_ref().and_then(|path| {
             let load = load_snapshot(path).ok()?;
-            let mut memory = load.memory;
-            // Rows corrupted on disk are repaired from the in-memory
-            // golden rows before the memory goes back into service.
-            let _ = self.scrubber.repair(&mut memory);
+            let memory = self.served_with_rows(&load.memory)?;
             Some((memory, load.corrupted.len()))
         });
         match restored {
@@ -894,6 +952,7 @@ mod tests {
     use super::*;
     use crate::batch::run_batch;
     use crate::explore::{build, random_memory};
+    use hdc::IndexBuildOptions;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1335,6 +1394,76 @@ mod tests {
         for (class, _, row) in clean.iter() {
             assert_eq!(server.memory().row(class), Some(row));
         }
+    }
+
+    /// A bit-sliced tenant (the near-duplicate shape) keeps its scan
+    /// strategy, index and mirror through a quarantine restore, from the
+    /// golden rows and from a snapshot alike: the restored memory scans
+    /// exactly as the clean memory does.
+    #[test]
+    fn quarantine_restore_keeps_the_pruned_scan() {
+        let dim = Dimension::new(512).unwrap();
+        let mut rng = StdRng::seed_from_u64(32);
+        let centres: Vec<Hypervector> = (0..8).map(|s| Hypervector::random(dim, s)).collect();
+        let mut clean = AssociativeMemory::new(dim);
+        for i in 0..512 {
+            let row = centres[i / 64].with_flipped_bits(8, &mut rng);
+            clean.insert(format!("row-{i}"), row).unwrap();
+        }
+        clean.build_index(IndexBuildOptions::default()).unwrap();
+        clean.build_sliced();
+        clean.set_scan_strategy(ScanStrategy::BitSliced);
+        let queries: Vec<Hypervector> = (0..8)
+            .map(|c| centres[c].with_flipped_bits(4, &mut rng))
+            .collect();
+        let counted = |memory: &AssociativeMemory| -> Vec<hdc::ScanCounters> {
+            queries
+                .iter()
+                .map(|q| memory.search_counted(q).unwrap().1)
+                .collect()
+        };
+        let expected = counted(&clean);
+        assert!(expected.iter().all(|c| c.rows_group_pruned > 0));
+
+        let path =
+            std::env::temp_dir().join(format!("hdham-serve-sliced-{}.ham", std::process::id()));
+        for from_snapshot in [false, true] {
+            let mut faulted = clean.clone();
+            for class in (0..512).step_by(37) {
+                faulted
+                    .replace_row(ClassId(class), Hypervector::random(dim, 500 + class as u64))
+                    .unwrap();
+            }
+            let mut server = ResilientServer::new(
+                DesignKind::Digital,
+                faulted,
+                Scrubber::from_memory(&clean),
+                DegradationPolicy::for_dim(dim.get()),
+            )
+            .unwrap()
+            .with_options(ResilientOptions::serial())
+            .with_health_policy(HealthPolicy {
+                quarantine_corrupted_rows: 3,
+                ..HealthPolicy::default()
+            });
+            if from_snapshot {
+                server = server.with_snapshot(&path).unwrap();
+            }
+            let actions = server.scrub_now();
+            assert!(
+                actions.iter().any(|a| matches!(
+                    a,
+                    HealthAction::RestoredFromSnapshot { .. } | HealthAction::RestoredFromGolden
+                )),
+                "{actions:?}"
+            );
+            let restored = server.memory();
+            assert!(restored.iter().eq(clean.iter()), "rows and labels restored");
+            assert_eq!(restored.resolved_strategy(), ResolvedScan::BitSliced);
+            assert!(restored.index().is_some() && restored.sliced().is_some());
+            assert_eq!(counted(restored), expected, "snapshot={from_snapshot}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

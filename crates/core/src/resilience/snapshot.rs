@@ -273,21 +273,75 @@ pub(crate) fn words_to_hv(words: &[u64], dim: usize) -> Hypervector {
     Hypervector::from_bitvec(bits).expect("dim ≥ 1 checked by the header")
 }
 
-fn encode(memory: &AssociativeMemory) -> Vec<u8> {
-    let dim = memory.dim().get();
-    let index = memory.index().filter(|index| index.buckets() > 0);
+/// What a snapshot is written from: a row space, its `(label, row)`
+/// records in row order, and the bucket index, if any. Implemented by a
+/// flat [`AssociativeMemory`] and by a published
+/// [`MemoryVersion`](crate::shard::MemoryVersion), which encodes straight
+/// from its chunks — a checkpoint never materializes a delta version.
+/// Both write the same bytes for the same rows, labels and index.
+pub trait SnapshotSource {
+    /// The rows' dimensionality.
+    fn dim(&self) -> Dimension;
+    /// Number of records.
+    fn rows(&self) -> usize;
+    /// `(label, row)` per class, in row order.
+    fn records(&self) -> impl Iterator<Item = (&str, &Hypervector)>;
+    /// The bucket index covering the rows, if any.
+    fn index(&self) -> Option<&hdc::BucketIndex>;
+}
+
+impl SnapshotSource for AssociativeMemory {
+    fn dim(&self) -> Dimension {
+        AssociativeMemory::dim(self)
+    }
+
+    fn rows(&self) -> usize {
+        self.len()
+    }
+
+    fn records(&self) -> impl Iterator<Item = (&str, &Hypervector)> {
+        self.iter().map(|(_, label, hv)| (label, hv))
+    }
+
+    fn index(&self) -> Option<&hdc::BucketIndex> {
+        AssociativeMemory::index(self)
+    }
+}
+
+impl SnapshotSource for crate::shard::MemoryVersion {
+    fn dim(&self) -> Dimension {
+        crate::shard::MemoryVersion::dim(self)
+    }
+
+    fn rows(&self) -> usize {
+        crate::shard::MemoryVersion::rows(self)
+    }
+
+    fn records(&self) -> impl Iterator<Item = (&str, &Hypervector)> {
+        crate::shard::MemoryVersion::records(self)
+    }
+
+    fn index(&self) -> Option<&hdc::BucketIndex> {
+        crate::shard::MemoryVersion::index(self)
+    }
+}
+
+fn encode(source: &impl SnapshotSource) -> Vec<u8> {
+    let dim = source.dim().get();
+    let rows = source.rows();
+    let index = source.index().filter(|index| index.buckets() > 0);
     // An unindexed memory still writes a byte-identical v1 file, so
     // pre-index snapshots and post-index snapshots of the same rows
     // only differ when there is an index to carry.
     let version: u32 = if index.is_some() { VERSION } else { 1 };
-    let mut bytes = Vec::with_capacity(HEADER_BODY + 4 + memory.len() * row_stride(dim));
+    let mut bytes = Vec::with_capacity(HEADER_BODY + 4 + rows * row_stride(dim));
     bytes.extend_from_slice(&MAGIC);
     bytes.extend_from_slice(&version.to_le_bytes());
     bytes.extend_from_slice(&(dim as u64).to_le_bytes());
-    bytes.extend_from_slice(&(memory.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&(rows as u64).to_le_bytes());
     let header_crc = crc32(&bytes);
     bytes.extend_from_slice(&header_crc.to_le_bytes());
-    for (_, label, hv) in memory.iter() {
+    for (label, hv) in source.records() {
         let record_start = bytes.len();
         let label_bytes = label.as_bytes();
         let kept = label_bytes.len().min(MAX_LABEL_BYTES);
@@ -381,16 +435,17 @@ fn decode_index_section(section: &[u8], dim: usize, classes: usize) -> Option<hd
     hdc::BucketIndex::from_parts(centroids, radii, assignments, dirty, hdc::active_backend())
 }
 
-/// Saves a checksummed snapshot of `memory` to `path` atomically: the
-/// bytes are written to a sibling temp file, fsynced, and `rename`d over
-/// the destination, so readers only ever observe a complete snapshot.
+/// Saves a checksummed snapshot of `memory` (an [`AssociativeMemory`]
+/// or a published version) to `path` atomically: the bytes are written
+/// to a sibling temp file, fsynced, and `rename`d over the destination,
+/// so readers only ever observe a complete snapshot.
 ///
 /// Labels longer than [`MAX_LABEL_BYTES`] bytes are truncated.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn save_snapshot(memory: &AssociativeMemory, path: &Path) -> Result<(), SnapshotError> {
+pub fn save_snapshot(memory: &impl SnapshotSource, path: &Path) -> Result<(), SnapshotError> {
     publish_bytes(&encode(memory), path)
 }
 
@@ -404,7 +459,7 @@ pub fn save_snapshot(memory: &AssociativeMemory, path: &Path) -> Result<(), Snap
 ///
 /// Propagates filesystem errors.
 pub fn save_snapshot_with_lsn(
-    memory: &AssociativeMemory,
+    memory: &impl SnapshotSource,
     path: &Path,
     wal_lsn: u64,
 ) -> Result<(), SnapshotError> {
@@ -993,6 +1048,84 @@ mod tests {
             }
         }
         cleanup(&path);
+    }
+
+    /// A delta-published version encodes straight from its chunks to
+    /// exactly the bytes its materialized memory saves: v1 (unindexed),
+    /// v2 (indexed), with and without the LSN trailer, and through a
+    /// WAL checkpoint — none of which materializes the version.
+    #[test]
+    fn version_snapshots_match_the_materialized_memory_byte_for_byte() {
+        use crate::index::IndexPolicy;
+        use crate::resilience::wal::{Wal, WalOptions};
+        use crate::shard::{OnlineUpdater, VersionedMemory};
+        use std::sync::Arc;
+
+        for indexed in [false, true] {
+            let tag = if indexed { "v2" } else { "v1" };
+            let mut memory = random_memory(300, 256, 41);
+            let mut updater_policy = None;
+            if indexed {
+                memory
+                    .build_index(hdc::IndexBuildOptions::default())
+                    .unwrap();
+                updater_policy = Some(IndexPolicy::default());
+            }
+            let versioned = Arc::new(VersionedMemory::new(memory));
+            let wal_dir = std::env::temp_dir().join(format!(
+                "hdham-snapshot-version-{tag}-{}.wal",
+                std::process::id()
+            ));
+            let _ = fs::remove_dir_all(&wal_dir);
+            let wal = Arc::new(
+                Wal::open(&wal_dir, versioned.load().dim(), WalOptions::default()).unwrap(),
+            );
+            let mut updater = OnlineUpdater::new(Arc::clone(&versioned)).with_wal(wal);
+            if let Some(policy) = updater_policy {
+                updater = updater.with_index_policy(policy);
+            }
+            let dim = versioned.load().dim();
+            updater
+                .rethreshold_row(ClassId(17), Hypervector::random(dim, 1))
+                .unwrap();
+            updater
+                .add_class(
+                    "a-label-longer-than-the-forty-seven-byte-field-keeps",
+                    Hypervector::random(dim, 2),
+                )
+                .unwrap();
+            updater.retire_class(ClassId(3)).unwrap();
+            updater
+                .rethreshold_row(ClassId(200), Hypervector::random(dim, 3))
+                .unwrap();
+
+            let (from_chunks, from_memory) = (temp_path("chunks"), temp_path("memory"));
+            let checkpointed = temp_path("checkpoint");
+            updater.checkpoint(&checkpointed).unwrap();
+            let version = versioned.load();
+            save_snapshot(&*version, &from_chunks).unwrap();
+            let plain = fs::read(&from_chunks).unwrap();
+            save_snapshot_with_lsn(&*version, &from_chunks, 77).unwrap();
+            let trailed = fs::read(&from_chunks).unwrap();
+            assert!(!version.is_materialized(), "{tag}: encoding materialized");
+            let covered = load_snapshot(&checkpointed).unwrap().wal_lsn.unwrap();
+
+            assert_eq!(version.memory().index().is_some(), indexed, "{tag}");
+            save_snapshot(version.memory(), &from_memory).unwrap();
+            assert_eq!(plain, fs::read(&from_memory).unwrap(), "{tag}: plain");
+            save_snapshot_with_lsn(version.memory(), &from_memory, 77).unwrap();
+            assert_eq!(trailed, fs::read(&from_memory).unwrap(), "{tag}: trailer");
+            save_snapshot_with_lsn(version.memory(), &from_memory, covered).unwrap();
+            assert_eq!(
+                fs::read(&checkpointed).unwrap(),
+                fs::read(&from_memory).unwrap(),
+                "{tag}: checkpoint"
+            );
+            for path in [&from_chunks, &from_memory, &checkpointed] {
+                cleanup(path);
+            }
+            let _ = fs::remove_dir_all(&wal_dir);
+        }
     }
 
     #[test]

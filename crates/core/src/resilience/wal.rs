@@ -94,7 +94,7 @@ use hdc::prelude::*;
 use hdc::IndexBuildOptions;
 
 use crate::resilience::snapshot::{
-    crc32, load_snapshot, save_snapshot_with_lsn, words_to_hv, SnapshotError,
+    crc32, load_snapshot, save_snapshot_with_lsn, words_to_hv, SnapshotError, SnapshotSource,
 };
 use crate::shard::UpdateOp;
 use hdc::parallel::lock_unpoisoned;
@@ -715,7 +715,8 @@ impl Wal {
         Ok(first..state.next_lsn)
     }
 
-    /// Fuses the log into `snapshot_path`: saves `memory` with the
+    /// Fuses the log into `snapshot_path`: saves `memory` (a flat memory
+    /// or a published version, encoded from its chunks) with the
     /// covered LSN bound into the file (atomic rename), then deletes
     /// every old segment and starts a fresh one. The caller must pass
     /// the memory that reflects every appended record (the updater
@@ -736,7 +737,7 @@ impl Wal {
     /// Snapshot and I/O failures.
     pub fn checkpoint(
         &self,
-        memory: &AssociativeMemory,
+        memory: &impl SnapshotSource,
         snapshot_path: &Path,
     ) -> Result<(), WalError> {
         let mut state = lock_unpoisoned(&self.state);

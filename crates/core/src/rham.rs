@@ -218,6 +218,17 @@ impl RHam {
         self
     }
 
+    /// The stored rows the crossbar holds.
+    pub fn rows(&self) -> &[Hypervector] {
+        &self.rows
+    }
+
+    /// Reprograms the rows `patch` changes (callers keep at least one
+    /// row and the design's space).
+    pub(crate) fn apply_patch(&mut self, patch: &RowPatch<'_>) {
+        patch.apply_to_rows(&mut self.rows);
+    }
+
     /// Total blocks in the array, `⌈D / 4⌉`.
     pub fn total_blocks(&self) -> usize {
         self.total_blocks

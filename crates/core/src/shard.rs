@@ -586,9 +586,11 @@ impl DeltaMemory {
 /// its predecessor, and [`chunk_epochs`](Self::chunk_epochs) records,
 /// per chunk, the epoch that last replaced it — epochs compose per
 /// chunk. The flat [`AssociativeMemory`] view is materialized lazily on
-/// first [`memory`](Self::memory) call (cold paths only: snapshots,
-/// scrub repairs, engine rebuilds); the scan paths read the chunks
-/// directly and never pay for materialization.
+/// first [`memory`](Self::memory) call (cold paths only: scrub repairs,
+/// whole-copy updates, tests); the scan paths read the chunks directly,
+/// a served engine advances from [`patch_since`](Self::patch_since), and
+/// snapshots encode straight from the chunks, so none of them pays for
+/// materialization.
 #[derive(Debug)]
 pub struct MemoryVersion {
     epoch: u64,
@@ -629,6 +631,55 @@ impl MemoryVersion {
     /// materializing.
     pub fn sliced(&self) -> Option<&BitSlicedRows> {
         self.delta.sliced.as_deref()
+    }
+
+    /// Shared handle to the version's bucket index — what an engine
+    /// advancing to this version attaches, so it never copies the index.
+    pub fn index_handle(&self) -> Option<Arc<BucketIndex>> {
+        self.delta.index.clone()
+    }
+
+    /// Shared handle to the version's bit-sliced mirror.
+    pub fn sliced_handle(&self) -> Option<Arc<BitSlicedRows>> {
+        self.delta.sliced.clone()
+    }
+
+    /// The version's configured scan strategy (before resolution).
+    pub fn scan_strategy(&self) -> ScanStrategy {
+        self.delta.strategy
+    }
+
+    /// Whether the flat [`memory`](Self::memory) view exists yet —
+    /// `true` for versions installed by a full
+    /// [`publish`](VersionedMemory::publish), `false` for a delta
+    /// publish until something calls [`memory`](Self::memory).
+    pub fn is_materialized(&self) -> bool {
+        self.full.get().is_some()
+    }
+
+    /// `(label, row)` of every stored class in row order, read from the
+    /// chunks without materializing.
+    pub fn records(&self) -> impl Iterator<Item = (&str, &Hypervector)> {
+        self.delta
+            .chunks
+            .iter()
+            .flat_map(|chunk| chunk.labels.iter().map(String::as_str).zip(&chunk.rows))
+    }
+
+    /// The [`RowPatch`] that carries a copy of this version's
+    /// predecessor at `epoch` forward to this version: one run per chunk
+    /// replaced after `epoch` (per [`chunk_epochs`](Self::chunk_epochs)),
+    /// then truncation to [`rows`](Self::rows). A retire restamps every
+    /// chunk, so its patch rewrites everything; a one-row re-threshold
+    /// rewrites one chunk.
+    pub fn patch_since(&self, epoch: u64) -> RowPatch<'_> {
+        let mut patch = RowPatch::new(self.delta.rows);
+        for (i, (chunk, &stamp)) in self.delta.chunks.iter().zip(&self.chunk_epochs).enumerate() {
+            if stamp > epoch {
+                patch.push_run(i * CHUNK_ROWS, &chunk.labels, &chunk.rows);
+            }
+        }
+        patch
     }
 
     /// The concrete traversal this version's strategy resolves to —
@@ -1621,18 +1672,21 @@ impl OnlineUpdater {
     /// [`HamError::Durability`] for snapshot or log I/O failures.
     pub fn checkpoint(&self, snapshot_path: &Path) -> Result<u64, HamError> {
         let _guard = lock_unpoisoned(&self.versioned.updates);
+        // Encoded straight from the version's chunks: a checkpoint never
+        // materializes a delta version.
         let version = self.versioned.load();
-        let memory = version.memory();
         match &self.wal {
             Some(wal) => {
-                wal.checkpoint(memory, snapshot_path)
+                wal.checkpoint(&*version, snapshot_path)
                     .map_err(|error| HamError::Durability {
                         detail: error.to_string(),
                     })?
             }
-            None => save_snapshot(memory, snapshot_path).map_err(|error| HamError::Durability {
-                detail: error.to_string(),
-            })?,
+            None => {
+                save_snapshot(&*version, snapshot_path).map_err(|error| HamError::Durability {
+                    detail: error.to_string(),
+                })?
+            }
         }
         Ok(version.epoch())
     }

@@ -18,6 +18,7 @@ use crate::kernel::{
     ResolvedScan, ScanCounters, ScanStrategy,
 };
 use crate::parallel::map_even;
+use crate::patch::RowPatch;
 
 /// Identifier of a stored class (its row index in the associative memory).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -340,6 +341,38 @@ impl AssociativeMemory {
                 stored,
             }),
         }
+    }
+
+    /// Rewrites the stored rows and labels by `patch`. The bucket index
+    /// and the bit-sliced mirror are detached first — a patch may rewrite
+    /// any row, and detaching keeps the writes from copying either
+    /// structure — so re-attach ones that cover the patched rows
+    /// ([`attach_index`](Self::attach_index),
+    /// [`attach_sliced`](Self::attach_sliced)). The scan strategy is
+    /// kept.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::DimensionMismatch`] when a patched row belongs
+    /// to another space; nothing is changed then.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the patch was made for a longer memory (a run starts
+    /// past the stored rows).
+    pub fn apply_patch(&mut self, patch: &RowPatch<'_>) -> Result<(), HdcError> {
+        if let Some(hv) = patch.written().find(|hv| hv.dim() != self.dim) {
+            return Err(HdcError::DimensionMismatch {
+                left: self.dim.get(),
+                right: hv.dim().get(),
+            });
+        }
+        self.index = None;
+        self.sliced = None;
+        patch.apply_to_packed(&mut self.packed);
+        patch.apply_to_rows(&mut self.rows);
+        patch.apply_to_labels(&mut self.labels);
+        Ok(())
     }
 
     /// The label of a class, if stored.

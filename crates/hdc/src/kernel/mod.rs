@@ -506,6 +506,15 @@ impl PackedRows {
         self.words[start..start + self.words_per_row].copy_from_slice(row);
     }
 
+    /// Keeps the first `len` rows, dropping the rest (no-op when `len`
+    /// is not below the row count).
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.rows {
+            self.words.truncate(len * self.words_per_row);
+            self.rows = len;
+        }
+    }
+
     /// Borrow of the packed words of row `index`.
     ///
     /// # Panics

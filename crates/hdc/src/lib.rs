@@ -77,6 +77,7 @@ pub mod kernel;
 pub mod level;
 pub mod ops;
 pub mod parallel;
+pub mod patch;
 pub mod seq;
 
 mod error;
@@ -100,6 +101,7 @@ pub use crate::kernel::{
 pub use crate::level::{LevelEncoder, RecordEncoder};
 pub use crate::ops::{Bundler, TieBreak};
 pub use crate::parallel::{available_threads, default_threads};
+pub use crate::patch::RowPatch;
 pub use crate::seq::SequenceEncoder;
 
 /// Convenience re-exports for typical use of the crate.
@@ -119,5 +121,6 @@ pub mod prelude {
     pub use crate::level::{LevelEncoder, RecordEncoder};
     pub use crate::ops::{Bundler, TieBreak};
     pub use crate::parallel::{available_threads, default_threads};
+    pub use crate::patch::RowPatch;
     pub use crate::seq::SequenceEncoder;
 }

@@ -5,12 +5,16 @@
 //!
 //! Isolation model, per tenant:
 //!
-//! * a [`VersionedMemory`] namespace — online updates publish new epochs
-//!   and the serving engine is rebuilt lazily on the next request that
-//!   observes a newer epoch;
+//! * a [`VersionedMemory`] namespace — online updates publish new epochs,
+//!   and the next request that observes a newer epoch *advances* the
+//!   serving engine in place ([`ResilientServer::advance`]): only the
+//!   row chunks the new epoch replaced are copied into the engine's row
+//!   copies, and the version's own bucket index and bit-sliced mirror
+//!   are attached by `Arc`, so an epoch change costs the rows it changed,
+//!   not `C · D`, and never materializes the version;
 //! * a [`ResilientServer`] engine (degradation ladder, scrubber, health
-//!   monitor) built over that memory — one tenant's quarantine never
-//!   touches another's engine;
+//!   monitor) built over that memory once at provisioning — one
+//!   tenant's quarantine never touches another's engine;
 //! * a token-bucket request quota refilled in wall-clock time — the
 //!   hard per-tenant rate cap ([`HamError::QuotaExceeded`]);
 //! * an EMA-of-inflight admission gate — the soft overload valve that
@@ -23,7 +27,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -171,6 +175,27 @@ impl TenantSpec {
     pub fn wal_dir(&self, dir: &Path) -> PathBuf {
         dir.join(format!("tenant-{}.wal", self.tenant))
     }
+
+    /// Builds this tenant's serving engine from scratch over `memory`:
+    /// the golden-copy scrubber, the design's ladder at the
+    /// dimension's standard policy, and `options` under the spec's
+    /// budget cap. A tenant builds it once, at provisioning; later
+    /// epochs advance it in place, and the advanced engine equals this
+    /// build over the new version's memory.
+    ///
+    /// # Errors
+    ///
+    /// [`HamError::NoClasses`] for an empty memory.
+    pub fn build_engine(
+        &self,
+        memory: AssociativeMemory,
+        options: ResilientOptions,
+    ) -> Result<ResilientServer, HamError> {
+        let scrubber = Scrubber::from_memory(&memory);
+        let policy = DegradationPolicy::for_dim(memory.dim().get());
+        Ok(ResilientServer::new(self.kind, memory, scrubber, policy)?
+            .with_options(options.with_budget(self.budget_cap)))
+    }
 }
 
 /// Monotonic per-tenant counters, readable while serving.
@@ -230,15 +255,17 @@ pub enum BootSource {
     },
 }
 
-/// One provisioned tenant: versioned memory, lazily rebuilt engine,
-/// quota bucket, admission EMA, and counters.
+/// One provisioned tenant: versioned memory, an engine advanced in place
+/// per published epoch, quota bucket, admission EMA, and counters.
 #[derive(Debug)]
 pub struct TenantState {
     spec: TenantSpec,
-    options: ResilientOptions,
     versioned: Arc<VersionedMemory>,
     wal: Option<Arc<Wal>>,
     engine: Mutex<Engine>,
+    /// The engine's health state, stored after every serve and advance
+    /// so [`stats`](TenantState::stats) never waits on the engine lock.
+    health: AtomicU8,
     bucket: Mutex<TokenBucket>,
     inflight: AtomicUsize,
     /// EMA of in-flight queries, in 1/1024ths (fixed-point in an atomic
@@ -248,21 +275,24 @@ pub struct TenantState {
     boot: BootSource,
 }
 
+/// The serving engine and the epoch whose rows it serves.
 #[derive(Debug)]
 struct Engine {
     epoch: u64,
     server: ResilientServer,
 }
 
-fn build_engine(
-    spec: &TenantSpec,
-    memory: AssociativeMemory,
-    options: ResilientOptions,
-) -> Result<ResilientServer, HamError> {
-    let scrubber = Scrubber::from_memory(&memory);
-    let policy = DegradationPolicy::for_dim(memory.dim().get());
-    Ok(ResilientServer::new(spec.kind, memory, scrubber, policy)?
-        .with_options(options.with_budget(spec.budget_cap)))
+const HEALTH_STATES: [HealthState; 3] = [
+    HealthState::Healthy,
+    HealthState::Degraded,
+    HealthState::Quarantined,
+];
+
+fn health_code(state: HealthState) -> u8 {
+    HEALTH_STATES
+        .iter()
+        .position(|&s| s == state)
+        .expect("every state is listed") as u8
 }
 
 impl TenantState {
@@ -408,15 +438,16 @@ impl TenantState {
         let versioned = Arc::new(VersionedMemory::new(memory.clone()));
         let engine = Engine {
             epoch: versioned.current_epoch(),
-            server: build_engine(&spec, memory, options)?,
+            server: spec.build_engine(memory, options)?,
         };
+        let health = AtomicU8::new(health_code(engine.server.health().state()));
         let bucket = Mutex::new(TokenBucket::new(spec.quota));
         Ok(TenantState {
             spec,
-            options,
             versioned,
             wal,
             engine: Mutex::new(engine),
+            health,
             bucket,
             inflight: AtomicUsize::new(0),
             ema_milli: AtomicU64::new(0),
@@ -431,7 +462,7 @@ impl TenantState {
     }
 
     /// The tenant's versioned memory — publish new epochs here and the
-    /// engine rebuilds on the next request that observes them.
+    /// engine advances to them on the next request that observes them.
     pub fn versioned(&self) -> &Arc<VersionedMemory> {
         &self.versioned
     }
@@ -441,9 +472,11 @@ impl TenantState {
         &self.boot
     }
 
-    /// Point-in-time counters + health.
+    /// Point-in-time counters + health. Lock-free: the health state is
+    /// the one the engine published after its last serve or advance, so
+    /// this never waits behind an in-flight batch.
     pub fn stats(&self) -> TenantStats {
-        let health = lock_unpoisoned(&self.engine).server.health().state();
+        let health = HEALTH_STATES[usize::from(self.health.load(Ordering::Relaxed))];
         let c = &self.counters;
         TenantStats {
             requests: c.requests.load(Ordering::Relaxed),
@@ -497,7 +530,7 @@ impl TenantState {
     }
 
     /// Serves one admitted batch under the tighter of the tenant's
-    /// budget cap and the request's remaining wire deadline. Rebuilds
+    /// budget cap and the request's remaining wire deadline. Advances
     /// the engine first if the versioned memory has published a newer
     /// epoch since the last request.
     pub fn serve(
@@ -530,19 +563,28 @@ impl TenantState {
         wire_budget: QueryBudget,
     ) -> Result<ServeReport, HamError> {
         let mut engine = lock_unpoisoned(&self.engine);
-        let current = self.versioned.current_epoch();
-        if current != engine.epoch {
-            let mut memory = self.versioned.load().memory().clone();
-            // Publishers without an index policy still get the pruned
-            // scan on the rebuilt engine; a coherent published index is
-            // reused as-is.
-            ensure_indexed(&mut memory, &IndexPolicy::default());
-            engine.server = build_engine(&self.spec, memory, self.options)?;
-            engine.epoch = current;
+        let version = self.versioned.load();
+        if version.epoch() != engine.epoch {
+            // Copies only the chunks published after the engine's epoch
+            // and attaches the version's own index and mirror; the
+            // version is never materialized. A failed advance leaves
+            // the epoch behind, and the next request retries it.
+            let since = engine.epoch;
+            engine.server.advance(&version, since)?;
+            engine.epoch = version.epoch();
+            self.publish_health(&engine.server);
         }
-        Ok(engine
+        drop(version);
+        let report = engine
             .server
-            .serve_with_budget(queries, priority, wire_budget))
+            .serve_with_budget(queries, priority, wire_budget);
+        self.publish_health(&engine.server);
+        Ok(report)
+    }
+
+    fn publish_health(&self, server: &ResilientServer) {
+        self.health
+            .store(health_code(server.health().state()), Ordering::Relaxed);
     }
 
     /// Flushes the tenant's *current published* memory — including
@@ -561,7 +603,9 @@ impl TenantState {
                     .checkpoint(&path)
                     .map_err(SnapshotError::Repair)?;
             }
-            None => save_snapshot(self.versioned.load().memory(), &path)?,
+            // Encoded straight from the version's chunks, never
+            // materialized.
+            None => save_snapshot(&*self.versioned.load(), &path)?,
         }
         Ok(path)
     }
@@ -584,10 +628,19 @@ impl TenantState {
         self.wal.as_ref()
     }
 
-    /// A borrow of the memory currently compiled into the serving
-    /// engine (test hook for warm-restart bit-identity).
+    /// A copy of the memory the serving engine currently searches —
+    /// the epoch its last request advanced it to (test hook for
+    /// warm-restart bit-identity). `O(C · D)`: keep it off hot paths.
     pub fn served_memory(&self) -> AssociativeMemory {
         lock_unpoisoned(&self.engine).server.memory().clone()
+    }
+
+    /// Runs `inspect` on the serving engine under its lock, with the
+    /// epoch it serves — an inspection hook for tests and tools. Blocks
+    /// serving for as long as `inspect` runs.
+    pub fn with_engine<R>(&self, inspect: impl FnOnce(u64, &ResilientServer) -> R) -> R {
+        let engine = lock_unpoisoned(&self.engine);
+        inspect(engine.epoch, &engine.server)
     }
 }
 
@@ -741,6 +794,32 @@ mod tests {
             state.served_memory().row(ClassId(0)),
             updated.row(ClassId(0))
         );
+    }
+
+    #[test]
+    fn stats_never_wait_for_the_engine_lock() {
+        use std::sync::mpsc;
+        let state = TenantState::provision(spec(8), ResilientOptions::serial(), None).unwrap();
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (stats_tx, stats_rx) = mpsc::channel();
+        let state = &state;
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                state.with_engine(|_, _| {
+                    held_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                })
+            });
+            held_rx.recv().unwrap();
+            scope.spawn(move || stats_tx.send(state.stats()).unwrap());
+            let stats = stats_rx.recv_timeout(Duration::from_secs(10));
+            release_tx.send(()).unwrap();
+            assert_eq!(
+                stats.expect("stats() returned").health,
+                HealthState::Healthy
+            );
+        });
     }
 
     #[test]
