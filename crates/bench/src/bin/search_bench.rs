@@ -17,14 +17,10 @@
 //!    escalation ladder vs the base one, and a full quarantine restore
 //!    (checksummed snapshot load + scrub repair) vs one steady-state
 //!    batch;
-//! 5. the sharded scatter-gather engine: single-query throughput of
-//!    `K ∈ {1, 2, 4, 8}` shard workers vs the serial scan on a large
-//!    array (`K = 1` prices the pure scatter/gather overhead), the
-//!    copy-on-write publish latency of one online row update vs one
-//!    steady-state sharded query, and the chunk-granular delta publish
-//!    vs the whole-memory COW publish at `C = 1000` with
-//!    {1, 1%, 10%, 100%} of the rows changed per publish — the "publish
-//!    cost ∝ rows changed" claim of DESIGN.md §15;
+//! 5. the chunk-granular delta publish vs the whole-memory COW publish
+//!    at `C = 1000` with {1, 1%, 10%, 100%} of the rows changed per
+//!    publish — the "publish cost ∝ rows changed" claim of DESIGN.md
+//!    §15;
 //! 6. the kernel backends: every enabled SIMD datapath × scan strategy
 //!    against the scalar fused early-abandoning scan at `C = 1000`,
 //!    `D = 10,000` (one query, uniform rows);
@@ -57,7 +53,7 @@ use ham_core::resilience::{
     classify_batch_resilient, load_snapshot_repaired, run_batch_resilient, save_snapshot,
     DegradationController, DegradationPolicy, ResilientOptions, Scrubber,
 };
-use ham_core::shard::{OnlineUpdater, ShardedMemory, VersionedMemory};
+use ham_core::shard::{OnlineUpdater, VersionedMemory};
 use ham_workloads::{synth, LangidWorkload, Workload};
 use hdc::prelude::*;
 use hdc::{
@@ -164,8 +160,6 @@ struct Snapshot {
     early_abandon: Vec<Comparison>,
     batch_1000: Vec<Comparison>,
     resilience: Vec<Comparison>,
-    shard_scaling: Vec<Comparison>,
-    online_update: Comparison,
     /// Whole-memory COW publish vs chunk-granular delta publish as the
     /// number of rows changed per publish grows.
     delta_publish: Vec<Comparison>,
@@ -465,60 +459,12 @@ fn main() {
     resilience.push(cmp);
     std::fs::remove_file(&snap_path).ok();
 
-    // 5. Shard scaling: scatter-gather throughput vs the serial scan on
-    // an array big enough for per-shard work to dwarf the mailbox hops.
-    // K = 1 runs the full protocol over one worker, so its slowdown *is*
-    // the gather overhead.
-    let big = random_memory(1_000, 10_000, 17);
-    let query = noisy_query(&big, 5);
-    let mut shard_scaling = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        let sharded = ShardedMemory::new(big.clone(), shards);
-        let cmp = compare(
-            1_000,
-            10_000,
-            800,
-            "serial_scan",
-            || big.search(&query).unwrap(),
-            &format!("sharded_k{shards}"),
-            || sharded.search(&query).unwrap(),
-        );
-        println!(
-            "shard scaling K={shards}: serial {:.0} ns vs sharded {:.0} ns ({:.2}x)",
-            cmp.baseline.ns_per_op, cmp.contender.ns_per_op, cmp.speedup
-        );
-        shard_scaling.push(cmp);
-    }
-
-    // Online-update publish latency: one copy-on-write row re-threshold
-    // (clone + mutate + atomic publish + epoch retire) priced against one
-    // steady-state sharded query on the same array.
-    let sharded = ShardedMemory::new(big.clone(), 4);
-    let updater = OnlineUpdater::new(sharded.versioned().clone());
-    let replacement = Hypervector::random(big.dim(), 4_242);
-    let online_update = compare(
-        1_000,
-        10_000,
-        800,
-        "sharded_query",
-        || sharded.search(&query).unwrap(),
-        "delta_publish_rethreshold",
-        || {
-            updater
-                .rethreshold_row(ClassId(0), replacement.clone())
-                .unwrap()
-        },
-    );
-    println!(
-        "online update: query {:.0} ns vs publish {:.0} ns ({:.2}x)",
-        online_update.baseline.ns_per_op, online_update.contender.ns_per_op, online_update.speedup
-    );
-
-    // Delta publish: replacing k of C = 1000 rows through the
+    // 5. Delta publish: replacing k of C = 1000 rows through the
     // whole-memory copy-on-write publish (every row cloned and
     // re-chunked, O(C·D) regardless of k) vs one chunk-granular delta
     // publish (only the chunks holding changed rows copied). Separate
     // cells so each side pays only its own path's costs.
+    let big = random_memory(1_000, 10_000, 17);
     let full_cell = VersionedMemory::new(big.clone());
     let delta_updater = OnlineUpdater::new(std::sync::Arc::new(VersionedMemory::new(big.clone())));
     let mut delta_publish = Vec::new();
@@ -893,7 +839,6 @@ fn main() {
                         None,
                         0..classes,
                         Some(&mut counters),
-                        None,
                     );
                 }
                 let per_query = |n: u64| n as f64 / queries.len() as f64;
@@ -917,7 +862,6 @@ fn main() {
                                 None,
                                 0..classes,
                                 None,
-                                None,
                             )
                             .unwrap()
                     },
@@ -934,7 +878,6 @@ fn main() {
                                 words,
                                 None,
                                 0..classes,
-                                None,
                                 None,
                             )
                             .unwrap()
@@ -989,8 +932,6 @@ fn main() {
         early_abandon,
         batch_1000,
         resilience,
-        shard_scaling,
-        online_update,
         delta_publish,
         backends,
         cascade,

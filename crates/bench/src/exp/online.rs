@@ -1,8 +1,9 @@
 //! **Online update** (extension) — learn a 22nd language *while
-//! serving*, over the sharded, epoch-versioned memory.
+//! serving*, over the epoch-versioned memory.
 //!
 //! The classifier is trained on the 21 synthetic European languages and
-//! deployed behind a [`ShardedMemory`]. A 22nd language — drawn from a
+//! deployed behind a [`VersionedMemory`]; every search pins the current
+//! version and scans it. A 22nd language — drawn from a
 //! *different* synthetic world, so its trigram statistics genuinely
 //! differ from all deployed rows — is then learned the same way the
 //! original rows were (accumulate → binarize) and published live
@@ -19,9 +20,10 @@
 //!   pass is folded in via a copy-on-write re-threshold.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ham_core::shard::{OnlineUpdater, ShardedMemory};
+use ham_core::shard::{OnlineUpdater, VersionedMemory};
 use hdc::prelude::*;
 use langid::prelude::*;
 use rand::rngs::StdRng;
@@ -31,8 +33,6 @@ use serde::Serialize;
 use crate::context::Workload;
 use crate::report::Report;
 
-/// Shards the serving memory is split across.
-pub const SHARDS: usize = 4;
 /// Test sentences drawn from the novel language.
 const NOVEL_QUERIES: usize = 40;
 /// Characters per novel test sentence.
@@ -41,8 +41,6 @@ const NOVEL_SENTENCE_CHARS: usize = 200;
 /// The measured outcome of the live-learning run.
 #[derive(Debug, Clone, Serialize)]
 pub struct Outcome {
-    /// Shard count of the serving memory.
-    pub shards: usize,
     /// Base-language accuracy before the publish.
     pub base_accuracy_before: f64,
     /// Base-language accuracy after the publish (new row in place).
@@ -69,15 +67,24 @@ pub struct Outcome {
     pub torn_reads: usize,
 }
 
-/// Base-language accuracy through the sharded view. A hit on the novel
+/// One served search: pin the current version and scan it.
+fn serve(versioned: &VersionedMemory, query: &Hypervector) -> SearchResult {
+    versioned
+        .load()
+        .memory()
+        .search(query)
+        .expect("serving never fails")
+}
+
+/// Base-language accuracy through the served memory. A hit on the novel
 /// class (possible only after the publish) counts as wrong without being
 /// mapped through `language_of`, which only knows the original 21 rows.
-fn base_accuracy(workload: &Workload, sharded: &ShardedMemory, novel_class: ClassId) -> f64 {
+fn base_accuracy(workload: &Workload, versioned: &VersionedMemory, novel_class: ClassId) -> f64 {
     let correct = workload
         .queries()
         .iter()
         .filter(|(truth, q)| {
-            let class = sharded.search(q).expect("serving never fails").class;
+            let class = serve(versioned, q).class;
             class != novel_class && workload.classifier().language_of(class) == *truth
         })
         .count();
@@ -85,10 +92,14 @@ fn base_accuracy(workload: &Workload, sharded: &ShardedMemory, novel_class: Clas
 }
 
 /// Fraction of novel-language queries answered with the novel class.
-fn novel_accuracy(sharded: &ShardedMemory, queries: &[Hypervector], novel_class: ClassId) -> f64 {
+fn novel_accuracy(
+    versioned: &VersionedMemory,
+    queries: &[Hypervector],
+    novel_class: ClassId,
+) -> f64 {
     let hits = queries
         .iter()
-        .filter(|q| sharded.search(q).expect("serving never fails").class == novel_class)
+        .filter(|q| serve(versioned, q).class == novel_class)
         .count();
     hits as f64 / queries.len().max(1) as f64
 }
@@ -98,7 +109,7 @@ fn novel_accuracy(sharded: &ShardedMemory, queries: &[Hypervector], novel_class:
 /// # Panics
 ///
 /// Panics if any served search fails — the serving memory is healthy
-/// throughout, so every error would be a bug in the shard runtime.
+/// throughout, so every error would be a bug in the versioned memory.
 pub fn experiment(workload: &Workload) -> Outcome {
     let classifier = workload.classifier();
     let memory = classifier.memory().clone();
@@ -142,11 +153,11 @@ pub fn experiment(workload: &Workload) -> Outcome {
         .map(|(_, q)| post.search(q).expect("post mirror"))
         .collect();
 
-    let sharded = ShardedMemory::new(memory, SHARDS);
-    let updater = OnlineUpdater::new(sharded.versioned().clone());
+    let versioned = Arc::new(VersionedMemory::new(memory));
+    let updater = OnlineUpdater::new(Arc::clone(&versioned));
 
-    let base_before = base_accuracy(workload, &sharded, novel_class);
-    let novel_before = novel_accuracy(&sharded, &novel_queries, novel_class);
+    let base_before = base_accuracy(workload, &versioned, novel_class);
+    let novel_before = novel_accuracy(&versioned, &novel_queries, novel_class);
 
     let stop = AtomicBool::new(false);
     let served = AtomicUsize::new(0);
@@ -159,7 +170,7 @@ pub fn experiment(workload: &Workload) -> Outcome {
                 let mut i = 0usize;
                 while !stop.load(Ordering::Relaxed) {
                     let (_, q) = &workload.queries()[i % workload.queries().len()];
-                    let got = sharded.search(q).expect("serving never fails");
+                    let got = serve(&versioned, q);
                     let slot = i % workload.queries().len();
                     if got != pre_hits[slot] && got != post_hits[slot] {
                         torn.fetch_add(1, Ordering::Relaxed);
@@ -182,8 +193,8 @@ pub fn experiment(workload: &Workload) -> Outcome {
         stop.store(true, Ordering::Relaxed);
     });
 
-    let base_after = base_accuracy(workload, &sharded, novel_class);
-    let novel_after = novel_accuracy(&sharded, &novel_queries, novel_class);
+    let base_after = base_accuracy(workload, &versioned, novel_class);
+    let novel_after = novel_accuracy(&versioned, &novel_queries, novel_class);
 
     // Keep learning: fold a second training pass into the accumulator
     // and re-threshold the published row copy-on-write.
@@ -191,10 +202,9 @@ pub fn experiment(workload: &Workload) -> Outcome {
     let refine_epoch = updater
         .rethreshold_row(novel_class, acc.binarize(0))
         .expect("row exists");
-    let novel_refined = novel_accuracy(&sharded, &novel_queries, novel_class);
+    let novel_refined = novel_accuracy(&versioned, &novel_queries, novel_class);
 
     Outcome {
-        shards: SHARDS,
         base_accuracy_before: base_before,
         base_accuracy_after: base_after,
         novel_accuracy_before: novel_before,
@@ -216,8 +226,7 @@ pub fn run(workload: &Workload) -> Report {
     );
     let outcome = experiment(workload);
     report.row(format!(
-        "serving memory: {} shards, {} base queries, {} novel queries",
-        outcome.shards,
+        "serving memory: {} base queries, {} novel queries",
         workload.queries().len(),
         NOVEL_QUERIES
     ));

@@ -86,8 +86,7 @@ pub use crate::resilience::{
 };
 pub use crate::rham::RHam;
 pub use crate::shard::{
-    MemoryChunk, MemoryVersion, OnlineUpdater, ShardPlan, ShardSupervisor, ShardedMemory, UpdateOp,
-    VersionedMemory, CHUNK_ROWS,
+    MemoryChunk, MemoryVersion, OnlineUpdater, UpdateOp, VersionedMemory, CHUNK_ROWS,
 };
 pub use crate::tech::TechnologyModel;
 pub use crate::units::{EnergyDelay, Nanoseconds, Picojoules, SquareMillimeters};
@@ -109,10 +108,7 @@ pub mod prelude {
         RetryPolicy, ScrubReport, Scrubber, ServeStats, StuckAtCells, TransientFlips,
     };
     pub use crate::rham::RHam;
-    pub use crate::shard::{
-        MemoryVersion, OnlineUpdater, ShardPlan, ShardSupervisor, ShardedMemory, UpdateOp,
-        VersionedMemory,
-    };
+    pub use crate::shard::{MemoryVersion, OnlineUpdater, UpdateOp, VersionedMemory};
     pub use crate::tech::TechnologyModel;
     pub use crate::units::{EnergyDelay, Nanoseconds, Picojoules, SquareMillimeters};
 }

@@ -43,20 +43,6 @@ pub enum HamError {
         /// The priority the query was submitted with (lower sheds first).
         priority: u8,
     },
-    /// A shard worker's mailbox is disconnected — its long-lived thread
-    /// exited — so the sharded memory can no longer scatter to it.
-    ShardDown {
-        /// Index of the unreachable shard.
-        shard: usize,
-    },
-    /// A shard worker panicked while scanning its slice. The panic was
-    /// contained inside the worker (which keeps serving later requests),
-    /// so this is a transient, per-query failure — unlike
-    /// [`ShardDown`](HamError::ShardDown), where the worker is gone.
-    ShardPanicked {
-        /// Index of the shard whose scan panicked.
-        shard: usize,
-    },
     /// The tenant named in a request is not provisioned on this server.
     UnknownTenant {
         /// The wire tenant id the request carried.
@@ -83,16 +69,13 @@ pub enum HamError {
 
 impl HamError {
     /// Whether the serving runtime may retry the failed query: `true` for
-    /// faults tied to a single execution (a contained worker or shard
-    /// panic), `false` for errors that are a property of the query or the
+    /// faults tied to a single execution (a contained worker panic),
+    /// `false` for errors that are a property of the query or the
     /// array (dimension mismatches, empty memories) and for terminal
     /// serving outcomes (deadline expiry, load shedding, quota
     /// exhaustion, drain), which retrying cannot change.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            HamError::WorkerPanicked { .. } | HamError::ShardPanicked { .. }
-        )
+        matches!(self, HamError::WorkerPanicked { .. })
     }
 
     /// Whether this error is a *load-control* outcome — the serving layer
@@ -133,12 +116,6 @@ impl std::fmt::Display for HamError {
             HamError::TimedOut => write!(f, "deadline expired before the query was searched"),
             HamError::Shed { priority } => {
                 write!(f, "query shed under overload (priority {priority})")
-            }
-            HamError::ShardDown { shard } => {
-                write!(f, "shard {shard} worker is down")
-            }
-            HamError::ShardPanicked { shard } => {
-                write!(f, "shard {shard} worker panicked during the scan")
             }
             HamError::UnknownTenant { tenant } => {
                 write!(f, "tenant {tenant} is not provisioned")
@@ -241,7 +218,7 @@ pub type SharedDesign = Box<dyn HamDesign + Send + Sync>;
 /// Reusable per-worker buffers for the allocation-free search path
 /// ([`HamDesign::search_scratch`]).
 ///
-/// Batch and shard workers hold one of these for their whole work queue,
+/// Batch workers hold one of these for their whole work queue,
 /// so designs that materialize per-row state (A-HAM's full distance
 /// vector for the LTA tournament) stop paying a heap allocation per
 /// query. A scratch is plain state — using the same one across different
@@ -405,7 +382,6 @@ mod tests {
         let p = HamError::WorkerPanicked { query: 7 };
         assert!(p.to_string().contains('7'));
         assert!(p.is_transient());
-        assert!(HamError::ShardPanicked { shard: 2 }.is_transient());
         for permanent in [
             HamError::TimedOut,
             HamError::Shed { priority: 3 },
@@ -415,7 +391,6 @@ mod tests {
                 actual: 2,
             },
             HamError::Hdc(HdcError::EmptyMemory),
-            HamError::ShardDown { shard: 1 },
             HamError::UnknownTenant { tenant: 9 },
             HamError::QuotaExceeded { tenant: 9 },
             HamError::Draining,
@@ -439,8 +414,6 @@ mod tests {
         }
         for failure in [
             HamError::WorkerPanicked { query: 0 },
-            HamError::ShardPanicked { shard: 0 },
-            HamError::ShardDown { shard: 0 },
             HamError::UnknownTenant { tenant: 4 },
             HamError::NoClasses,
         ] {

@@ -22,11 +22,6 @@
 //! repair path ([`load_snapshot_repaired`]), exactly like stuck-at damage
 //! found in a live array.
 //!
-//! Because every record has the same stride, a contiguous row range can
-//! be decoded *without reading the rest of the file*:
-//! [`load_snapshot_rows`] seeks straight to the slice — the restore path
-//! a quarantined shard uses to rebuild only its own rows.
-//!
 //! # Format versions
 //!
 //! * **v1** — header + row records, exactly as above.
@@ -40,7 +35,7 @@
 //!   centroid tail bits, or *any* corrupted row record (whose true
 //!   distance could violate the stored radii) — silently yields an
 //!   unindexed load for the serving layer to rebuild, never a failed
-//!   one. Row decoding (full, slice, and repair paths) is untouched:
+//!   one. Row decoding (full and repair paths) is untouched:
 //!   the section sits past every fixed-stride record offset.
 //!
 //! Checkpoint-written snapshots ([`save_snapshot_with_lsn`], used by
@@ -51,8 +46,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::ops::Range;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -580,113 +574,6 @@ pub fn load_snapshot(path: &Path) -> Result<SnapshotLoad, SnapshotError> {
     })
 }
 
-/// A contiguous row range decoded out of a snapshot — the unit a
-/// quarantined shard restores from, without touching the other shards'
-/// records.
-#[derive(Debug, Clone)]
-pub struct SnapshotSlice {
-    dim: Dimension,
-    start: usize,
-    labels: Vec<String>,
-    rows: Vec<Hypervector>,
-    clean: Vec<bool>,
-}
-
-impl SnapshotSlice {
-    /// The dimensionality the snapshot header declares.
-    pub fn dim(&self) -> Dimension {
-        self.dim
-    }
-
-    /// The global row range this slice covers (the requested range
-    /// clamped to the snapshot's class count).
-    pub fn range(&self) -> Range<usize> {
-        self.start..self.start + self.rows.len()
-    }
-
-    /// The label and row of a class — `Some` only when the class lies in
-    /// this slice **and** its record passed its CRC. Corrupt records
-    /// never hand out rows: a restore must fall back to another source
-    /// for them.
-    pub fn clean_row(&self, class: ClassId) -> Option<(&str, &Hypervector)> {
-        let offset = class.0.checked_sub(self.start)?;
-        if !*self.clean.get(offset)? {
-            return None;
-        }
-        Some((self.labels[offset].as_str(), &self.rows[offset]))
-    }
-
-    /// The classes in this slice whose records failed their CRC.
-    pub fn corrupted(&self) -> Vec<ClassId> {
-        self.clean
-            .iter()
-            .enumerate()
-            .filter(|&(_, ok)| !ok)
-            .map(|(offset, _)| ClassId(self.start + offset))
-            .collect()
-    }
-}
-
-/// Decodes only the records of `range` (global row indices) out of a
-/// snapshot, seeking straight to them — fixed-stride records make the
-/// offsets exact, so the cost scales with the slice, not the file. The
-/// range is clamped to the snapshot's class count.
-///
-/// # Errors
-///
-/// Structural damage only, as in [`load_snapshot`]; a corrupt or
-/// truncated record inside the slice is reported per row via
-/// [`SnapshotSlice::clean_row`] / [`SnapshotSlice::corrupted`].
-pub fn load_snapshot_rows(
-    path: &Path,
-    range: Range<usize>,
-) -> Result<SnapshotSlice, SnapshotError> {
-    let mut file = fs::File::open(path)?;
-    let mut header = [0u8; HEADER_BODY + 4];
-    let got = file.read(&mut header)?;
-    let (dimension, classes, _version) = parse_header(&header[..got])?;
-
-    let dim = dimension.get();
-    let stride = row_stride(dim);
-    let start = range.start.min(classes);
-    let end = range.end.min(classes);
-    let mut body = vec![0u8; (end - start) * stride];
-    if !body.is_empty() {
-        file.seek(SeekFrom::Start((HEADER_BODY + 4 + start * stride) as u64))?;
-        // A short read (truncated file) leaves the tail zeroed, which the
-        // per-record CRC then rejects — same contract as a full load.
-        let mut filled = 0;
-        loop {
-            let n = file.read(&mut body[filled..])?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
-            if filled == body.len() {
-                break;
-            }
-        }
-        body.truncate(filled);
-    }
-
-    let mut labels = Vec::with_capacity(end - start);
-    let mut rows = Vec::with_capacity(end - start);
-    let mut clean = Vec::with_capacity(end - start);
-    for class in start..end {
-        let (label, row_words, ok) = decode_record(&body, class, (class - start) * stride, dim);
-        labels.push(label);
-        rows.push(words_to_hv(&row_words, dim));
-        clean.push(ok);
-    }
-    Ok(SnapshotSlice {
-        dim: dimension,
-        start,
-        labels,
-        rows,
-        clean,
-    })
-}
-
 /// Loads a snapshot and immediately repairs it against `scrubber`'s
 /// golden copies — the quarantine-restore path of the serving runtime.
 ///
@@ -874,64 +761,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_load_matches_the_full_load() {
-        let memory = random_memory(11, 700, 21);
-        let path = temp_path("slice");
-        save_snapshot(&memory, &path).unwrap();
-        for range in [0..4, 4..8, 8..11, 0..11, 5..5] {
-            let slice = load_snapshot_rows(&path, range.clone()).unwrap();
-            assert_eq!(slice.range(), range.clone());
-            assert_eq!(slice.dim(), memory.dim());
-            assert!(slice.corrupted().is_empty());
-            for class in range.map(ClassId) {
-                let (label, row) = slice.clean_row(class).unwrap();
-                assert_eq!(Some(label), memory.label(class));
-                assert_eq!(Some(row), memory.row(class));
-            }
-        }
-        // Out-of-slice and out-of-snapshot classes hand out nothing.
-        let slice = load_snapshot_rows(&path, 4..8).unwrap();
-        assert!(slice.clean_row(ClassId(3)).is_none());
-        assert!(slice.clean_row(ClassId(8)).is_none());
-        // Ranges past the class count clamp instead of failing.
-        let clamped = load_snapshot_rows(&path, 9..40).unwrap();
-        assert_eq!(clamped.range(), 9..11);
-        cleanup(&path);
-    }
-
-    #[test]
-    fn slice_load_reports_damage_without_handing_out_rows() {
-        let memory = random_memory(8, 400, 5);
-        let path = temp_path("slicedamage");
-        save_snapshot(&memory, &path).unwrap();
-        // Flip a byte inside row 5's word region.
-        let mut bytes = fs::read(&path).unwrap();
-        let offset = HEADER_BODY + 4 + 5 * row_stride(400) + LABEL_FIELD + 3;
-        bytes[offset] ^= 0x40;
-        fs::write(&path, &bytes).unwrap();
-
-        let slice = load_snapshot_rows(&path, 4..8).unwrap();
-        assert_eq!(slice.corrupted(), vec![ClassId(5)]);
-        assert!(slice.clean_row(ClassId(5)).is_none());
-        assert!(slice.clean_row(ClassId(4)).is_some());
-
-        // Truncation inside the slice marks the lost tail corrupt.
-        fs::write(&path, &bytes[..HEADER_BODY + 4 + 6 * row_stride(400) + 9]).unwrap();
-        let cut = load_snapshot_rows(&path, 4..8).unwrap();
-        assert_eq!(cut.corrupted(), vec![ClassId(5), ClassId(6), ClassId(7)]);
-        assert!(cut.clean_row(ClassId(4)).is_some());
-
-        // A corrupt header still fails the slice load outright.
-        bytes[14] ^= 0xA5;
-        fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            load_snapshot_rows(&path, 0..2),
-            Err(SnapshotError::HeaderCorrupt)
-        ));
-        cleanup(&path);
-    }
-
-    #[test]
     fn unindexed_memories_save_as_version_1() {
         let memory = random_memory(5, 300, 13);
         assert!(memory.index().is_none());
@@ -962,13 +791,6 @@ mod tests {
             assert_eq!(load.memory.label(class), Some(label));
             assert_eq!(load.memory.row(class), Some(row));
         }
-        // Slice loads seek by row stride and never touch the section.
-        let slice = load_snapshot_rows(&path, 20..24).unwrap();
-        assert!(slice.corrupted().is_empty());
-        assert_eq!(
-            slice.clean_row(ClassId(23)).map(|(_, hv)| hv),
-            memory.row(ClassId(23))
-        );
         cleanup(&path);
     }
 

@@ -1,152 +1,63 @@
-//! Sharded scatter-gather search over an epoch-versioned, online-updatable
-//! associative memory.
+//! The epoch-versioned, online-updatable associative memory.
 //!
-//! The paper's HAM is one monolithic `C × D` array searched in a single
-//! sweep. Serving at scale needs two axes the monolith lacks, and this
-//! module adds both without changing a single search result:
+//! The paper's HAM is one `C × D` array searched in a single sweep; this
+//! module keeps that array serving while it changes. The memory lives
+//! behind a [`VersionedMemory`]: readers [`load`](VersionedMemory::load)
+//! an immutable [`MemoryVersion`] handle and search it without holding
+//! any lock (acquisition is one brief `RwLock` read to clone an `Arc`),
+//! while an [`OnlineUpdater`] applies a mutation (add a class — e.g. one
+//! binarized from `langid::Accumulators` — retire a class, re-threshold a
+//! row) to a chunk-shared copy of the current version and *publishes* the
+//! successor atomically by swapping the `Arc`. A reader that pinned a
+//! version keeps searching exactly that version, so it can never observe
+//! a torn mix of two. Old versions are *epoch-retired*: the publisher
+//! keeps a `Weak` log of superseded epochs, each version stays alive
+//! exactly as long as some reader still pins it, and fully-drained epochs
+//! leave the log on the next publish.
 //!
-//! * **Row-space sharding** — [`ShardedMemory`] partitions the rows into
-//!   `K` contiguous shards, each owned by a long-lived worker thread with
-//!   an mpsc mailbox. A query *scatters* to every non-empty shard, each
-//!   worker runs the existing fused kernel
-//!   ([`PackedRows::scan_min2_range`]) on its slice, and the *gather*
-//!   step merges the per-shard (winner, runner-up) pairs through
-//!   [`Min2::merge`]. The merge is exact — the hardware analogue is
-//!   MEMHD-style sub-arrays whose partial winners feed one comparator
-//!   tree — so plain, masked, margin, and top-k results are
-//!   **bit-identical** to the unsharded scan for every `K`, including
-//!   `K = 1` and `K >` rows (trailing shards simply own empty ranges).
-//!   When the pinned version's memory carries a bucket index
-//!   ([`hdc::BucketIndex`]), min2 scatters partition *buckets* instead
-//!   of raw row ranges: each worker walks its contiguous bucket slice
-//!   through the triangle-bound pruned scan
-//!   ([`BucketIndex::scan_min2_buckets`](hdc::BucketIndex::scan_min2_buckets)),
-//!   which stays exact per shard (every bucket member is scanned or
-//!   provably prunable against the shard-local runner-up) and therefore
-//!   exact after the merge. Workers also report [`ScanCounters`], which
-//!   the gather sums.
-//! * **Epoch-versioned copy-on-write updates** — the memory lives behind
-//!   a [`VersionedMemory`]: readers [`load`](VersionedMemory::load) an
-//!   immutable [`MemoryVersion`] handle and search it without holding any
-//!   lock (acquisition is one brief `RwLock` read to clone an `Arc`),
-//!   while an [`OnlineUpdater`] clones the current version, applies a
-//!   mutation (add a class — e.g. one binarized from
-//!   `langid::Accumulators` — retire a class, re-threshold a row) and
-//!   *publishes* the successor atomically by swapping the `Arc`. A
-//!   scatter pins **one** version `Arc` and hands that same handle to
-//!   every shard, so a search can never observe a torn mix of two
-//!   versions. Old versions are *epoch-retired*: the publisher keeps a
-//!   `Weak` log of superseded epochs, each version stays alive exactly as
-//!   long as some reader still pins it, and fully-drained epochs leave
-//!   the log on the next publish.
-//!
-//! Per-shard resilience rides on the PR 3 machinery: a
-//! [`ShardSupervisor`] gives every shard its own
-//! [`HealthMonitor`], scrubs a shard's row range against golden copies,
-//! and — when a shard is quarantined — restores *only that shard's slice*
-//! from a checksummed snapshot
-//! ([`load_snapshot_rows`](crate::resilience::snapshot::load_snapshot_rows)),
-//! published as a new version while the other shards keep serving.
+//! Row storage is chunked ([`CHUNK_ROWS`] rows per `Arc`-shared
+//! [`MemoryChunk`]), so a delta publish ([`UpdateOp`]) copies only the
+//! chunks it touches, and a served engine advances from
+//! [`MemoryVersion::patch_since`] instead of copying the whole memory.
+//! (The module name is historical; DESIGN.md §11 says why it holds no
+//! shards.)
 //!
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use hdc::prelude::*;
 //! use ham_core::explore::random_memory;
-//! use ham_core::shard::{OnlineUpdater, ShardedMemory};
+//! use ham_core::shard::{OnlineUpdater, VersionedMemory};
 //!
 //! let memory = random_memory(21, 1_000, 7);
-//! let sharded = ShardedMemory::new(memory.clone(), 4);
+//! let versioned = Arc::new(VersionedMemory::new(memory.clone()));
 //! let query = memory.row(ClassId(5)).unwrap().clone();
+//! let pinned = versioned.load();
 //!
-//! // Bit-identical to the unsharded scan.
-//! assert_eq!(sharded.search(&query)?, memory.search(&query)?);
-//!
-//! // Publish a new class while the shards keep serving.
-//! let updater = OnlineUpdater::new(sharded.versioned().clone());
+//! // Publish a new class while `pinned` keeps serving epoch 0.
+//! let updater = OnlineUpdater::new(Arc::clone(&versioned));
 //! let novel = Hypervector::random(memory.dim(), 99);
 //! let (class, epoch) = updater.add_class("novel", novel.clone())?;
 //! assert_eq!(class, ClassId(21));
 //! assert_eq!(epoch, 1);
-//! assert_eq!(sharded.search(&novel)?.class, class);
+//! assert_eq!(pinned.memory().search(&query)?, memory.search(&query)?);
+//! assert_eq!(versioned.load().memory().search(&novel)?.class, class);
 //! # Ok::<(), ham_core::HamError>(())
 //! ```
 
-use std::ops::Range;
-use std::path::{Path, PathBuf};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
-use std::thread::JoinHandle;
 
+use hdc::parallel::lock_unpoisoned;
 use hdc::prelude::*;
 use hdc::{active_backend, BucketIndex, IndexBuildOptions};
 
 use crate::index::IndexPolicy;
-use crate::model::{HamError, MarginSearchResult};
-use crate::resilience::degrade::{Confidence, DegradationPolicy, EngineStage, QueryOutcome};
-use crate::resilience::health::{HealthMonitor, HealthPolicy, HealthState};
-use crate::resilience::scrub::{ScrubReport, Scrubber};
-use crate::resilience::snapshot::{load_snapshot_rows, save_snapshot, SnapshotError};
+use crate::model::HamError;
+use crate::resilience::snapshot::save_snapshot;
 use crate::resilience::wal::{strike, CrashInjector, CrashPoint, Wal, WalRecord};
-use hdc::parallel::lock_unpoisoned;
-
-/// The contiguous partition of `rows` rows into `shards` shards.
-///
-/// Shard `i` owns the global row range `[i·⌈rows/K⌉, (i+1)·⌈rows/K⌉)`
-/// clamped to `rows` — ascending and disjoint, so global row indices
-/// order shards and the gather tie-break ("lowest global index wins")
-/// matches the serial scan. When `K > rows` the trailing shards own
-/// empty ranges and simply sit out the scatter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPlan {
-    shards: usize,
-    rows: usize,
-    chunk: usize,
-}
-
-impl ShardPlan {
-    /// The plan for `rows` rows over `shards` shards (`shards` is
-    /// clamped to at least 1).
-    pub fn new(shards: usize, rows: usize) -> Self {
-        let shards = shards.max(1);
-        ShardPlan {
-            shards,
-            rows,
-            chunk: rows.div_ceil(shards).max(1),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Total rows partitioned.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// The global row range shard `shard` owns (empty for trailing
-    /// shards when `shards > rows`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.shards()`.
-    pub fn range(&self, shard: usize) -> Range<usize> {
-        assert!(shard < self.shards, "shard {shard} out of range");
-        (shard * self.chunk).min(self.rows)..((shard + 1) * self.chunk).min(self.rows)
-    }
-
-    /// The shard that owns global row `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= self.rows()`.
-    pub fn shard_of_row(&self, row: usize) -> usize {
-        assert!(row < self.rows, "row {row} out of range");
-        row / self.chunk
-    }
-}
 
 /// Rows per storage chunk of a [`MemoryVersion`] — the delta-publish
 /// granularity. A power of two so row → (chunk, offset) is two shifts.
@@ -154,9 +65,8 @@ impl ShardPlan {
 /// Publishing an update copies only the chunks whose rows changed (each
 /// copy is `CHUNK_ROWS · D` bits) plus one `Arc` pointer per chunk, so
 /// publish cost is proportional to rows changed instead of `C · D`.
-/// Smaller chunks copy less per changed row but add per-chunk scan
-/// dispatch; 16 keeps the dispatch under a few percent of a
-/// 10k-bit-row scan while making a single-row publish ~60× cheaper
+/// Smaller chunks copy less per changed row but add one `Arc` and one
+/// epoch stamp per chunk; 16 makes a single-row publish ~60× cheaper
 /// than a full copy at `C = 1000`.
 pub const CHUNK_ROWS: usize = 16;
 
@@ -200,9 +110,9 @@ impl MemoryChunk {
 }
 
 /// [`RowSource`] view over a version's chunk list, presenting the
-/// chunked storage as one row space for the [`BucketIndex`] walks
-/// (bucket members are global row ids; each lookup is two shifts plus
-/// the chunk-local slice).
+/// chunked storage as one row space for [`BucketIndex`] row assignment
+/// and mirror rebuilds (each lookup is two shifts plus the chunk-local
+/// slice).
 struct ChunkedRowsView<'a> {
     chunks: &'a [Arc<MemoryChunk>],
     rows: usize,
@@ -486,93 +396,6 @@ impl DeltaMemory {
         self.index =
             BucketIndex::build(&self.contiguous_rows(), active_backend(), options).map(Arc::new);
     }
-
-    /// Splits `range` into per-chunk segments and merges the chunk-local
-    /// winner/runner-up scans — exact by the same disjoint-partition
-    /// argument as the shard gather ([`Min2::merge`]).
-    ///
-    /// With a `shared` bound the chunk scans prune against (and
-    /// tighten) the scatter-wide runner-up; a chunk whose rows were all
-    /// proven irrelevant contributes no part, and when *every* chunk is
-    /// proven away the whole range returns `None` — sound because the
-    /// merged best and runner-up can never be pruned by a bound that is
-    /// itself an upper bound on the merged runner-up distance.
-    fn scan_min2_range(
-        &self,
-        query: &[u64],
-        mask: Option<&[u64]>,
-        range: Range<usize>,
-        shared: Option<&SharedBound>,
-    ) -> Option<Min2> {
-        let parts = self.chunk_segments(range).map(|(base, chunk, local)| {
-            let part = match shared {
-                None => match mask {
-                    None => chunk.packed.scan_min2_range(query, local),
-                    Some(mask) => chunk.packed.scan_min2_masked_range(query, mask, local),
-                },
-                Some(shared) => chunk.packed.scan_min2_planned_sliced(
-                    active_backend(),
-                    ScanStrategy::Direct,
-                    None,
-                    None,
-                    query,
-                    mask,
-                    local,
-                    None,
-                    Some(shared),
-                ),
-            };
-            part.map(|mut hit| {
-                hit.best += base;
-                hit
-            })
-        });
-        Min2::merge(parts.flatten())
-    }
-
-    /// Per-chunk ranked scans merged under the shared `(distance, row)`
-    /// tie-break — bit-identical to the contiguous
-    /// [`PackedRows::top_k_range_into`].
-    fn top_k_range_into(
-        &self,
-        query: &[u64],
-        range: Range<usize>,
-        k: usize,
-        ranked: &mut Vec<(usize, usize)>,
-    ) {
-        ranked.clear();
-        if k == 0 {
-            return;
-        }
-        let mut scratch = Vec::new();
-        for (base, chunk, local) in self.chunk_segments(range) {
-            chunk.packed.top_k_range_into(query, local, k, &mut scratch);
-            ranked.extend(scratch.iter().map(|&(row, d)| (row + base, d)));
-        }
-        ranked.sort_by_key(|&(row, distance)| (distance, row));
-        ranked.truncate(k);
-    }
-
-    /// The chunks overlapping global `range`, as `(chunk base row,
-    /// chunk, chunk-local subrange)`.
-    fn chunk_segments(
-        &self,
-        range: Range<usize>,
-    ) -> impl Iterator<Item = (usize, &MemoryChunk, Range<usize>)> {
-        let range = range.start.min(self.rows)..range.end.min(self.rows);
-        let first = range.start / CHUNK_ROWS;
-        let last = range.end.div_ceil(CHUNK_ROWS).min(self.chunks.len());
-        self.chunks[first.min(self.chunks.len())..last]
-            .iter()
-            .enumerate()
-            .map(move |(offset, chunk)| {
-                let base = (first + offset) * CHUNK_ROWS;
-                let lo = range.start.max(base) - base;
-                let hi = (range.end.min(base + chunk.len())).saturating_sub(base);
-                (base, chunk.as_ref(), lo..hi.max(lo))
-            })
-            .filter(|(_, _, local)| !local.is_empty())
-    }
 }
 
 /// One immutable, epoch-stamped snapshot of the associative memory.
@@ -587,10 +410,9 @@ impl DeltaMemory {
 /// per chunk, the epoch that last replaced it — epochs compose per
 /// chunk. The flat [`AssociativeMemory`] view is materialized lazily on
 /// first [`memory`](Self::memory) call (cold paths only: scrub repairs,
-/// whole-copy updates, tests); the scan paths read the chunks directly,
-/// a served engine advances from [`patch_since`](Self::patch_since), and
-/// snapshots encode straight from the chunks, so none of them pays for
-/// materialization.
+/// whole-copy updates, in-process readers, tests); a served engine
+/// advances from [`patch_since`](Self::patch_since) and snapshots encode
+/// straight from the chunks, so neither pays for materialization.
 #[derive(Debug)]
 pub struct MemoryVersion {
     epoch: u64,
@@ -606,8 +428,8 @@ impl MemoryVersion {
     }
 
     /// The memory this version snapshots, materialized from the chunks
-    /// on first call (and cached for the version's lifetime). Scans
-    /// never call this; keep it off latency-critical paths.
+    /// on first call (and cached for the version's lifetime). The served
+    /// path never calls this; keep it off latency-critical paths.
     pub fn memory(&self) -> &AssociativeMemory {
         self.full.get_or_init(|| self.delta.materialize())
     }
@@ -684,8 +506,7 @@ impl MemoryVersion {
 
     /// The concrete traversal this version's strategy resolves to —
     /// the same decision [`AssociativeMemory::resolved_strategy`] makes
-    /// for the unsharded memory, so scatter planning and telemetry
-    /// agree with single-threaded serving.
+    /// for the materialized memory, read without materializing.
     pub fn resolved_strategy(&self) -> ResolvedScan {
         self.delta.strategy.resolve_full(
             self.delta.index.as_deref(),
@@ -706,76 +527,6 @@ impl MemoryVersion {
     /// last replaced chunk `i`'s `Arc`.
     pub fn chunk_epochs(&self) -> &[u64] {
         &self.chunk_epochs
-    }
-
-    /// Min2 over a raw row slice. When the version's strategy resolves
-    /// to the bit-sliced traversal, the slice scans column-major through
-    /// the mirror (whole-group pruning, `rows_group_pruned` telemetry);
-    /// otherwise it runs the per-chunk row-major kernel. Either way the
-    /// worker consults and tightens `shared`, the scatter-wide
-    /// runner-up bound, so one shard's tight cluster prunes every other
-    /// shard's slice — and a slice whose rows were all proven
-    /// irrelevant to the merged result returns `None`.
-    fn scan_min2_rows(
-        &self,
-        query: &[u64],
-        mask: Option<&[u64]>,
-        range: Range<usize>,
-        counters: &mut ScanCounters,
-        shared: &SharedBound,
-    ) -> Option<Min2> {
-        if self.resolved_strategy() == ResolvedScan::BitSliced {
-            let sliced = self
-                .delta
-                .sliced
-                .as_deref()
-                .expect("BitSliced resolution implies a mirror");
-            return sliced.scan_min2(
-                active_backend(),
-                query,
-                mask,
-                range,
-                Some(counters),
-                Some(shared),
-            );
-        }
-        counters.rows_scanned += range.len() as u64;
-        self.delta.scan_min2_range(query, mask, range, Some(shared))
-    }
-
-    fn scan_min2_buckets(
-        &self,
-        query: &[u64],
-        mask: Option<&[u64]>,
-        bucket_range: Range<usize>,
-        counters: &mut ScanCounters,
-    ) -> Option<Min2> {
-        let index = self
-            .delta
-            .index
-            .as_deref()
-            .expect("bucket slice implies an indexed version");
-        if self.delta.rows == 0 {
-            return None;
-        }
-        index.scan_min2_buckets(
-            &self.delta.view(),
-            active_backend(),
-            query,
-            mask,
-            bucket_range,
-            Some(counters),
-        )
-    }
-
-    fn top_k_range_into(
-        &self,
-        query: &[u64],
-        range: Range<usize>,
-        k: usize,
-        ranked: &mut Vec<(usize, usize)>,
-    ) {
-        self.delta.top_k_range_into(query, range, k, ranked)
     }
 }
 
@@ -819,7 +570,7 @@ impl VersionedMemory {
         }
     }
 
-    /// A version wrapping a full memory: chunked for the scan paths,
+    /// A version wrapping a full memory: chunked for delta publishes,
     /// with the materialized view pre-seeded (it already exists).
     fn version_of(epoch: u64, memory: AssociativeMemory) -> MemoryVersion {
         let delta = DeltaMemory::from_memory(&memory);
@@ -964,523 +715,6 @@ impl VersionedMemory {
     }
 }
 
-/// What a shard worker sends back through the per-query reply channel.
-enum ShardFinding {
-    Min2(Option<Min2>, ScanCounters),
-    TopK(Vec<(usize, usize)>),
-    /// The scan panicked inside the worker. The panic was contained
-    /// ([`catch_unwind`]) so the worker keeps serving later requests and
-    /// joins cleanly on drop; the query that tripped it surfaces as
-    /// [`HamError::ShardPanicked`].
-    Panicked,
-}
-
-/// The slice of the memory one scan request covers: a raw row range
-/// when the version is unindexed, a contiguous bucket range when it
-/// carries a [`hdc::BucketIndex`] (the bucket walk prunes with the
-/// triangle bound, so workers touch only the rows they cannot prove
-/// away).
-enum ShardSlice {
-    Rows(Range<usize>),
-    Buckets(Range<usize>),
-}
-
-/// One mailbox message to a shard worker. Every request carries the
-/// pinned version it must search — the scatter hands the *same* `Arc` to
-/// all shards, which is what makes a gathered result torn-proof.
-enum ShardRequest {
-    Scan {
-        version: Arc<MemoryVersion>,
-        slice: ShardSlice,
-        query: Arc<Vec<u64>>,
-        mask: Option<Arc<Vec<u64>>>,
-        /// The scatter-wide runner-up bound every worker of one query
-        /// consults and tightens ([`SharedBound`], min2 scans only —
-        /// a best-so-far pair bound is unsound for `k ≥ 3`).
-        shared: Arc<SharedBound>,
-        reply: Sender<(usize, ShardFinding)>,
-    },
-    TopK {
-        version: Arc<MemoryVersion>,
-        range: Range<usize>,
-        query: Arc<Vec<u64>>,
-        k: usize,
-        reply: Sender<(usize, ShardFinding)>,
-    },
-    /// Arms the worker's chaos counter: its next `panics` scans panic
-    /// (inside the contained region), then it serves normally again.
-    Chaos {
-        panics: usize,
-    },
-    Shutdown,
-}
-
-/// Decrements the worker's armed chaos budget, panicking while it lasts.
-/// The decrement happens *before* the panic so a single armed panic
-/// cannot re-fire on the next request.
-fn trip_chaos(pending: &mut usize) {
-    if *pending > 0 {
-        *pending -= 1;
-        panic!("injected shard worker panic ({} left)", *pending);
-    }
-}
-
-fn worker_loop(shard: usize, inbox: Receiver<ShardRequest>) {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    // Ranking buffer reused across this worker's whole lifetime: the
-    // range-sized fill happens in place, and only the ≤ k surviving pairs
-    // are cloned into the reply. (A contained panic may leave it mid-fill;
-    // the next top-k refills it from scratch.)
-    let mut ranked: Vec<(usize, usize)> = Vec::new();
-    let mut chaos_panics = 0usize;
-    // Every scan runs under `catch_unwind`: a panicking kernel (or an
-    // injected chaos panic) is contained to its own reply — the worker
-    // thread survives, keeps draining its mailbox, and joins cleanly on
-    // drop instead of wedging the supervisor behind a dead mailbox.
-    while let Ok(request) = inbox.recv() {
-        match request {
-            ShardRequest::Scan {
-                version,
-                slice,
-                query,
-                mask,
-                shared,
-                reply,
-            } => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    trip_chaos(&mut chaos_panics);
-                    // Workers scan the version's chunks directly —
-                    // never `memory()`, which would materialize the
-                    // flat copy delta publishes exist to avoid.
-                    let mask_words = mask.as_deref().map(Vec::as_slice);
-                    let mut counters = ScanCounters::default();
-                    let hit = match &slice {
-                        ShardSlice::Rows(range) => version.scan_min2_rows(
-                            &query,
-                            mask_words,
-                            range.clone(),
-                            &mut counters,
-                            &shared,
-                        ),
-                        ShardSlice::Buckets(range) => version.scan_min2_buckets(
-                            &query,
-                            mask_words,
-                            range.clone(),
-                            &mut counters,
-                        ),
-                    };
-                    (hit, counters)
-                }));
-                let finding = match outcome {
-                    Ok((hit, counters)) => ShardFinding::Min2(hit, counters),
-                    Err(_) => ShardFinding::Panicked,
-                };
-                let _ = reply.send((shard, finding));
-            }
-            ShardRequest::TopK {
-                version,
-                range,
-                query,
-                k,
-                reply,
-            } => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    trip_chaos(&mut chaos_panics);
-                    version.top_k_range_into(&query, range, k, &mut ranked);
-                    ranked.clone()
-                }));
-                let finding = match outcome {
-                    Ok(pairs) => ShardFinding::TopK(pairs),
-                    Err(_) => ShardFinding::Panicked,
-                };
-                let _ = reply.send((shard, finding));
-            }
-            ShardRequest::Chaos { panics } => chaos_panics = panics,
-            ShardRequest::Shutdown => break,
-        }
-    }
-}
-
-/// Scatter-gather search over `K` shard worker threads, bit-identical to
-/// the unsharded [`AssociativeMemory`] scan — see the [module docs]
-/// (self) for the protocol and the exactness argument.
-///
-/// The shard count is fixed at construction; the row partition is
-/// recomputed per query from the pinned version's row count, so online
-/// updates that grow or shrink the memory re-balance automatically.
-#[derive(Debug)]
-pub struct ShardedMemory {
-    versioned: Arc<VersionedMemory>,
-    mailboxes: Vec<Sender<ShardRequest>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ShardedMemory {
-    /// Shards `memory` over `shards` worker threads (clamped to ≥ 1),
-    /// wrapping it as epoch 0 of a fresh [`VersionedMemory`].
-    pub fn new(memory: AssociativeMemory, shards: usize) -> Self {
-        ShardedMemory::over(Arc::new(VersionedMemory::new(memory)), shards)
-    }
-
-    /// Shards an existing versioned cell — the constructor to use when an
-    /// [`OnlineUpdater`] (or several sharded views) should share it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread cannot be spawned.
-    pub fn over(versioned: Arc<VersionedMemory>, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let mut mailboxes = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = mpsc::channel();
-            let handle = std::thread::Builder::new()
-                .name(format!("ham-shard-{shard}"))
-                .spawn(move || worker_loop(shard, rx))
-                .expect("spawn shard worker thread");
-            mailboxes.push(tx);
-            workers.push(handle);
-        }
-        ShardedMemory {
-            versioned,
-            mailboxes,
-            workers,
-        }
-    }
-
-    /// The shared versioned cell (clone it for an [`OnlineUpdater`]).
-    pub fn versioned(&self) -> &Arc<VersionedMemory> {
-        &self.versioned
-    }
-
-    /// Number of shard workers, `K`.
-    pub fn shards(&self) -> usize {
-        self.mailboxes.len()
-    }
-
-    /// The row partition for the current version.
-    pub fn plan(&self) -> ShardPlan {
-        ShardPlan::new(self.shards(), self.versioned.load().rows())
-    }
-
-    fn check_query(version: &MemoryVersion, dim: Dimension) -> Result<(), HamError> {
-        let expected = version.dim();
-        if dim != expected {
-            return Err(HamError::DimensionMismatch {
-                expected: expected.get(),
-                actual: dim.get(),
-            });
-        }
-        if version.rows() == 0 {
-            return Err(HamError::NoClasses);
-        }
-        Ok(())
-    }
-
-    /// The min2 scatter partition for `version`: over buckets when the
-    /// memory carries an index (with `true`), over raw rows otherwise.
-    /// A version whose strategy resolves to the bit-sliced traversal
-    /// partitions rows even when an index is attached — row ranges are
-    /// exactly what the mirror's 64-row groups slice along, and the
-    /// columnwise group bound is that strategy's pruning engine.
-    fn min2_plan(&self, version: &MemoryVersion) -> (ShardPlan, bool) {
-        let bitsliced = version.resolved_strategy() == ResolvedScan::BitSliced;
-        match version.index() {
-            Some(index) if index.buckets() > 0 && !bitsliced => {
-                (ShardPlan::new(self.shards(), index.buckets()), true)
-            }
-            _ => (ShardPlan::new(self.shards(), version.rows()), false),
-        }
-    }
-
-    /// Scatters `request_of` over `plan`'s non-empty slices and gathers
-    /// the findings in arrival order.
-    fn scatter(
-        &self,
-        plan: ShardPlan,
-        request_of: impl Fn(Range<usize>, Sender<(usize, ShardFinding)>) -> ShardRequest,
-    ) -> Result<Vec<ShardFinding>, HamError> {
-        let (reply, inbox) = mpsc::channel();
-        let mut outstanding = Vec::new();
-        for shard in 0..self.shards() {
-            let range = plan.range(shard);
-            if range.is_empty() {
-                continue;
-            }
-            self.mailboxes[shard]
-                .send(request_of(range, reply.clone()))
-                .map_err(|_| HamError::ShardDown { shard })?;
-            outstanding.push(shard);
-        }
-        drop(reply);
-        let mut findings = Vec::with_capacity(outstanding.len());
-        let mut heard = vec![false; self.shards()];
-        for _ in 0..outstanding.len() {
-            let (shard, finding) = inbox.recv().map_err(|_| HamError::ShardDown {
-                // All reply senders dropped before every shard answered:
-                // report the first silent one.
-                shard: outstanding
-                    .iter()
-                    .copied()
-                    .find(|&s| !heard[s])
-                    .unwrap_or(0),
-            })?;
-            heard[shard] = true;
-            if matches!(finding, ShardFinding::Panicked) {
-                // Contained worker panic: the query dies with a typed,
-                // transient error; the worker itself is still alive.
-                return Err(HamError::ShardPanicked { shard });
-            }
-            findings.push(finding);
-        }
-        Ok(findings)
-    }
-
-    /// Arms shard `shard`'s chaos counter: its next `panics` scans panic
-    /// inside the worker (each surfacing as a typed
-    /// [`HamError::ShardPanicked`]), after which it serves normally.
-    /// This is the wire-level fault injector's hook into the scatter
-    /// path — intentionally public so integration tests and benches can
-    /// prove the containment without reaching into worker internals.
-    ///
-    /// # Errors
-    ///
-    /// [`HamError::ShardDown`] when the worker's mailbox is disconnected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.shards()`.
-    pub fn inject_worker_panics(&self, shard: usize, panics: usize) -> Result<(), HamError> {
-        assert!(shard < self.shards(), "shard {shard} out of range");
-        self.mailboxes[shard]
-            .send(ShardRequest::Chaos { panics })
-            .map_err(|_| HamError::ShardDown { shard })
-    }
-
-    fn gather_min2(
-        &self,
-        version: &Arc<MemoryVersion>,
-        query: &Hypervector,
-        mask: Option<&SampleMask>,
-    ) -> Result<(Min2, ScanCounters), HamError> {
-        Self::check_query(version, query.dim())?;
-        if let Some(mask) = mask {
-            if mask.dim() != version.dim() {
-                return Err(HamError::DimensionMismatch {
-                    expected: version.dim().get(),
-                    actual: mask.dim().get(),
-                });
-            }
-        }
-        let query = Arc::new(query.as_bitvec().as_words().to_vec());
-        let mask = mask.map(|m| Arc::new(m.as_bitvec().as_words().to_vec()));
-        let (plan, indexed) = self.min2_plan(version);
-        // One shared runner-up bound per scatter: every worker of this
-        // query tightens it with its own runner-up observations and
-        // prunes against everyone else's (relaxed atomic — any stale
-        // read is merely a looser, still-sound bound).
-        let shared = Arc::new(SharedBound::unbounded());
-        let findings = self.scatter(plan, |range, reply| ShardRequest::Scan {
-            version: Arc::clone(version),
-            slice: if indexed {
-                ShardSlice::Buckets(range)
-            } else {
-                ShardSlice::Rows(range)
-            },
-            query: Arc::clone(&query),
-            mask: mask.clone(),
-            shared: Arc::clone(&shared),
-            reply,
-        })?;
-        let mut scan = ScanCounters::default();
-        let parts = findings.into_iter().filter_map(|finding| match finding {
-            ShardFinding::Min2(hit, counters) => {
-                scan.absorb(counters);
-                hit
-            }
-            // Panicked findings abort the scatter before gathering.
-            ShardFinding::TopK(_) | ShardFinding::Panicked => None,
-        });
-        let hit = Min2::merge(parts).ok_or(HamError::NoClasses)?;
-        Ok((hit, scan))
-    }
-
-    /// Exact nearest + runner-up search on a pinned version — the core
-    /// scatter-gather, exposed so callers (tests, supervisors) can hold
-    /// one version across several searches.
-    ///
-    /// # Errors
-    ///
-    /// [`HamError::DimensionMismatch`] for a query from another space,
-    /// [`HamError::NoClasses`] when the version is empty, and
-    /// [`HamError::ShardDown`] when a worker thread has exited.
-    pub fn search_on(
-        &self,
-        version: &Arc<MemoryVersion>,
-        query: &Hypervector,
-    ) -> Result<SearchResult, HamError> {
-        self.gather_min2(version, query, None)
-            .map(|(hit, _)| to_search_result(hit))
-    }
-
-    /// [`search`](Self::search) plus the gathered scan telemetry: the
-    /// per-shard [`ScanCounters`] summed over the whole scatter. On an
-    /// indexed version `rows_scanned + rows_pruned` equals the row
-    /// count and `buckets_probed` counts centroid evaluations; on an
-    /// unindexed version `rows_scanned` is simply the row count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_on`](Self::search_on).
-    pub fn search_counted(
-        &self,
-        query: &Hypervector,
-    ) -> Result<(SearchResult, ScanCounters), HamError> {
-        self.gather_min2(&self.versioned.load(), query, None)
-            .map(|(hit, scan)| (to_search_result(hit), scan))
-    }
-
-    /// Exact search against the current version; bit-identical to
-    /// [`AssociativeMemory::search`] on that version's memory.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_on`](Self::search_on).
-    pub fn search(&self, query: &Hypervector) -> Result<SearchResult, HamError> {
-        self.search_on(&self.versioned.load(), query)
-    }
-
-    /// Masked (structured-sampling) search against the current version;
-    /// bit-identical to [`AssociativeMemory::search_sampled`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_on`](Self::search_on), plus
-    /// [`HamError::DimensionMismatch`] for a mask of the wrong length.
-    pub fn search_sampled(
-        &self,
-        query: &Hypervector,
-        mask: &SampleMask,
-    ) -> Result<SearchResult, HamError> {
-        self.gather_min2(&self.versioned.load(), query, Some(mask))
-            .map(|(hit, _)| to_search_result(hit))
-    }
-
-    /// Search with the runner-up distance exposed for margin gating —
-    /// the sharded analogue of `HamDesign::search_with_margin`, so the
-    /// PR 3 degradation/health machinery plugs in unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_on`](Self::search_on).
-    pub fn search_with_margin(&self, query: &Hypervector) -> Result<MarginSearchResult, HamError> {
-        self.search_with_margin_on(&self.versioned.load(), query)
-    }
-
-    /// [`search_with_margin`](Self::search_with_margin) on a pinned
-    /// version.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_on`](Self::search_on).
-    pub fn search_with_margin_on(
-        &self,
-        version: &Arc<MemoryVersion>,
-        query: &Hypervector,
-    ) -> Result<MarginSearchResult, HamError> {
-        self.search_with_margin_counted_on(version, query)
-            .map(|(result, _)| result)
-    }
-
-    /// [`search_with_margin_on`](Self::search_with_margin_on) plus the
-    /// gathered [`ScanCounters`] — the margin path the
-    /// [`ShardSupervisor`] uses so its [`QueryOutcome`] telemetry
-    /// carries real pruning numbers.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_on`](Self::search_on).
-    pub fn search_with_margin_counted_on(
-        &self,
-        version: &Arc<MemoryVersion>,
-        query: &Hypervector,
-    ) -> Result<(MarginSearchResult, ScanCounters), HamError> {
-        let (hit, scan) = self.gather_min2(version, query, None)?;
-        let result = MarginSearchResult {
-            class: ClassId(hit.best),
-            measured_distance: Distance::new(hit.best_distance),
-            runner_up: hit.runner_up.map(Distance::new),
-        };
-        Ok((result, scan))
-    }
-
-    /// The `k` nearest classes of the current version, gathered from
-    /// per-shard rankings under the shared `(distance, row)` tie-break —
-    /// bit-identical to [`AssociativeMemory::search_top_k`], including
-    /// `k = 0` (empty) and `k >` classes (all of them).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_on`](Self::search_on).
-    pub fn search_top_k(
-        &self,
-        query: &Hypervector,
-        k: usize,
-    ) -> Result<Vec<(ClassId, Distance)>, HamError> {
-        let version = self.versioned.load();
-        Self::check_query(&version, query.dim())?;
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        let query = Arc::new(query.as_bitvec().as_words().to_vec());
-        // Top-k scatters stay row-partitioned even on indexed versions:
-        // per-shard rankings merge exactly under the shared
-        // `(distance, row)` tie-break regardless of how rows were
-        // sliced, and the k-th-distance pruning bound is weakest when
-        // split per shard, so bucket-gather buys little here.
-        let plan = ShardPlan::new(self.shards(), version.rows());
-        let findings = self.scatter(plan, |range, reply| ShardRequest::TopK {
-            version: Arc::clone(&version),
-            range,
-            query: Arc::clone(&query),
-            k,
-            reply,
-        })?;
-        let mut gathered: Vec<(usize, usize)> = findings
-            .into_iter()
-            .flat_map(|finding| match finding {
-                ShardFinding::TopK(ranked) => ranked,
-                ShardFinding::Min2(..) | ShardFinding::Panicked => Vec::new(),
-            })
-            .collect();
-        gathered.sort_by_key(|&(row, distance)| (distance, row));
-        gathered.truncate(k);
-        Ok(gathered
-            .into_iter()
-            .map(|(row, distance)| (ClassId(row), Distance::new(distance)))
-            .collect())
-    }
-}
-
-impl Drop for ShardedMemory {
-    fn drop(&mut self) {
-        for mailbox in &self.mailboxes {
-            let _ = mailbox.send(ShardRequest::Shutdown);
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-fn to_search_result(hit: Min2) -> SearchResult {
-    SearchResult {
-        class: ClassId(hit.best),
-        distance: Distance::new(hit.best_distance),
-        runner_up: hit.runner_up.map(Distance::new),
-    }
-}
-
 /// Live mutations against a [`VersionedMemory`], each published as one
 /// new delta version (only touched chunks copied) while readers keep
 /// serving the old one.
@@ -1510,8 +744,8 @@ pub struct OnlineUpdater {
 }
 
 impl OnlineUpdater {
-    /// An updater over `versioned` (clone the `Arc` from
-    /// [`ShardedMemory::versioned`]). No index maintenance until
+    /// An updater over `versioned` (several updaters may share one
+    /// cell). No index maintenance until
     /// [`with_index_policy`](Self::with_index_policy), no durability
     /// until [`with_wal`](Self::with_wal).
     pub fn new(versioned: Arc<VersionedMemory>) -> Self {
@@ -1689,306 +923,5 @@ impl OnlineUpdater {
             }
         }
         Ok(version.epoch())
-    }
-}
-
-/// One shard's scrub outcome under a [`ShardSupervisor`].
-#[derive(Debug, Clone)]
-pub struct ShardScrub {
-    /// The scrubbed shard.
-    pub shard: usize,
-    /// The golden-copy scan over the shard's row range (global class
-    /// ids; `scanned` counts only this shard's rows).
-    pub report: ScrubReport,
-    /// The shard's health state after folding the scan in.
-    pub state: HealthState,
-    /// Rows rewritten by this pass (from the snapshot slice on a
-    /// quarantine restore, from golden copies otherwise).
-    pub repaired: Vec<ClassId>,
-    /// Whether the repair rows came from the checksummed snapshot slice
-    /// (`true` only on a quarantine restore with a configured snapshot).
-    pub restored_from_snapshot: bool,
-    /// The epoch published by the repair, when one was needed.
-    pub epoch: Option<u64>,
-}
-
-/// The outcome of one margin-gated sharded classification.
-#[derive(Debug, Clone)]
-pub struct ShardedOutcome {
-    /// The winning class with its runner-up distance.
-    pub result: MarginSearchResult,
-    /// The shard that owned the winning row.
-    pub shard: usize,
-    /// Trust under the winning shard's effective policy (tightened when
-    /// that shard is degraded or quarantined).
-    pub confidence: Confidence,
-}
-
-/// Per-shard health over a [`ShardedMemory`]: every shard gets its own
-/// [`HealthMonitor`], margin telemetry is attributed to the shard that
-/// produced the winner, and scrub/restore repairs touch only the sick
-/// shard's row range — the other shards keep serving the same versioned
-/// cell throughout.
-#[derive(Debug)]
-pub struct ShardSupervisor {
-    sharded: ShardedMemory,
-    scrubber: Scrubber,
-    monitors: Vec<HealthMonitor>,
-    base_policy: DegradationPolicy,
-    snapshot_path: Option<PathBuf>,
-}
-
-impl ShardSupervisor {
-    /// Supervises `memory` sharded `shards` ways, with one monitor per
-    /// shard under `health` and golden copies snapshotted from the
-    /// memory itself.
-    pub fn new(memory: AssociativeMemory, shards: usize, health: HealthPolicy) -> Self {
-        let base_policy = DegradationPolicy::for_dim(memory.dim().get());
-        let scrubber = Scrubber::from_memory(&memory);
-        let sharded = ShardedMemory::new(memory, shards);
-        let monitors = (0..sharded.shards())
-            .map(|_| HealthMonitor::new(health))
-            .collect();
-        ShardSupervisor {
-            sharded,
-            scrubber,
-            monitors,
-            base_policy,
-            snapshot_path: None,
-        }
-    }
-
-    /// Configures (and immediately writes) the checksummed snapshot that
-    /// quarantined shards restore their slice from.
-    ///
-    /// # Errors
-    ///
-    /// Propagates snapshot I/O errors.
-    pub fn with_snapshot(mut self, path: PathBuf) -> Result<Self, SnapshotError> {
-        save_snapshot(self.sharded.versioned().load().memory(), &path)?;
-        self.snapshot_path = Some(path);
-        Ok(self)
-    }
-
-    /// The supervised sharded memory.
-    pub fn sharded(&self) -> &ShardedMemory {
-        &self.sharded
-    }
-
-    /// The shared versioned cell (for wiring an [`OnlineUpdater`]).
-    pub fn versioned(&self) -> &Arc<VersionedMemory> {
-        self.sharded.versioned()
-    }
-
-    /// A shard's current health state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard_state(&self, shard: usize) -> HealthState {
-        self.monitors[shard].state()
-    }
-
-    /// A shard's health monitor (telemetry: occupancy, transitions,
-    /// margin histogram).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn monitor(&self, shard: usize) -> &HealthMonitor {
-        &self.monitors[shard]
-    }
-
-    /// Margin-gated classification: one exact scatter-gather search,
-    /// judged against the *winning shard's* effective policy — the base
-    /// policy while that shard is healthy, the monitor-tightened one
-    /// once it degrades — with the outcome folded into that shard's
-    /// monitor.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ShardedMemory::search_on`].
-    pub fn classify(&mut self, query: &Hypervector) -> Result<ShardedOutcome, HamError> {
-        let version = self.sharded.versioned().load();
-        let (result, scan) = match self.sharded.search_with_margin_counted_on(&version, query) {
-            Ok(found) => found,
-            Err(error) => {
-                // Attribute hard failures to every shard: a scatter that
-                // cannot complete is not one shard's margin problem.
-                for monitor in &mut self.monitors {
-                    monitor.observe_error(&error);
-                }
-                return Err(error);
-            }
-        };
-        // Attribute the winner to the shard that scanned it: under a
-        // bucket-partitioned scatter that is the shard owning the
-        // winning row's *bucket*, not its raw row range.
-        let (plan, indexed) = self.sharded.min2_plan(&version);
-        let shard = if indexed {
-            let index = version.index().expect("indexed plan");
-            plan.shard_of_row(index.bucket_of(result.class.0))
-        } else {
-            plan.shard_of_row(result.class.0)
-        };
-        let policy = match self.monitors[shard].state() {
-            HealthState::Healthy => self.base_policy,
-            _ => self.monitors[shard].tightened(self.base_policy),
-        };
-        let margin = result.margin();
-        let confidence = if margin >= policy.confident_margin {
-            Confidence::Confident
-        } else if margin < policy.reject_margin {
-            Confidence::Rejected
-        } else {
-            Confidence::Marginal
-        };
-        let outcome = QueryOutcome {
-            result: result.clone().into_result(),
-            confidence,
-            escalations: 0,
-            final_engine: EngineStage::Exact,
-            margin,
-            scan,
-        };
-        self.monitors[shard].observe_outcome(&outcome);
-        Ok(ShardedOutcome {
-            result,
-            shard,
-            confidence,
-        })
-    }
-
-    /// Scans one shard's row range against the golden copies — no
-    /// repair, no monitor update.
-    ///
-    /// # Errors
-    ///
-    /// [`HamError::GoldenMismatch`] when online updates changed the
-    /// class count since the goldens were taken (call
-    /// [`refresh_golden`](Self::refresh_golden) after publishing
-    /// add/retire updates).
-    pub fn scan_shard(&self, shard: usize) -> Result<ScrubReport, HamError> {
-        let version = self.sharded.versioned().load();
-        let memory = version.memory();
-        if memory.len() != self.scrubber.classes() {
-            return Err(HamError::GoldenMismatch {
-                golden: self.scrubber.classes(),
-                stored: memory.len(),
-            });
-        }
-        let range = ShardPlan::new(self.sharded.shards(), memory.len()).range(shard);
-        let corrupted: Vec<(ClassId, Distance)> = range
-            .clone()
-            .filter_map(|row| {
-                let class = ClassId(row);
-                let stored = memory.row(class).expect("row in range");
-                let golden = self.scrubber.golden_row(class).expect("golden in range");
-                let damage = stored.hamming(golden);
-                (damage > Distance::ZERO).then_some((class, damage))
-            })
-            .collect();
-        Ok(ScrubReport {
-            scanned: range.len(),
-            corrupted,
-            repaired: Vec::new(),
-        })
-    }
-
-    /// Scrubs one shard: scans its range, folds the report into the
-    /// shard's monitor, and — when damage was found — publishes **one**
-    /// new version with the damaged rows rewritten. A quarantined shard
-    /// restores its rows from the checksummed snapshot slice (clean
-    /// records only; rows whose snapshot record is itself corrupt fall
-    /// back to the golden copy) and is marked restored; a merely
-    /// degraded shard repairs straight from the golden copies. Healthy
-    /// shards and the rest of the row space are never touched.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`scan_shard`](Self::scan_shard).
-    pub fn scrub_shard(&mut self, shard: usize) -> Result<ShardScrub, HamError> {
-        let mut report = self.scan_shard(shard)?;
-        self.monitors[shard].observe_scrub(&report);
-        let state = self.monitors[shard].state();
-        if report.is_clean() {
-            return Ok(ShardScrub {
-                shard,
-                report,
-                state,
-                repaired: Vec::new(),
-                restored_from_snapshot: false,
-                epoch: None,
-            });
-        }
-
-        // Pull the replacement rows: snapshot slice on quarantine (when
-        // configured and readable), golden copies otherwise.
-        let range = {
-            let version = self.sharded.versioned().load();
-            ShardPlan::new(self.sharded.shards(), version.rows()).range(shard)
-        };
-        let snapshot_rows = if state == HealthState::Quarantined {
-            self.snapshot_path
-                .as_ref()
-                .and_then(|path| load_snapshot_rows(path, range.clone()).ok())
-        } else {
-            None
-        };
-        let restored_from_snapshot = snapshot_rows.is_some();
-        let repairs: Vec<(ClassId, Hypervector)> = report
-            .corrupted
-            .iter()
-            .map(|&(class, _)| {
-                let from_snapshot = snapshot_rows
-                    .as_ref()
-                    .and_then(|slice| slice.clean_row(class).map(|(_, hv)| hv.clone()));
-                let row = from_snapshot.unwrap_or_else(|| {
-                    self.scrubber
-                        .golden_row(class)
-                        .expect("golden in range")
-                        .clone()
-                });
-                (class, row)
-            })
-            .collect();
-        let epoch = self.sharded.versioned().update(|memory| {
-            for (class, row) in &repairs {
-                memory
-                    .replace_row(*class, row.clone())
-                    .map_err(HamError::Hdc)?;
-            }
-            Ok(())
-        })?;
-        report.repaired = report.corrupted.iter().map(|&(class, _)| class).collect();
-        if state == HealthState::Quarantined {
-            self.monitors[shard].mark_restored();
-        }
-        Ok(ShardScrub {
-            shard,
-            report: report.clone(),
-            state: self.monitors[shard].state(),
-            repaired: report.repaired,
-            restored_from_snapshot,
-            epoch: Some(epoch),
-        })
-    }
-
-    /// Re-snapshots the golden copies (and the on-disk snapshot, when
-    /// configured) from the *current* version — required after an
-    /// [`OnlineUpdater`] added or retired classes, since golden copies
-    /// are per-class and the class set changed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates snapshot I/O errors; the in-memory goldens are
-    /// refreshed even if the snapshot write fails.
-    pub fn refresh_golden(&mut self) -> Result<(), SnapshotError> {
-        let version = self.sharded.versioned().load();
-        self.scrubber = Scrubber::from_memory(version.memory());
-        if let Some(path) = &self.snapshot_path {
-            save_snapshot(version.memory(), path)?;
-        }
-        Ok(())
     }
 }

@@ -1,13 +1,14 @@
 //! Online-update retranspose coherence (the bit-sliced twin of
-//! `index_equivalence.rs`): a sharded memory serving the bit-sliced
+//! `index_equivalence.rs`): a versioned memory serving the bit-sliced
 //! traversal through [`OnlineUpdater`] delta publishes must, after
 //! every epoch, answer bit-identically to a plain serial mirror — adds
 //! append into the tail group, replaces retranspose only the touched
-//! group, retires rebuild the renumbered transpose — and the gathered
-//! counters must partition every row into scanned vs group-pruned.
+//! group, retires rebuild the renumbered transpose.
+
+use std::sync::Arc;
 
 use ham_core::explore::random_memory;
-use ham_core::shard::{OnlineUpdater, ShardedMemory};
+use ham_core::shard::{OnlineUpdater, VersionedMemory};
 use hdc::prelude::*;
 use hdc::BitSlicedRows;
 use proptest::prelude::*;
@@ -43,19 +44,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Adds, replaces, and retires through the updater keep the
-    /// published transpose coherent: every epoch's sharded answer is
-    /// the serial mirror's answer, and the version's resolved strategy
+    /// published transpose coherent: every epoch's answer is the serial
+    /// mirror's answer, and the version's resolved strategy
     /// stays bit-sliced throughout.
     #[test]
     fn online_updates_keep_the_transpose_coherent_across_epochs(
         classes in 8usize..20,
-        shards in 1usize..6,
         seed in any::<u64>(),
     ) {
         let dim = Dimension::new(320).unwrap();
         let mut mirror = bitsliced_memory(classes, 320, seed);
-        let sharded = ShardedMemory::new(mirror.clone(), shards);
-        let updater = OnlineUpdater::new(sharded.versioned().clone());
+        let versioned = Arc::new(VersionedMemory::new(mirror.clone()));
+        let updater = OnlineUpdater::new(Arc::clone(&versioned));
         let probe = Hypervector::random(dim, seed ^ 0xCAFE);
 
         for step in 0..8u64 {
@@ -85,7 +85,7 @@ proptest! {
                     updater.rethreshold_row(target, hv).unwrap();
                 }
             }
-            let version = sharded.versioned().load();
+            let version = versioned.load();
             prop_assert_eq!(
                 version.resolved_strategy(),
                 ResolvedScan::BitSliced,
@@ -94,26 +94,25 @@ proptest! {
             assert_mirror_coherent(&version, &probe);
             prop_assert_eq!(version.rows(), mirror.len(), "no lost rows");
             prop_assert_eq!(
-                sharded.search(&probe).unwrap(),
+                version.memory().search(&probe).unwrap(),
                 mirror.search(&probe).unwrap()
             );
         }
     }
 
-    /// The scatter over the transpose partitions every row into scanned
-    /// vs group-pruned, stays bit-identical to the serial scan at any
-    /// shard count, and the shared runner-up bound never changes a
-    /// result — only how much work the counters report.
+    /// On a clustered bit-sliced version, a counted search partitions
+    /// every row into scanned vs group-pruned across delta publishes
+    /// (replaces retranspose one group, adds grow the tail group) and
+    /// stays bit-identical to the serial mirror.
     #[test]
-    fn sharded_bitsliced_counters_partition_the_rows(
-        shards in 1usize..7,
+    fn bitsliced_version_counters_partition_the_rows(
         seed in any::<u64>(),
     ) {
         let dim = Dimension::new(512).unwrap();
         let dimension = 512usize;
         // Clustered rows so the group bound actually prunes: four
         // anchors, 24 noisy members each, cluster-major.
-        let mut memory = AssociativeMemory::new(dim);
+        let mut mirror = AssociativeMemory::new(dim);
         let mut rng = StdRng::seed_from_u64(seed);
         let anchors: Vec<Hypervector> = (0..4u64)
             .map(|a| Hypervector::random(dim, seed ^ (0xA0 + a)))
@@ -121,32 +120,38 @@ proptest! {
         for (c, anchor) in anchors.iter().enumerate() {
             for m in 0..24 {
                 let hv = anchor.with_flipped_bits((dimension / 32).max(1), &mut rng);
-                memory.insert(format!("c{c}-{m}"), hv).unwrap();
+                mirror.insert(format!("c{c}-{m}"), hv).unwrap();
             }
         }
-        memory.build_sliced();
-        memory.set_scan_strategy(ScanStrategy::BitSliced);
-        let rows = memory.len();
-        let probe = anchors[(seed as usize) % anchors.len()]
-            .with_flipped_bits((dimension / 64).max(1), &mut rng);
+        mirror.build_sliced();
+        mirror.set_scan_strategy(ScanStrategy::BitSliced);
+        let versioned = Arc::new(VersionedMemory::new(mirror.clone()));
+        let updater = OnlineUpdater::new(Arc::clone(&versioned));
 
-        let serial = memory.search(&probe).unwrap();
-        let sharded = ShardedMemory::new(memory.clone(), shards);
-        let (hit, scan) = sharded.search_counted(&probe).unwrap();
-        prop_assert_eq!(hit.class, serial.class);
-        prop_assert_eq!(hit.distance, serial.distance);
-        // The shared bound may prune the runner-up in some other shard's
-        // slice, but when the gather reports one it is the serial one.
-        if let Some(runner_up) = hit.runner_up {
-            prop_assert_eq!(Some(runner_up), serial.runner_up);
+        for step in 0..4usize {
+            let anchor = &anchors[(seed as usize + step) % anchors.len()];
+            let hv = anchor.with_flipped_bits((dimension / 32).max(1), &mut rng);
+            if step % 2 == 0 {
+                let target = ClassId(step * 23 % mirror.len());
+                mirror.replace_row(target, hv.clone()).unwrap();
+                updater.rethreshold_row(target, hv).unwrap();
+            } else {
+                mirror.insert(format!("late-{step}"), hv.clone()).unwrap();
+                updater.add_class(format!("late-{step}"), hv).unwrap();
+            }
+            let version = versioned.load();
+            prop_assert_eq!(version.resolved_strategy(), ResolvedScan::BitSliced);
+            let probe = anchor.with_flipped_bits((dimension / 64).max(1), &mut rng);
+            let (hit, scan) = version.memory().search_counted(&probe).unwrap();
+            prop_assert_eq!(hit, mirror.search(&probe).unwrap());
+            prop_assert_eq!(
+                scan.rows_scanned + scan.rows_group_pruned,
+                version.rows() as u64,
+                "epoch {}: every row is scanned or group-pruned exactly once",
+                version.epoch()
+            );
+            prop_assert_eq!(scan.rows_pruned, 0, "no bucket index in play");
         }
-        prop_assert_eq!(
-            scan.rows_scanned + scan.rows_group_pruned,
-            rows as u64,
-            "scatter over {} shards covers every row exactly once",
-            shards
-        );
-        prop_assert_eq!(scan.rows_pruned, 0, "no bucket index in play");
     }
 }
 
@@ -159,14 +164,14 @@ proptest! {
 fn replace_retransposes_only_the_dirty_group() {
     let memory = bitsliced_memory(200, 256, 17);
     let dim = memory.dim();
-    let sharded = ShardedMemory::new(memory, 2);
-    let updater = OnlineUpdater::new(sharded.versioned().clone());
-    let before = sharded.versioned().load();
+    let versioned = Arc::new(VersionedMemory::new(memory));
+    let updater = OnlineUpdater::new(Arc::clone(&versioned));
+    let before = versioned.load();
 
     // Row 70 lives in group 1 (rows 64..128).
     let hv = Hypervector::random(dim, 4_242);
     updater.rethreshold_row(ClassId(70), hv).unwrap();
-    let after = sharded.versioned().load();
+    let after = versioned.load();
 
     let old = before.sliced().expect("mirror before");
     let new = after.sliced().expect("mirror after");

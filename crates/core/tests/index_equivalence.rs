@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ham_core::explore::random_memory;
-use ham_core::shard::{OnlineUpdater, ShardedMemory};
+use ham_core::shard::{OnlineUpdater, VersionedMemory};
 use ham_core::IndexPolicy;
 use hdc::prelude::*;
 use hdc::{enabled_backends, BucketIndex, IndexBuildOptions};
@@ -173,24 +173,21 @@ proptest! {
     }
 
     /// Online updates through an index-maintaining updater: after every
-    /// epoch publish the sharded (bucket-gathered) view matches a plain
-    /// serial mirror bit-for-bit and the published index is coherent.
+    /// epoch publish the published version's indexed search matches a
+    /// plain serial mirror bit-for-bit and the published index is
+    /// coherent.
     #[test]
     fn online_updates_keep_buckets_coherent_across_epochs(
         classes in 8usize..20,
-        shards in 1usize..6,
         seed in any::<u64>(),
     ) {
         let dim = Dimension::new(320).unwrap();
         let mut mirror = random_memory(classes, 320, seed);
-        let sharded = ShardedMemory::new(mirror.clone(), shards);
+        let versioned = Arc::new(VersionedMemory::new(mirror.clone()));
         let policy = IndexPolicy { min_rows: 4, ..IndexPolicy::default() };
-        let updater =
-            OnlineUpdater::new(sharded.versioned().clone()).with_index_policy(policy);
+        let updater = OnlineUpdater::new(Arc::clone(&versioned)).with_index_policy(policy);
         let probe = Hypervector::random(dim, seed ^ 0xCAFE);
 
-        // Seed the index via a no-op-like mutation so the first probe
-        // already rides the bucket-gather path.
         for step in 0..8u64 {
             match step % 3 {
                 0 => {
@@ -216,11 +213,11 @@ proptest! {
                     updater.rethreshold_row(target, hv).unwrap();
                 }
             }
-            let version = sharded.versioned().load();
+            let version = versioned.load();
             assert_index_coherent(version.memory());
             prop_assert_eq!(version.memory().len(), mirror.len(), "no lost rows");
             prop_assert_eq!(
-                sharded.search(&probe).unwrap(),
+                version.memory().search(&probe).unwrap(),
                 mirror.search(&probe).unwrap()
             );
             // Per-row identity — membership reshuffles never lose or
@@ -233,20 +230,20 @@ proptest! {
     }
 }
 
-/// Readers hammering a bucket-gathered sharded memory while an
+/// Readers hammering an indexed versioned memory while an
 /// index-maintaining updater publishes must only ever observe results
 /// some *published* version would produce serially — the indexed
-/// analogue of the PR 5 torn-read test.
+/// analogue of the versioned-memory torn-read test.
 #[test]
 fn concurrent_indexed_readers_never_observe_torn_state() {
     let memory = random_memory(12, 512, 91);
     let dim = memory.dim();
-    let sharded = Arc::new(ShardedMemory::new(memory.clone(), 3));
+    let versioned = Arc::new(VersionedMemory::new(memory.clone()));
     let policy = IndexPolicy {
         min_rows: 4,
         ..IndexPolicy::default()
     };
-    let updater = OnlineUpdater::new(sharded.versioned().clone()).with_index_policy(policy);
+    let updater = OnlineUpdater::new(Arc::clone(&versioned)).with_index_policy(policy);
     let probe = Hypervector::random(dim, 777);
     let publishes = 16;
 
@@ -264,13 +261,13 @@ fn concurrent_indexed_readers_never_observe_torn_state() {
     let observations: Vec<(usize, usize, Option<usize>)> = std::thread::scope(|scope| {
         let mut readers = Vec::new();
         for _ in 0..3 {
-            let sharded = Arc::clone(&sharded);
+            let versioned = Arc::clone(&versioned);
             let done = Arc::clone(&done);
             let probe = probe.clone();
             readers.push(scope.spawn(move || {
                 let mut seen = Vec::new();
                 loop {
-                    let hit = sharded.search(&probe).unwrap();
+                    let hit = versioned.load().memory().search(&probe).unwrap();
                     seen.push((
                         hit.class.0,
                         hit.distance.as_usize(),
@@ -286,7 +283,7 @@ fn concurrent_indexed_readers_never_observe_torn_state() {
         for i in 0..publishes {
             let hv = Hypervector::random(dim, 20_000 + i);
             updater.add_class(format!("live-{i}"), hv).unwrap();
-            let version = sharded.versioned().load();
+            let version = versioned.load();
             assert_index_coherent(version.memory());
             expected.insert(fingerprint(&version.memory().search(&probe).unwrap()));
         }
@@ -304,36 +301,63 @@ fn concurrent_indexed_readers_never_observe_torn_state() {
             "observed {observed:?} matches no published version"
         );
     }
-    assert_eq!(sharded.versioned().current_epoch(), publishes);
+    assert_eq!(versioned.current_epoch(), publishes);
 }
 
-/// The sharded bucket-gather reports the counter invariant end to end:
-/// an indexed scatter's summed counters partition the row count, and
-/// the gathered result stays bit-identical to serial.
+/// An indexed version reports the counter invariant end to end: across
+/// index-maintaining publishes, a counted search's scanned and pruned
+/// rows partition the row count and the answer stays the mirror's; an
+/// unindexed version reports a plain full scan.
 #[test]
-fn bucket_gathered_counters_partition_the_rows() {
-    let mut memory = random_memory(64, 1_000, 33);
-    memory.build_index(IndexBuildOptions::default()).unwrap();
-    let rows = memory.len();
-    for shards in [1, 2, 5, 9] {
-        let sharded = ShardedMemory::new(memory.clone(), shards);
-        let query = Hypervector::random(memory.dim(), 4444);
-        let (hit, scan) = sharded.search_counted(&query).unwrap();
-        assert_eq!(hit, memory.search(&query).unwrap());
+fn indexed_version_counters_partition_the_rows() {
+    // Strategy pinned: uniform rows would make `Auto` pick the direct
+    // scan, and the bucket walk's accounting is what's under test.
+    let mut mirror = random_memory(64, 1_000, 33).with_scan_strategy(ScanStrategy::Indexed);
+    let dim = mirror.dim();
+    let versioned = Arc::new(VersionedMemory::new(mirror.clone()));
+    let policy = IndexPolicy {
+        min_rows: 16,
+        ..IndexPolicy::default()
+    };
+    let updater = OnlineUpdater::new(Arc::clone(&versioned)).with_index_policy(policy);
+
+    for step in 0..6u64 {
+        if step % 2 == 0 {
+            let hv = Hypervector::random(dim, 3_000 + step);
+            mirror.insert(format!("grow-{step}"), hv.clone()).unwrap();
+            updater.add_class(format!("grow-{step}"), hv).unwrap();
+        } else {
+            let target = ClassId(step as usize * 7);
+            let hv = Hypervector::random(dim, 4_000 + step);
+            mirror.replace_row(target, hv.clone()).unwrap();
+            updater.rethreshold_row(target, hv).unwrap();
+        }
+        let version = versioned.load();
+        assert!(
+            version.index().is_some(),
+            "the policy keeps the version indexed"
+        );
+        assert_eq!(
+            version.resolved_strategy(),
+            ResolvedScan::Indexed { nprobe: None }
+        );
+        let query = Hypervector::random(dim, 4_444 + step);
+        let (hit, scan) = version.memory().search_counted(&query).unwrap();
+        assert_eq!(hit, mirror.search(&query).unwrap());
         assert_eq!(
             scan.rows_scanned + scan.rows_pruned,
-            rows as u64,
-            "scatter over {shards} shards covers every row exactly once"
+            version.rows() as u64,
+            "epoch {}: every row is scanned or pruned exactly once",
+            version.epoch()
         );
         assert!(scan.buckets_probed > 0, "centroid scan is accounted");
     }
-    // Unindexed scatters report a plain full scan.
-    let mut plain = memory.clone();
-    plain.drop_index();
-    let sharded = ShardedMemory::new(plain, 4);
-    let query = Hypervector::random(memory.dim(), 4445);
-    let (_, scan) = sharded.search_counted(&query).unwrap();
-    assert_eq!(scan.rows_scanned, rows as u64);
+
+    // Without an index policy the version is a plain full scan.
+    let plain = VersionedMemory::new(random_memory(64, 1_000, 34));
+    let query = Hypervector::random(dim, 4_445);
+    let (_, scan) = plain.load().memory().search_counted(&query).unwrap();
+    assert_eq!(scan.rows_scanned, 64);
     assert_eq!(scan.rows_pruned, 0);
     assert_eq!(scan.buckets_probed, 0);
 }

@@ -298,7 +298,6 @@ impl AssociativeMemory {
             mask,
             0..self.packed.len(),
             counters,
-            None,
         )
     }
 
@@ -538,9 +537,9 @@ impl AssociativeMemory {
     /// holds fewer classes, and an empty list for `k == 0` (a valid
     /// "rank nothing" request, not an error).
     ///
-    /// The ranking runs on [`PackedRows::top_k_range`], the same
-    /// tie-break rule the sharded gather merge uses, so sharded and
-    /// unsharded top-k agree exactly.
+    /// The ranking runs on [`PackedRows::top_k_range`], whose
+    /// `(distance, row)` tie-break lets rankings of disjoint row ranges
+    /// merge into exactly this one.
     ///
     /// # Errors
     ///

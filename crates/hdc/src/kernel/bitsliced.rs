@@ -64,8 +64,9 @@ use super::{Min2, PackedRows, RowSource};
 pub const GROUP_ROWS: usize = 64;
 
 /// A shared, monotonically tightening pruning bound — the relaxed
-/// `AtomicU32` best-so-far runner-up that shard workers of one
-/// scatter-gather scan publish to each other.
+/// `AtomicU32` best-so-far runner-up that the scans of disjoint row
+/// ranges of one query publish to each other (and that the row-major
+/// pilot of a bit-sliced scan seeds).
 ///
 /// **Soundness.** Every published value is some worker's *current*
 /// local runner-up, which is ≥ that worker's final local runner-up,
@@ -545,8 +546,8 @@ impl BitSlicedRows {
     ///
     /// Returns `None` when the range is empty — or when a `shared`
     /// bound proved every row of the range irrelevant to the merged
-    /// result (only possible with `shared`; the gather treats the two
-    /// cases identically).
+    /// result (only possible with `shared`; [`Min2::merge`] treats the
+    /// two cases identically).
     ///
     /// [`PackedRows::scan_min2`]: super::PackedRows::scan_min2
     ///

@@ -523,6 +523,20 @@ impl BucketIndex {
     /// Returns `None` when the range is empty, or when (in probe mode)
     /// no probed bucket intersects it.
     ///
+    /// Exactness argument (full sketch in DESIGN.md §14):
+    ///
+    /// * a bucket is pruned only when `d(q, centroid) − radius`, a
+    ///   sound lower bound on every member's distance, **strictly**
+    ///   exceeds the running runner-up, which never increases — so
+    ///   every pruned row's distance strictly exceeds the *final*
+    ///   runner-up and can influence neither reported field;
+    /// * in exact mode buckets are walked in ascending lower-bound
+    ///   order, so the first prunable bucket proves all later ones
+    ///   prunable and the walk stops;
+    /// * best/runner-up are tracked by `(distance, row)`, making the
+    ///   result independent of traversal order — bit-identical to the
+    ///   direct scan's lowest-index tie-break.
+    ///
     /// # Panics
     ///
     /// Panics if `packed` is not the matrix this index was built for
@@ -539,78 +553,8 @@ impl BucketIndex {
         nprobe: Option<usize>,
         counters: Option<&mut ScanCounters>,
     ) -> Option<Min2> {
-        self.scan_min2_in(
-            packed,
-            backend,
-            query,
-            mask,
-            range,
-            0..self.buckets(),
-            nprobe,
-            counters,
-        )
-    }
-
-    /// The per-shard kernel of a bucket-partitioned scatter-gather
-    /// scan: an exact walk restricted to `bucket_range`, over the full
-    /// row space. Each shard prunes against its own local runner-up
-    /// (weaker than the serial bound, still sound), and because bucket
-    /// ranges partition the rows, the partial results merge exactly
-    /// through [`Min2::merge`].
-    ///
-    /// Returns `None` when no bucket in the range has members.
-    pub fn scan_min2_buckets(
-        &self,
-        packed: &dyn RowSource,
-        backend: &dyn DistanceBackend,
-        query: &[u64],
-        mask: Option<&[u64]>,
-        bucket_range: Range<usize>,
-        counters: Option<&mut ScanCounters>,
-    ) -> Option<Min2> {
-        if packed.is_empty() {
-            return None;
-        }
-        self.scan_min2_in(
-            packed,
-            backend,
-            query,
-            mask,
-            0..packed.len(),
-            bucket_range,
-            None,
-            counters,
-        )
-    }
-
-    /// Shared bucket walk. Exactness argument (full sketch in
-    /// DESIGN.md §14):
-    ///
-    /// * a bucket is pruned only when `d(q, centroid) − radius`, a
-    ///   sound lower bound on every member's distance, **strictly**
-    ///   exceeds the running runner-up, which never increases — so
-    ///   every pruned row's distance strictly exceeds the *final*
-    ///   runner-up and can influence neither reported field;
-    /// * in exact mode buckets are walked in ascending lower-bound
-    ///   order, so the first prunable bucket proves all later ones
-    ///   prunable and the walk stops;
-    /// * best/runner-up are tracked by `(distance, row)`, making the
-    ///   result independent of traversal order — bit-identical to the
-    ///   direct scan's lowest-index tie-break.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_min2_in(
-        &self,
-        packed: &dyn RowSource,
-        backend: &dyn DistanceBackend,
-        query: &[u64],
-        mask: Option<&[u64]>,
-        range: Range<usize>,
-        bucket_range: Range<usize>,
-        nprobe: Option<usize>,
-        counters: Option<&mut ScanCounters>,
-    ) -> Option<Min2> {
-        self.check_scan(packed, query, mask, &range, &bucket_range);
-        if range.is_empty() || bucket_range.is_empty() {
+        self.check_scan(packed, query, mask, &range);
+        if range.is_empty() {
             return None;
         }
         let mut local = ScanCounters::default();
@@ -619,7 +563,7 @@ impl BucketIndex {
         let mut runner_up = usize::MAX;
         BUCKET_SCRATCH.with(|cell| {
             let order = &mut *cell.borrow_mut();
-            let limit = self.order_buckets(backend, query, mask, bucket_range, nprobe, order);
+            let limit = self.order_buckets(backend, query, mask, nprobe, order);
             for &(_, _, bucket) in &order[limit..] {
                 local.rows_pruned += self.members_in(bucket, &range).len() as u64;
             }
@@ -691,8 +635,7 @@ impl BucketIndex {
         counters: Option<&mut ScanCounters>,
         ranked: &mut Vec<(usize, usize)>,
     ) {
-        let bucket_range = 0..self.buckets();
-        self.check_scan(packed, query, None, &range, &bucket_range);
+        self.check_scan(packed, query, None, &range);
         ranked.clear();
         if k == 0 || range.is_empty() {
             return;
@@ -700,7 +643,7 @@ impl BucketIndex {
         let mut local = ScanCounters::default();
         BUCKET_SCRATCH.with(|cell| {
             let order = &mut *cell.borrow_mut();
-            let limit = self.order_buckets(backend, query, None, bucket_range, nprobe, order);
+            let limit = self.order_buckets(backend, query, None, nprobe, order);
             for &(_, _, bucket) in &order[limit..] {
                 local.rows_pruned += self.members_in(bucket, &range).len() as u64;
             }
@@ -754,7 +697,7 @@ impl BucketIndex {
         }
     }
 
-    /// Scores every bucket in `bucket_range` against the query and
+    /// Scores every bucket against the query and
     /// sorts the scratch: by prunability lower bound for the exact
     /// walk, by centroid distance for probe mode. Returns how many
     /// leading entries the walk may visit.
@@ -763,12 +706,11 @@ impl BucketIndex {
         backend: &dyn DistanceBackend,
         query: &[u64],
         mask: Option<&[u64]>,
-        bucket_range: Range<usize>,
         nprobe: Option<usize>,
         order: &mut Vec<(usize, usize, usize)>,
     ) -> usize {
         order.clear();
-        for bucket in bucket_range {
+        for bucket in 0..self.buckets() {
             let centroid = self.centroids.row_words(bucket);
             let dc = match mask {
                 None => backend.bounded_distance(centroid, query, usize::MAX),
@@ -796,7 +738,6 @@ impl BucketIndex {
         query: &[u64],
         mask: Option<&[u64]>,
         range: &Range<usize>,
-        bucket_range: &Range<usize>,
     ) {
         assert_eq!(
             self.assignments.len(),
@@ -821,10 +762,6 @@ impl BucketIndex {
             );
         }
         assert!(range.end <= packed.len(), "row range out of bounds");
-        assert!(
-            bucket_range.end <= self.buckets(),
-            "bucket range out of bounds"
-        );
     }
 }
 
@@ -1003,24 +940,6 @@ mod tests {
                     index.scan_min2(&packed, backend, query.as_words(), None, range, None, None);
                 assert_eq!(indexed_ranged, linear_ranged, "{name} ranged salt {salt}");
             }
-        }
-    }
-
-    #[test]
-    fn bucket_partition_merges_to_serial() {
-        let packed = clustered(300, 80, 4, 5);
-        let backend = active_backend();
-        let index = BucketIndex::build(&packed, backend, IndexBuildOptions::default()).unwrap();
-        let query = pseudo_bits(300, 99);
-        let serial = packed.scan_min2(query.as_words());
-        for shards in 1..=index.buckets() + 1 {
-            let chunk = index.buckets().div_ceil(shards).max(1);
-            let parts = (0..shards).filter_map(|s| {
-                let lo = (s * chunk).min(index.buckets());
-                let hi = ((s + 1) * chunk).min(index.buckets());
-                index.scan_min2_buckets(&packed, backend, query.as_words(), None, lo..hi, None)
-            });
-            assert_eq!(Min2::merge(parts), serial, "shards {shards}");
         }
     }
 

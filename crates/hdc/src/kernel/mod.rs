@@ -13,9 +13,9 @@
 //!   instead of `C` pointer chases into separately allocated vectors;
 //! * [`DistanceBackend`] — the pluggable XOR + popcount datapath. One
 //!   backend is selected per process ([`active_backend`]) from the widest
-//!   the host supports: AVX-512 `VPOPCNTDQ` ([`avx512`]) ≻ AVX2
-//!   nibble-LUT carry-save ([`avx2`]) ≻ NEON `CNT` ([`neon`]) ≻ the
-//!   portable scalar Harley–Seal kernel ([`scalar`]); `HAM_KERNEL_BACKEND`
+//!   the host supports: AVX-512 `VPOPCNTDQ` (`avx512`) ≻ AVX2
+//!   nibble-LUT carry-save (`avx2`) ≻ NEON `CNT` (`neon`) ≻ the
+//!   portable scalar Harley–Seal kernel (`scalar`); `HAM_KERNEL_BACKEND`
 //!   forces any of them by name. [`hamming_words`] /
 //!   [`hamming_words_masked`] are the scalar-callable faces of the active
 //!   backend;
@@ -117,7 +117,8 @@ pub struct Min2 {
 
 impl Min2 {
     /// Merges partial scans of *disjoint* row ranges into the scan of
-    /// their union — the exact gather step of a scatter-gather search.
+    /// their union — the exact gather step of a range-split search (the
+    /// software form of MEMHD-style sub-arrays feeding one comparator).
     ///
     /// Each part must carry row indices from the shared (global) index
     /// space, which is what the range scans
@@ -549,7 +550,7 @@ impl PackedRows {
     }
 
     /// [`distances`](Self::distances) into a caller-owned buffer, so hot
-    /// loops (batch and shard workers) pay the `Vec` allocation once per
+    /// loops (batch workers) pay the `Vec` allocation once per
     /// worker instead of once per query. The buffer is cleared first.
     ///
     /// # Panics
@@ -639,9 +640,9 @@ impl PackedRows {
     }
 
     /// [`scan_min2`](Self::scan_min2) restricted to the rows in
-    /// `range` — the per-shard kernel of a scatter-gather search. The
-    /// returned indices are **global** row indices, so partial results
-    /// from disjoint ranges merge directly through [`Min2::merge`].
+    /// `range`. The returned indices are **global** row indices, so
+    /// partial results from disjoint ranges merge directly through
+    /// [`Min2::merge`].
     ///
     /// Returns `None` when the range is empty.
     ///
@@ -651,28 +652,6 @@ impl PackedRows {
     /// stored rows.
     pub fn scan_min2_range(&self, query: &[u64], range: std::ops::Range<usize>) -> Option<Min2> {
         self.scan_min2_with(active_backend(), ScanStrategy::Auto, query, None, range)
-    }
-
-    /// [`scan_min2_range`](Self::scan_min2_range) with the distance
-    /// restricted to the positions set in `mask`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` or `mask` has the wrong word count or `range`
-    /// exceeds the stored rows.
-    pub fn scan_min2_masked_range(
-        &self,
-        query: &[u64],
-        mask: &[u64],
-        range: std::ops::Range<usize>,
-    ) -> Option<Min2> {
-        self.scan_min2_with(
-            active_backend(),
-            ScanStrategy::Auto,
-            query,
-            Some(mask),
-            range,
-        )
     }
 
     /// The fully explicit scan: any [`DistanceBackend`], any
@@ -726,19 +705,12 @@ impl PackedRows {
         range: std::ops::Range<usize>,
         counters: Option<&mut ScanCounters>,
     ) -> Option<Min2> {
-        self.scan_min2_planned_sliced(
-            backend, strategy, index, None, query, mask, range, counters, None,
-        )
+        self.scan_min2_planned_sliced(backend, strategy, index, None, query, mask, range, counters)
     }
 
     /// [`scan_min2_planned`](Self::scan_min2_planned) made aware of an
-    /// optional [`BitSlicedRows`] mirror (routing the
-    /// [`ScanStrategy::BitSliced`] family) and an optional
-    /// [`SharedBound`] that scatter-gather workers use to exchange
-    /// runner-up observations. The shared bound is consulted by the
-    /// direct and bit-sliced traversals; with one present a scan may
-    /// return `None` even over a non-empty range — every row was
-    /// proven irrelevant to the *merged* result.
+    /// optional [`BitSlicedRows`] mirror, routing the
+    /// [`ScanStrategy::BitSliced`] family through the columnwise scan.
     ///
     /// # Panics
     ///
@@ -756,7 +728,6 @@ impl PackedRows {
         mask: Option<&[u64]>,
         range: std::ops::Range<usize>,
         mut counters: Option<&mut ScanCounters>,
-        shared: Option<&SharedBound>,
     ) -> Option<Min2> {
         assert_eq!(query.len(), self.words_per_row, "query word count mismatch");
         if let Some(mask) = mask {
@@ -779,7 +750,7 @@ impl PackedRows {
                 if let Some(counters) = counters.as_deref_mut() {
                     counters.rows_scanned += range.len() as u64;
                 }
-                self.scan_min2_direct(backend, query, mask, range, shared)
+                self.scan_min2_direct(backend, query, mask, range)
             }
             ResolvedScan::Cascade => {
                 if let Some(counters) = counters.as_deref_mut() {
@@ -797,14 +768,7 @@ impl PackedRows {
                 // bit. Pilot rows are bound-seeding overhead, not part
                 // of the traversal, so the counters still partition
                 // the range into scanned vs group-pruned.
-                let local;
-                let bound = match shared {
-                    Some(shared) => shared,
-                    None => {
-                        local = SharedBound::unbounded();
-                        &local
-                    }
-                };
+                let bound = SharedBound::unbounded();
                 if range.len() >= BITSLICED_PILOT_MIN_ROWS {
                     let stride = range.len() / BITSLICED_PILOT_SAMPLES;
                     let mut smallest = usize::MAX;
@@ -834,7 +798,7 @@ impl PackedRows {
                         bound.tighten(second);
                     }
                 }
-                sliced.scan_min2(backend, query, mask, range, counters, Some(bound))
+                sliced.scan_min2(backend, query, mask, range, counters, Some(&bound))
             }
             ResolvedScan::Indexed { nprobe } => index
                 .expect("resolved Indexed implies an index")
@@ -924,8 +888,8 @@ impl PackedRows {
 
     /// The `k` nearest rows of `range` as `(global row, distance)` pairs
     /// in increasing `(distance, row)` order — the **one** tie-break rule
-    /// shared by [`AssociativeMemory::search_top_k`] and the sharded
-    /// top-k merge, so ranked lists from disjoint ranges concatenate,
+    /// behind [`AssociativeMemory::search_top_k`], so ranked lists from
+    /// disjoint ranges concatenate,
     /// re-sort and truncate into exactly the serial ranking.
     ///
     /// Returns fewer than `k` pairs when the range is shorter, and an
@@ -949,7 +913,7 @@ impl PackedRows {
     }
 
     /// [`top_k_range`](Self::top_k_range) into a caller-owned buffer, so
-    /// shard workers rank thousands of queries without a `Vec` allocation
+    /// a hot loop ranks thousands of queries without a `Vec` allocation
     /// each. The buffer is cleared first and holds at most `k` pairs on
     /// return.
     ///
@@ -987,19 +951,13 @@ impl PackedRows {
         ranked.truncate(k);
     }
 
-    /// Direct strategy: one bounded pass per row in index order. A
-    /// [`SharedBound`], when given, tightens the abandonment bound
-    /// with other workers' runner-up observations and receives this
-    /// scan's own — rows abandoned under it provably cannot affect the
-    /// *merged* result (see [`SharedBound`]); if every row falls to it
-    /// the scan returns `None`.
+    /// Direct strategy: one bounded pass per row in index order.
     fn scan_min2_direct(
         &self,
         backend: &dyn DistanceBackend,
         query: &[u64],
         mask: Option<&[u64]>,
         range: std::ops::Range<usize>,
-        shared: Option<&SharedBound>,
     ) -> Option<Min2> {
         let start = range.start;
         let rows = self.words[start * self.words_per_row..range.end * self.words_per_row]
@@ -1013,13 +971,9 @@ impl PackedRows {
             // affect the result, so the kernel may stop counting it as
             // soon as that is provable (and `None`/larger distances fall
             // through the update below without effect).
-            let bound = match shared {
-                Some(shared) => runner_up.min(shared.get()),
-                None => runner_up,
-            };
             let distance = match mask {
-                None => backend.bounded_distance(row, query, bound),
-                Some(mask) => backend.bounded_distance_masked(row, query, mask, bound),
+                None => backend.bounded_distance(row, query, runner_up),
+                Some(mask) => backend.bounded_distance_masked(row, query, mask, runner_up),
             };
             let Some(distance) = distance else { continue };
             if distance < best_distance {
@@ -1030,14 +984,6 @@ impl PackedRows {
                 runner_up = distance;
             }
         }
-        if let Some(shared) = shared {
-            shared.tighten(runner_up);
-            if best_distance == usize::MAX {
-                // Every row fell to the shared bound: nothing here can
-                // influence the merged result.
-                return None;
-            }
-        }
         Some(Min2 {
             best,
             best_distance,
@@ -1046,8 +992,8 @@ impl PackedRows {
     }
 
     /// The seeded structured-sample window `[offset, offset + len)`, in
-    /// words. Deterministic per row width, so every scan of a matrix (and
-    /// every shard of a scatter-gather scan) samples the same columns.
+    /// words. Deterministic per row width, so every scan of a matrix
+    /// (and of any of its row ranges) samples the same columns.
     fn cascade_window(&self) -> (usize, usize) {
         let len = (self.words_per_row / CASCADE_WINDOW_DENOM)
             .max(CASCADE_WINDOW_MIN_WORDS)
@@ -1457,7 +1403,13 @@ mod tests {
                 .filter_map(|r| packed.scan_min2_range(query.as_words(), r));
             assert_eq!(Min2::merge(parts), serial, "k={k}");
             let parts = ranges(rows.len(), k).into_iter().filter_map(|r| {
-                packed.scan_min2_masked_range(query.as_words(), mask.as_words(), r)
+                packed.scan_min2_with(
+                    active_backend(),
+                    ScanStrategy::Auto,
+                    query.as_words(),
+                    Some(mask.as_words()),
+                    r,
+                )
             });
             assert_eq!(Min2::merge(parts), serial_masked, "masked k={k}");
         }
@@ -1596,7 +1548,6 @@ mod tests {
             None,
             0..150,
             Some(&mut counters),
-            None,
         );
         assert_eq!(got, Some(expected));
         assert_eq!(

@@ -358,7 +358,6 @@ fn pilot_seeded_planned_scan_stays_exact_and_prunes_leading_clusters() {
                 None,
                 0..c,
                 Some(&mut counters),
-                None,
             )
             .unwrap();
         assert_eq!(
@@ -389,7 +388,6 @@ fn pilot_seeded_planned_scan_stays_exact_and_prunes_leading_clusters() {
                 query,
                 Some(mask),
                 0..c,
-                None,
                 None,
             )
             .unwrap();

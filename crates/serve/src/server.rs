@@ -13,10 +13,11 @@
 //! 3. the tenant registry routes by wire tenant id — unknown tenants,
 //!    exhausted quotas, and the draining state reject *before* any
 //!    engine work;
-//! 4. the request's remaining wire deadline becomes a [`QueryBudget`]
-//!    intersected with the tenant's own cap, so a request arriving with
-//!    2 ms left is shed by the batch engine's expired-budget fast path
-//!    instead of touching a shard;
+//! 4. the request's remaining wire deadline becomes a
+//!    [`QueryBudget`](ham_core::resilience::QueryBudget) intersected
+//!    with the tenant's own cap, so a request arriving with 2 ms left is
+//!    shed by the batch engine's expired-budget fast path instead of
+//!    touching the engine;
 //! 5. per-query outcomes map onto response slots, input order preserved.
 //!
 //! Drain state machine (see `DESIGN.md` §13):

@@ -9,7 +9,7 @@
 //! [`SlotResult::Hit`](ham_serve::SlotResult) per query), so the served
 //! `recall_at_k` equals the served accuracy; scenarios with `k > 1`
 //! report their full recall only on the local path. Per-query
-//! [`QueryOutcome`] telemetry — scan counters included — is aggregated
+//! [`QueryOutcome`](ham_core::resilience::QueryOutcome) telemetry — scan counters included — is aggregated
 //! into the report (rows_pruned / buckets_probed per workload, not just
 //! accuracy).
 
