@@ -2,8 +2,8 @@
 //!
 //! One module per table/figure of the paper's evaluation section; the
 //! `ham-experiments` binary runs them and prints paper-style rows (plus a
-//! JSON dump per experiment under `results/`). The Criterion benches in
-//! `benches/` measure the software simulator's own kernel performance.
+//! JSON dump per experiment under `results/`). The `ham-search-bench`
+//! binary times the software simulator's own kernels.
 //!
 //! | Experiment | Module | Paper reference |
 //! |---|---|---|

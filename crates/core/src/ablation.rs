@@ -1,7 +1,7 @@
 //! Ablation studies of the paper's design choices.
 //!
 //! Three choices the paper makes by construction are re-derived here from
-//! the models, so the benches can show *why* the published design points
+//! the models, so the experiments can show *why* the published design points
 //! look the way they do:
 //!
 //! * **R-HAM block size = 4 bits** — "the maximum size of a block can be

@@ -20,8 +20,7 @@
 //!   storage faults between query batches.
 //! * [`serve`] — the serving runtime: panic-isolated partial batches
 //!   ([`run_batch_resilient`]) with retry-with-backoff and deadline
-//!   budgets, admission control, and the self-healing
-//!   [`ResilientServer`].
+//!   budgets, and the self-healing [`ResilientServer`].
 //! * [`health`] — the [`HealthMonitor`] state machine folding query
 //!   telemetry and scrub reports into
 //!   `Healthy → Degraded → Quarantined` decisions.
@@ -51,10 +50,9 @@ pub use fault::{
 pub use health::{HealthMonitor, HealthPolicy, HealthState, HealthTransition};
 pub use scrub::{ScrubReport, Scrubber};
 pub use serve::{
-    classify_batch_resilient, run_batch_resilient, AdmissionPolicy, ChaosDesign, ClassifyReport,
-    Deadline, HealthAction, Priority, QueryBudget, ResilientOptions, ResilientReport,
-    ResilientServer, RetryPolicy, ServeReport, ServeStats, PRIORITY_HIGH, PRIORITY_LOW,
-    PRIORITY_NORMAL,
+    classify_batch_resilient, run_batch_resilient, ChaosDesign, ClassifyReport, Deadline,
+    HealthAction, Priority, QueryBudget, ResilientOptions, ResilientReport, ResilientServer,
+    RetryPolicy, ServeReport, ServeStats, PRIORITY_HIGH, PRIORITY_NORMAL,
 };
 pub use snapshot::{
     load_golden, load_snapshot, load_snapshot_repaired, save_golden, save_snapshot,

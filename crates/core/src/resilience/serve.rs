@@ -17,11 +17,11 @@
 //!   explicit [`HamError::TimedOut`] slots rather than a hung batch.
 //! * [`classify_batch_resilient`] — the same contract over a
 //!   [`DegradationController`]'s escalation ladder.
-//! * [`ResilientServer`] — owns the controller, a
-//!   [`Scrubber`], a [`HealthMonitor`], and an [`AdmissionPolicy`]; sheds
-//!   lowest-priority work under overload, tightens the degradation policy
-//!   when telemetry degrades, scrubs on demand, and restores from a
-//!   checksummed snapshot on quarantine.
+//! * [`ResilientServer`] — owns the controller, a [`Scrubber`] and a
+//!   [`HealthMonitor`]; tightens the degradation policy when telemetry
+//!   degrades, scrubs on demand, and restores from a checksummed snapshot
+//!   on quarantine. Load shedding happens before the engine, in the
+//!   front end's per-tenant admission gate.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -408,46 +408,15 @@ pub fn classify_batch_resilient(
     }
 }
 
-/// Submission priority: higher values are shed later. [`PRIORITY_NORMAL`]
-/// is the midpoint.
+/// Submission priority. A tenant's soft load-shedding gate sheds every
+/// priority below [`PRIORITY_HIGH`] while the tenant runs hot.
+/// [`PRIORITY_NORMAL`] is the midpoint.
 pub type Priority = u8;
 
-/// Background / best-effort work: first to be shed.
-pub const PRIORITY_LOW: Priority = 0;
 /// Ordinary serving traffic.
 pub const PRIORITY_NORMAL: Priority = 128;
-/// Traffic that is never shed under the default admission policy.
+/// Traffic that bypasses the front end's soft load-shedding gate.
 pub const PRIORITY_HIGH: Priority = 255;
-
-/// When to shed: the server keeps a rolling queue-depth estimate (an EMA
-/// of submitted batch sizes); once it exceeds `max_queue_depth`, the tail
-/// of any batch below `protected_priority` is shed before classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionPolicy {
-    /// Rolling queue depth beyond which low-priority work is shed.
-    pub max_queue_depth: usize,
-    /// Work at or above this priority is always admitted.
-    pub protected_priority: Priority,
-}
-
-impl AdmissionPolicy {
-    /// Never sheds anything.
-    pub fn unbounded() -> Self {
-        AdmissionPolicy {
-            max_queue_depth: usize::MAX,
-            protected_priority: 0,
-        }
-    }
-}
-
-impl Default for AdmissionPolicy {
-    fn default() -> Self {
-        AdmissionPolicy {
-            max_queue_depth: usize::MAX,
-            protected_priority: 192,
-        }
-    }
-}
 
 /// A self-healing action the server took in response to its health state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -498,18 +467,17 @@ pub struct ServeReport {
 }
 
 /// The self-healing serving runtime: a [`DegradationController`] wrapped
-/// with admission control, the resilient batch scheduler, a
-/// [`HealthMonitor`], a [`Scrubber`], and an optional checksummed
-/// snapshot to restore from on quarantine.
+/// with the resilient batch scheduler, a [`HealthMonitor`], a
+/// [`Scrubber`], and an optional checksummed snapshot to restore from on
+/// quarantine.
 ///
 /// Per batch, [`serve`](Self::serve) (1) restores from snapshot first if
-/// the previous batch left the server quarantined, (2) sheds the tail of
-/// low-priority batches when the rolling queue depth exceeds policy,
-/// (3) classifies the admitted queries under the resilient contract,
-/// (4) folds every outcome and error into the health monitor, and
-/// (5) acts on the resulting state — tightening the degradation policy
-/// and scrubbing when degraded, restoring when quarantined, relaxing back
-/// to the base policy on recovery.
+/// the previous batch left the server quarantined, (2) classifies every
+/// query under the resilient contract, (3) folds every outcome and error
+/// into the health monitor, and (4) acts on the resulting state —
+/// tightening the degradation policy and scrubbing when degraded,
+/// restoring when quarantined, relaxing back to the base policy on
+/// recovery.
 #[derive(Debug)]
 pub struct ResilientServer {
     kind: DesignKind,
@@ -518,15 +486,13 @@ pub struct ResilientServer {
     scrubber: Scrubber,
     monitor: HealthMonitor,
     options: ResilientOptions,
-    admission: AdmissionPolicy,
-    rolling_depth: usize,
     snapshot_path: Option<PathBuf>,
     next_index: u64,
 }
 
 impl ResilientServer {
     /// A server over `memory` with the design kind's standard operating
-    /// point, default health/admission policies, and no snapshot.
+    /// point, the default health policy, and no snapshot.
     ///
     /// # Errors
     ///
@@ -545,8 +511,6 @@ impl ResilientServer {
             scrubber,
             monitor: HealthMonitor::new(HealthPolicy::default()),
             options: ResilientOptions::default(),
-            admission: AdmissionPolicy::default(),
-            rolling_depth: 0,
             snapshot_path: None,
             next_index: 0,
         })
@@ -555,12 +519,6 @@ impl ResilientServer {
     /// Replaces the scheduling/retry/budget options.
     pub fn with_options(mut self, options: ResilientOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Replaces the admission policy.
-    pub fn with_admission(mut self, admission: AdmissionPolicy) -> Self {
-        self.admission = admission;
         self
     }
 
@@ -613,11 +571,10 @@ impl ResilientServer {
     /// ([`DegradationController::advance`]), the scrubber's golden rows
     /// take the same patch, and everything [`new`](Self::new) starts
     /// fresh starts fresh again: the health monitor (same policy), the
-    /// rolling queue depth, the query stream index, and the base
-    /// degradation policy. A configured snapshot is rewritten with the
-    /// new golden state. The advanced server is the one `new` builds
-    /// over `version.memory()` with a [`Scrubber::from_memory`] of it,
-    /// at the cost of the changed chunks.
+    /// query stream index, and the base degradation policy. A configured
+    /// snapshot is rewritten with the new golden state. The advanced
+    /// server is the one `new` builds over `version.memory()` with a
+    /// [`Scrubber::from_memory`] of it, at the cost of the changed chunks.
     ///
     /// # Errors
     ///
@@ -628,7 +585,6 @@ impl ResilientServer {
         self.controller.advance(version, since, self.base_policy)?;
         self.scrubber.apply_patch(&version.patch_since(since));
         self.monitor = HealthMonitor::new(self.monitor.policy());
-        self.rolling_depth = 0;
         self.next_index = 0;
         if let Some(path) = &self.snapshot_path {
             save_snapshot(&self.golden_memory(), path).map_err(|error| HamError::Durability {
@@ -644,8 +600,10 @@ impl ResilientServer {
         self.controller.policy()
     }
 
-    /// Serves one batch at `priority`. Never fails as a whole: shed,
-    /// timed-out, and errored queries surface in their own slots.
+    /// Serves one batch at `priority`. Never fails as a whole: timed-out
+    /// and errored queries surface in their own slots. The engine serves
+    /// every query it is handed; shedding by priority happens before it,
+    /// at the front end's per-tenant admission gate.
     pub fn serve(&mut self, queries: &[Hypervector], priority: Priority) -> ServeReport {
         self.serve_with_budget(queries, priority, QueryBudget::unbounded())
     }
@@ -660,7 +618,7 @@ impl ResilientServer {
     pub fn serve_with_budget(
         &mut self,
         queries: &[Hypervector],
-        priority: Priority,
+        _priority: Priority,
         budget: QueryBudget,
     ) -> ServeReport {
         let mut actions = Vec::new();
@@ -670,20 +628,6 @@ impl ResilientServer {
             self.restore(&mut actions);
         }
 
-        // Admission: shed the tail of a low-priority batch when the
-        // rolling depth estimate is over policy.
-        let rolling_before = self.rolling_depth;
-        self.rolling_depth = (self.rolling_depth * 3 + queries.len()) / 4;
-        let admitted = if priority >= self.admission.protected_priority {
-            queries.len()
-        } else if rolling_before > self.admission.max_queue_depth {
-            0
-        } else {
-            queries
-                .len()
-                .min(self.admission.max_queue_depth - rolling_before)
-        };
-
         let start_index = self.next_index;
         self.next_index += queries.len() as u64;
         let options = ResilientOptions {
@@ -691,19 +635,10 @@ impl ResilientServer {
             ..self.options
         };
         let ClassifyReport {
-            mut outcomes,
-            mut stats,
+            outcomes,
+            stats,
             elapsed,
-        } = classify_batch_resilient(
-            &self.controller,
-            &queries[..admitted],
-            start_index,
-            &options,
-        );
-        for _ in admitted..queries.len() {
-            outcomes.push(Err(HamError::Shed { priority }));
-            stats.shed += 1;
-        }
+        } = classify_batch_resilient(&self.controller, queries, start_index, &options);
 
         // Fold telemetry, then act on whatever state it lands in.
         let mut scan = hdc::ScanCounters::default();
@@ -865,7 +800,7 @@ impl ResilientServer {
 /// A [`HamDesign`] wrapper that panics on designated trigger queries a
 /// configured number of times — the fault injector for the serving
 /// runtime's panic-isolation and retry paths. Intentionally public: the
-/// integration tests and benches inject crashes through it.
+/// integration tests inject crashes through it.
 #[derive(Debug)]
 pub struct ChaosDesign<D> {
     inner: D,
@@ -1262,39 +1197,6 @@ mod tests {
         // Indices advance across calls (replay determinism contract).
         let again = server.serve(&qs[..5], PRIORITY_NORMAL);
         assert_eq!(again.stats.completed, 5);
-    }
-
-    #[test]
-    fn overload_sheds_only_unprotected_tails() {
-        let memory = random_memory(4, 1_024, 27);
-        let scrubber = Scrubber::from_memory(&memory);
-        let mut server = ResilientServer::new(
-            DesignKind::Digital,
-            memory.clone(),
-            scrubber,
-            DegradationPolicy::for_dim(1_024),
-        )
-        .unwrap()
-        .with_options(ResilientOptions::serial())
-        .with_admission(AdmissionPolicy {
-            max_queue_depth: 10,
-            protected_priority: 200,
-        });
-        let qs = queries(&memory, 20);
-        // First batch: rolling depth 0 → 10 admitted, 10 shed.
-        let report = server.serve(&qs, PRIORITY_LOW);
-        assert_eq!(report.stats.shed, 10);
-        assert_eq!(report.stats.completed, 10);
-        assert_eq!(
-            report.outcomes[19],
-            Err(HamError::Shed {
-                priority: PRIORITY_LOW
-            })
-        );
-        // Protected traffic is never shed even at depth.
-        let report = server.serve(&qs, PRIORITY_HIGH);
-        assert_eq!(report.stats.shed, 0);
-        assert_eq!(report.stats.completed, 20);
     }
 
     #[test]

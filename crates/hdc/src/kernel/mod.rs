@@ -311,15 +311,6 @@ const BITSLICED_PILOT_SAMPLES: usize = 256;
 /// fraction of the rows and the seed cannot pay for itself.
 const BITSLICED_PILOT_MIN_ROWS: usize = 2_048;
 
-fn resolve_scan(
-    strategy: ScanStrategy,
-    index: Option<&BucketIndex>,
-    sliced: Option<&BitSlicedRows>,
-    dim: usize,
-) -> ResolvedScan {
-    strategy.resolve_full(index, sliced, dim)
-}
-
 /// Sampled window target: `words_per_row / 4`, at least 16 words.
 const CASCADE_WINDOW_DENOM: usize = 4;
 const CASCADE_WINDOW_MIN_WORDS: usize = 16;
@@ -605,8 +596,11 @@ impl PackedRows {
     /// so an abandoned row's final distance provably exceeds the final
     /// runner-up — abandonment can change neither the winner, nor the
     /// runner-up, nor either reported distance. Ties resolve to the
-    /// lowest row index. Large matrices additionally route through the
-    /// exact sampled-prefilter cascade ([`ScanStrategy::Auto`]).
+    /// lowest row index. No index or mirror is passed, so
+    /// [`ScanStrategy::Auto`] always resolves to the direct scan here; the
+    /// other traversals take an explicit strategy
+    /// ([`scan_min2_with`](Self::scan_min2_with)) or an index and mirror
+    /// ([`scan_min2_planned_sliced`](Self::scan_min2_planned_sliced)).
     ///
     /// Returns `None` when the matrix is empty.
     ///
@@ -745,7 +739,7 @@ impl PackedRows {
                 "bit-sliced mirror width mismatch"
             );
         }
-        match resolve_scan(strategy, index, sliced, self.dim) {
+        match strategy.resolve_full(index, sliced, self.dim) {
             ResolvedScan::Direct => {
                 if let Some(counters) = counters.as_deref_mut() {
                     counters.rows_scanned += range.len() as u64;
@@ -866,7 +860,7 @@ impl PackedRows {
                 "bit-sliced mirror width mismatch"
             );
         }
-        match resolve_scan(strategy, index, sliced, self.dim) {
+        match strategy.resolve_full(index, sliced, self.dim) {
             ResolvedScan::Indexed { nprobe } => {
                 let index = index.expect("resolved Indexed implies an index");
                 index.top_k_into(self, backend, query, range, k, nprobe, counters, ranked);

@@ -744,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn high_priority_bypasses_the_ema_gate_but_not_the_quota() {
+    fn hot_ema_gate_sheds_normal_priority_but_admits_high() {
         let state = TenantState::provision(
             spec(5).with_max_inflight_ema(0.0),
             ResilientOptions::serial(),

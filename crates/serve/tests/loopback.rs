@@ -129,6 +129,32 @@ fn unknown_tenants_and_quota_exhaustion_reject_without_engine_work() {
 }
 
 #[test]
+fn high_priority_is_quota_rejected_once_the_burst_is_drained() {
+    let quota = QuotaPolicy {
+        burst: 4.0,
+        per_second: 0.001, // effectively no refill within the test
+    };
+    let server =
+        Server::start(test_config(), vec![spec(13, 6, 512, 63).with_quota(quota)]).unwrap();
+    let memory = random_memory(6, 512, 63);
+    let mut client = HamClient::connect(server.local_addr(), CLIENT_TIMEOUT).unwrap();
+    let query = vec![memory.row(ClassId(0)).unwrap().clone()];
+
+    for _ in 0..4 {
+        let response = client.request(13, PRIORITY_NORMAL, None, &query).unwrap();
+        assert_eq!(response.status, STATUS_OK);
+    }
+    // The bucket is dry: the top priority is still a typed quota reject.
+    let response = client.request(13, PRIORITY_HIGH, None, &query).unwrap();
+    assert_eq!(response.status, STATUS_QUOTA_EXCEEDED);
+
+    let stats = server.tenant_stats(13).unwrap();
+    assert_eq!(stats.quota_rejected, 1);
+    assert_eq!(stats.completed, 4);
+    server.drain();
+}
+
+#[test]
 fn noisy_tenant_sheds_while_quiet_tenant_completes() {
     // Tenant 10 has a tiny quota; tenant 11 is unconstrained. Drive 10
     // far past its quota interleaved with 11's traffic: every one of

@@ -31,10 +31,10 @@
 //!   provisioned [`TenantState`](ham_serve::TenantState) engine exactly
 //!   as the TCP front end drives it.
 //!
-//! `ham-workloads-bench` (in `ham-bench`) emits `BENCH_workloads.json`
-//! with per-workload accuracy / recall@k / throughput rows from both
-//! paths. The contract and the weighted record layout are specified in
-//! DESIGN.md §16.
+//! Both paths return a [`WorkloadReport`] with accuracy / recall@k /
+//! throughput; served-path performance over the wire is measured by the
+//! repository's `perfbench/`. The contract and the weighted record
+//! layout are specified in DESIGN.md §16.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -150,8 +150,7 @@ where
     }
 }
 
-/// One row of `BENCH_workloads.json`: everything one pass over one
-/// workload's query stream measured.
+/// Everything one pass over one workload's query stream measured.
 #[derive(Debug, Clone, Serialize)]
 pub struct WorkloadReport {
     /// Scenario name ([`Workload::name`]).

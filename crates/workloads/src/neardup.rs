@@ -10,9 +10,8 @@
 //! common base — well inside the `dim / 16` margin the triangle bound
 //! needs. That is exactly [`IndexStats::cascade_friendly`] — and *not*
 //! [`pruning_friendly`](IndexStats::pruning_friendly) — so
-//! [`ScanStrategy::Auto`] resolves to the cascade here, which is the
-//! measured decision `BENCH_workloads.json` pins (Auto ≡ Cascade and
-//! faster than Direct on this stream).
+//! [`ScanStrategy::Auto`] resolves to the cascade here, the decision
+//! `auto_pins_the_cascade_on_the_near_duplicate_geometry` pins.
 //!
 //! Why the cascade wins here: a query lands inside one cluster, so the
 //! runner-up distance collapses to an intra-cluster gap (a few dozen

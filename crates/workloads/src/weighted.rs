@@ -11,7 +11,7 @@
 //! what a binary memory would have learned from the same copies, which
 //! is the memory the serving path provisions. The local (weighted) vs.
 //! served (binarized) accuracy gap on the same query stream is the
-//! multi-bit story, measured per run in `BENCH_workloads.json`.
+//! multi-bit story, pinned by `weighted_ranking_beats_its_binarization`.
 //!
 //! Where the graded counts actually win: **per-dimension reliability**.
 //! A band of `noisy_dims` leading dimensions models unreliable features
