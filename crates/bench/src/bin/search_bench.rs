@@ -42,6 +42,11 @@
 //!     resident item-vector caches vs the fixed seed-only
 //!     [`Rematerializer`] view, amortized per stored class.
 //!
+//! Every exact plan a section times is first checked against the direct
+//! scan on that section's queries — the same `Min2` and the same top-k
+//! ranking — and a mismatch panics, so a timing is never credited to a
+//! plan that answers differently.
+//!
 //! Usage: `ham-search-bench [--out FILE] [--quick]`.
 
 use std::path::PathBuf;
@@ -57,7 +62,8 @@ use ham_core::shard::{OnlineUpdater, VersionedMemory};
 use ham_workloads::{synth, LangidWorkload, Workload};
 use hdc::prelude::*;
 use hdc::{
-    active_backend, enabled_backends, BitSlicedRows, BucketIndex, IndexBuildOptions, ScanStrategy,
+    active_backend, enabled_backends, BitSlicedRows, BucketIndex, IndexBuildOptions, ScanPlan,
+    ScanStrategy,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -259,6 +265,33 @@ fn naive_search(rows: &[Hypervector], query: &Hypervector) -> (usize, usize) {
     (best, distances[best])
 }
 
+/// Ranking depth [`check_plan`] compares.
+const CHECK_TOP_K: usize = 5;
+
+/// Panics unless `plan` answers every probe query exactly like the
+/// direct scan — the same [`Min2`] and the same top-k ranking — so a
+/// timed plan is known to compute what its speedup is credited for.
+fn check_plan(section: &str, packed: &PackedRows, plan: &ScanPlan<'_>, queries: &[&[u64]]) {
+    let direct = ScanPlan::direct();
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for (i, words) in queries.iter().enumerate() {
+        assert_eq!(
+            packed.min2(plan, words, None, None),
+            packed.min2(&direct, words, None, None),
+            "{section}: {:?} min-2 differs from the direct scan on query {i}",
+            plan.resolved()
+        );
+        packed.top_k(plan, words, CHECK_TOP_K, &mut got, None);
+        packed.top_k(&direct, words, CHECK_TOP_K, &mut want, None);
+        assert_eq!(
+            got,
+            want,
+            "{section}: {:?} ranking differs from the direct scan on query {i}",
+            plan.resolved()
+        );
+    }
+}
+
 fn noisy_query(memory: &AssociativeMemory, seed: u64) -> Hypervector {
     let mut rng = StdRng::seed_from_u64(seed);
     let class = ClassId(seed as usize % memory.len());
@@ -321,14 +354,30 @@ fn main() {
         let query = noisy_query(&memory, 3);
         let packed = memory.packed_rows();
         let words = query.as_bitvec().as_words();
+        let direct = ScanPlan::direct();
+        let mut distances = Vec::new();
+        packed.distances_into(words, None, &mut distances);
+        let best = (0..classes)
+            .min_by_key(|&row| (distances[row], row))
+            .unwrap();
+        assert_eq!(
+            packed
+                .min2(&direct, words, None, None)
+                .map(|hit| (hit.best, hit.best_distance)),
+            Some((best, distances[best])),
+            "early abandon C={classes}: the fused scan disagrees with the full sweep"
+        );
         let cmp = compare(
             classes,
             10_000,
             800,
             "full_distance_sweep",
-            || packed.distances(words),
+            || {
+                packed.distances_into(words, None, &mut distances);
+                distances[0]
+            },
             "fused_early_abandon",
-            || packed.scan_min2(words).unwrap(),
+            || packed.min2(&direct, words, None, None).unwrap(),
         );
         println!(
             "early abandon C={classes}: full {:.0} ns vs fused {:.0} ns ({:.2}x)",
@@ -515,28 +564,26 @@ fn main() {
     let packed = memory.packed_rows();
     let words = query.as_bitvec().as_words();
     let scalar = enabled_backends()[0];
+    let plan = |backend, strategy, packed: &PackedRows| {
+        ScanPlan::new(backend, strategy, None, None, packed.len(), packed.dim())
+    };
+    let scalar_direct = plan(scalar, ScanStrategy::Direct, packed);
     let mut backends = Vec::new();
     for backend in enabled_backends() {
         for (strategy, tag) in [
             (ScanStrategy::Direct, "direct"),
             (ScanStrategy::Cascade, "cascade"),
         ] {
+            let contender = plan(backend, strategy, packed);
+            check_plan("backends", packed, &contender, &[words]);
             let cmp = compare(
                 1_000,
                 10_000,
                 600,
                 "scalar_fused_early_abandon",
-                || {
-                    packed
-                        .scan_min2_with(scalar, ScanStrategy::Direct, words, None, 0..1_000)
-                        .unwrap()
-                },
+                || packed.min2(&scalar_direct, words, None, None).unwrap(),
                 &format!("{}_{tag}", backend.name()),
-                || {
-                    packed
-                        .scan_min2_with(backend, strategy, words, None, 0..1_000)
-                        .unwrap()
-                },
+                || packed.min2(&contender, words, None, None).unwrap(),
             );
             println!(
                 "backend C=1000 D=10k: scalar {:.0} ns vs {}_{tag} {:.0} ns ({:.2}x)",
@@ -573,22 +620,17 @@ fn main() {
         cascade_backends.push(active_backend());
     }
     for backend in cascade_backends {
+        let direct = plan(backend, ScanStrategy::Direct, &clustered);
+        let sampled = plan(backend, ScanStrategy::Cascade, &clustered);
+        check_plan("cascade", &clustered, &sampled, &[probe_words]);
         let cmp = compare(
             1_000,
             10_000,
             600,
             &format!("{}_direct_planted", backend.name()),
-            || {
-                clustered
-                    .scan_min2_with(backend, ScanStrategy::Direct, probe_words, None, 0..1_000)
-                    .unwrap()
-            },
+            || clustered.min2(&direct, probe_words, None, None).unwrap(),
             &format!("{}_cascade_planted", backend.name()),
-            || {
-                clustered
-                    .scan_min2_with(backend, ScanStrategy::Cascade, probe_words, None, 0..1_000)
-                    .unwrap()
-            },
+            || clustered.min2(&sampled, probe_words, None, None).unwrap(),
         );
         println!(
             "cascade planted {}: direct {:.0} ns vs cascade {:.0} ns ({:.2}x)",
@@ -656,30 +698,17 @@ fn main() {
                     .collect()
             };
 
+            let probes: Vec<&[u64]> = queries.iter().map(Vec::as_slice).collect();
+            let indexed =
+                |strategy| ScanPlan::new(backend, strategy, Some(&index), None, classes, dim);
+            let direct = ScanPlan::new(backend, ScanStrategy::Direct, None, None, classes, dim);
+
             // Probe-mode recall + per-mode counters over the query set.
             let mut probe_hits = 0usize;
-            for words in &queries {
-                let exact = packed
-                    .scan_min2_planned(
-                        backend,
-                        ScanStrategy::Direct,
-                        None,
-                        words,
-                        None,
-                        0..classes,
-                        None,
-                    )
-                    .unwrap();
+            for words in &probes {
+                let exact = packed.min2(&direct, words, None, None).unwrap();
                 let probed = packed
-                    .scan_min2_planned(
-                        backend,
-                        ScanStrategy::Probe { nprobe },
-                        Some(&index),
-                        words,
-                        None,
-                        0..classes,
-                        None,
-                    )
+                    .min2(&indexed(ScanStrategy::Probe { nprobe }), words, None, None)
                     .unwrap();
                 if probed.best == exact.best {
                     probe_hits += 1;
@@ -695,19 +724,16 @@ fn main() {
                 ),
                 ("auto".to_owned(), ScanStrategy::Auto, 1.0),
             ] {
-                let mut counters = ScanCounters::default();
-                for words in &queries {
-                    packed.scan_min2_planned(
-                        backend,
-                        strategy,
-                        Some(&index),
-                        words,
-                        None,
-                        0..classes,
-                        Some(&mut counters),
-                    );
+                let contender = indexed(strategy);
+                // Probe mode is approximate; its recall is the check.
+                if !matches!(strategy, ScanStrategy::Probe { .. }) {
+                    check_plan("index_scaling", &packed, &contender, &probes);
                 }
-                let per_query = |n: u64| n as f64 / queries.len() as f64;
+                let mut counters = ScanCounters::default();
+                for words in &probes {
+                    packed.min2(&contender, words, None, Some(&mut counters));
+                }
+                let per_query = |n: u64| n as f64 / probes.len() as f64;
                 let mut base_at = 0usize;
                 let mut cont_at = 0usize;
                 let cmp = compare(
@@ -716,35 +742,15 @@ fn main() {
                     600,
                     "linear_direct",
                     || {
-                        let words = &queries[base_at % queries.len()];
+                        let words = probes[base_at % probes.len()];
                         base_at += 1;
-                        packed
-                            .scan_min2_planned(
-                                backend,
-                                ScanStrategy::Direct,
-                                None,
-                                words,
-                                None,
-                                0..classes,
-                                None,
-                            )
-                            .unwrap()
+                        packed.min2(&direct, words, None, None).unwrap()
                     },
                     &format!("indexed_{mode}"),
                     || {
-                        let words = &queries[cont_at % queries.len()];
+                        let words = probes[cont_at % probes.len()];
                         cont_at += 1;
-                        packed
-                            .scan_min2_planned(
-                                backend,
-                                strategy,
-                                Some(&index),
-                                words,
-                                None,
-                                0..classes,
-                                None,
-                            )
-                            .unwrap()
+                        packed.min2(&contender, words, None, None).unwrap()
                     },
                 );
                 println!(
@@ -808,7 +814,11 @@ fn main() {
             let sliced = BitSlicedRows::from_packed(&packed);
             let index = BucketIndex::build(&packed, backend, IndexBuildOptions::default())
                 .expect("non-empty matrix builds");
-            let auto_resolved = ScanStrategy::Auto.resolve_full(Some(&index), Some(&sliced), dim);
+            let planned = |strategy| {
+                ScanPlan::new(backend, strategy, Some(&index), Some(&sliced), classes, dim)
+            };
+            let direct = ScanPlan::new(backend, ScanStrategy::Direct, None, None, classes, dim);
+            let auto_resolved = planned(ScanStrategy::Auto).resolved();
             let queries: Vec<Vec<u64>> = if neardup_shape {
                 let sources: Vec<(usize, Hypervector)> =
                     anchors.iter().cloned().enumerate().collect();
@@ -828,20 +838,14 @@ fn main() {
                 ("bitsliced", ScanStrategy::BitSliced),
                 ("auto", ScanStrategy::Auto),
             ] {
+                let contender = planned(strategy);
+                let probes: Vec<&[u64]> = queries.iter().map(Vec::as_slice).collect();
+                check_plan("bitsliced_scaling", &packed, &contender, &probes);
                 let mut counters = ScanCounters::default();
-                for words in &queries {
-                    packed.scan_min2_planned_sliced(
-                        backend,
-                        strategy,
-                        Some(&index),
-                        Some(&sliced),
-                        words,
-                        None,
-                        0..classes,
-                        Some(&mut counters),
-                    );
+                for words in &probes {
+                    packed.min2(&contender, words, None, Some(&mut counters));
                 }
-                let per_query = |n: u64| n as f64 / queries.len() as f64;
+                let per_query = |n: u64| n as f64 / probes.len() as f64;
                 let mut base_at = 0usize;
                 let mut cont_at = 0usize;
                 let cmp = compare(
@@ -850,37 +854,15 @@ fn main() {
                     600,
                     "rowmajor_direct",
                     || {
-                        let words = &queries[base_at % queries.len()];
+                        let words = probes[base_at % probes.len()];
                         base_at += 1;
-                        packed
-                            .scan_min2_planned_sliced(
-                                backend,
-                                ScanStrategy::Direct,
-                                None,
-                                None,
-                                words,
-                                None,
-                                0..classes,
-                                None,
-                            )
-                            .unwrap()
+                        packed.min2(&direct, words, None, None).unwrap()
                     },
                     mode,
                     || {
-                        let words = &queries[cont_at % queries.len()];
+                        let words = probes[cont_at % probes.len()];
                         cont_at += 1;
-                        packed
-                            .scan_min2_planned_sliced(
-                                backend,
-                                strategy,
-                                Some(&index),
-                                Some(&sliced),
-                                words,
-                                None,
-                                0..classes,
-                                None,
-                            )
-                            .unwrap()
+                        packed.min2(&contender, words, None, None).unwrap()
                     },
                 );
                 println!(

@@ -175,7 +175,8 @@ impl AHam {
                 actual: query.dim().get(),
             });
         }
-        self.rows.distances_into(query.as_bitvec().as_words(), out);
+        self.rows
+            .distances_into(query.as_bitvec().as_words(), None, out);
         Ok(())
     }
 

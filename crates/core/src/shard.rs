@@ -508,11 +508,15 @@ impl MemoryVersion {
     /// the same decision [`AssociativeMemory::resolved_strategy`] makes
     /// for the materialized memory, read without materializing.
     pub fn resolved_strategy(&self) -> ResolvedScan {
-        self.delta.strategy.resolve_full(
+        ScanPlan::new(
+            active_backend(),
+            self.delta.strategy,
             self.delta.index.as_deref(),
             self.delta.sliced.as_deref(),
+            self.delta.rows,
             self.delta.dim.get(),
         )
+        .resolved()
     }
 
     /// The `Arc`-shared storage chunks, for sharing inspection

@@ -1,5 +1,5 @@
 //! The bucket-index contract (PR 7): for *every* enabled distance
-//! backend, exact indexed scans — plain, masked, ranged, and top-k,
+//! backend, exact indexed scans — plain, masked, and top-k,
 //! word-multiple and ragged dimensions alike — are **bit-identical** to
 //! the fused linear kernel, the probe mode degenerates to exact when it
 //! probes every bucket, and online updates through an
@@ -77,8 +77,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Exact indexed ≡ linear for every backend × {plain, masked,
-    /// ranged, top-k}, including non-word-multiple dimensions, plus the
-    /// counter invariant `scanned + pruned = range length`.
+    /// top-k}, including non-word-multiple dimensions, plus the counter
+    /// invariant `scanned + pruned = rows`.
     #[test]
     fn exact_indexed_matches_linear_on_every_backend(
         classes in 1usize..40,
@@ -99,23 +99,20 @@ proptest! {
         ];
         let mask = SampleMask::keep_random(memory.dim(), (dim / 2).max(1), seed ^ 7).unwrap();
         let mask_words = mask.as_bitvec().as_words();
-        let sub = (rows / 3)..(rows - rows / 4).max(rows / 3);
 
         for backend in enabled_backends() {
             let index = BucketIndex::build(packed, backend, IndexBuildOptions::default())
                 .expect("non-empty matrix builds");
+            let plan = |strategy| ScanPlan::new(backend, strategy, Some(&index), None, rows, dim);
+            let indexed_plan = plan(ScanStrategy::Indexed);
+            let linear_plan = plan(ScanStrategy::Direct);
             for query in &queries {
                 let words = query.as_bitvec().as_words();
 
                 // Plain full-range scan, with the counter invariant.
                 let mut counters = ScanCounters::default();
-                let indexed = packed.scan_min2_planned(
-                    backend, ScanStrategy::Indexed, Some(&index),
-                    words, None, 0..rows, Some(&mut counters),
-                );
-                let linear = packed.scan_min2_planned(
-                    backend, ScanStrategy::Direct, None, words, None, 0..rows, None,
-                );
+                let indexed = packed.min2(&indexed_plan, words, None, Some(&mut counters));
+                let linear = packed.min2(&linear_plan, words, None, None);
                 prop_assert_eq!(indexed, linear, "plain scan ({})", backend.name());
                 prop_assert_eq!(
                     counters.rows_scanned + counters.rows_pruned,
@@ -125,48 +122,23 @@ proptest! {
 
                 // Masked scan: the full-dimension radius stays sound
                 // under any mask.
-                let masked_indexed = packed.scan_min2_planned(
-                    backend, ScanStrategy::Indexed, Some(&index),
-                    words, Some(mask_words), 0..rows, None,
-                );
-                let masked_linear = packed.scan_min2_planned(
-                    backend, ScanStrategy::Direct, None,
-                    words, Some(mask_words), 0..rows, None,
-                );
+                let masked_indexed = packed.min2(&indexed_plan, words, Some(mask_words), None);
+                let masked_linear = packed.min2(&linear_plan, words, Some(mask_words), None);
                 prop_assert_eq!(masked_indexed, masked_linear, "masked scan ({})", backend.name());
-
-                // Ranged scan: bucket membership is intersected with
-                // the row range, never widened past it.
-                let ranged_indexed = packed.scan_min2_planned(
-                    backend, ScanStrategy::Indexed, Some(&index),
-                    words, None, sub.clone(), None,
-                );
-                let ranged_linear = packed.scan_min2_planned(
-                    backend, ScanStrategy::Direct, None, words, None, sub.clone(), None,
-                );
-                prop_assert_eq!(ranged_indexed, ranged_linear, "ranged scan ({})", backend.name());
 
                 // Top-k ranking under the shared (distance, row)
                 // tie-break, across the k edge cases.
                 for k in [0, 1, classes / 2, classes, classes + 3] {
                     let mut via_index = Vec::new();
                     let mut via_linear = Vec::new();
-                    packed.top_k_planned(
-                        backend, ScanStrategy::Indexed, Some(&index),
-                        words, 0..rows, k, &mut via_index, None,
-                    );
-                    packed.top_k_planned(
-                        backend, ScanStrategy::Direct, None,
-                        words, 0..rows, k, &mut via_linear, None,
-                    );
+                    packed.top_k(&indexed_plan, words, k, &mut via_index, None);
+                    packed.top_k(&linear_plan, words, k, &mut via_linear, None);
                     prop_assert_eq!(&via_index, &via_linear, "top-{} ({})", k, backend.name());
                 }
 
                 // Probing every bucket is the exact walk by another name.
-                let probed = packed.scan_min2_planned(
-                    backend, ScanStrategy::Probe { nprobe: index.buckets() }, Some(&index),
-                    words, None, 0..rows, None,
-                );
+                let probe_all = plan(ScanStrategy::Probe { nprobe: index.buckets() });
+                let probed = packed.min2(&probe_all, words, None, None);
                 prop_assert_eq!(probed, linear, "probe-all ({})", backend.name());
             }
         }

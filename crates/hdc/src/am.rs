@@ -15,7 +15,7 @@ use crate::error::HdcError;
 use crate::hypervector::{Dimension, Distance, Hypervector};
 use crate::kernel::{
     active_backend, BitSlicedRows, BucketIndex, IndexBuildOptions, IndexStats, Min2, PackedRows,
-    ResolvedScan, ScanCounters, ScanStrategy,
+    ResolvedScan, ScanCounters, ScanPlan, ScanStrategy,
 };
 use crate::parallel::map_even;
 use crate::patch::RowPatch;
@@ -281,24 +281,28 @@ impl AssociativeMemory {
         self.sliced = None;
     }
 
-    /// The one kernel entry point every search in this memory routes
-    /// through: strategy resolution, index, and telemetry in one place.
+    /// The scan plan every search in this memory runs: the strategy
+    /// resolved against the attached index and mirror.
+    fn plan(&self) -> ScanPlan<'_> {
+        ScanPlan::new(
+            active_backend(),
+            self.strategy,
+            self.index.as_deref(),
+            self.sliced.as_deref(),
+            self.packed.len(),
+            self.dim.get(),
+        )
+    }
+
+    /// The one min-2 kernel call every search in this memory routes
+    /// through.
     fn scan(
         &self,
         query: &[u64],
         mask: Option<&[u64]>,
         counters: Option<&mut ScanCounters>,
     ) -> Option<Min2> {
-        self.packed.scan_min2_planned_sliced(
-            active_backend(),
-            self.strategy,
-            self.index.as_deref(),
-            self.sliced.as_deref(),
-            query,
-            mask,
-            0..self.packed.len(),
-            counters,
-        )
+        self.packed.min2(&self.plan(), query, mask, counters)
     }
 
     /// The learned hypervector of a class, if stored.
@@ -396,12 +400,10 @@ impl AssociativeMemory {
     /// space and [`HdcError::EmptyMemory`] when nothing is stored.
     pub fn distances(&self, query: &Hypervector) -> Result<Vec<Distance>, HdcError> {
         self.check_query(query)?;
-        Ok(self
-            .packed
-            .distances(query.as_bitvec().as_words())
-            .into_iter()
-            .map(Distance::new)
-            .collect())
+        let mut distances = Vec::with_capacity(self.packed.len());
+        self.packed
+            .distances_into(query.as_bitvec().as_words(), None, &mut distances);
+        Ok(distances.into_iter().map(Distance::new).collect())
     }
 
     /// Exact nearest-distance search, running the fused early-abandoning
@@ -537,9 +539,8 @@ impl AssociativeMemory {
     /// holds fewer classes, and an empty list for `k == 0` (a valid
     /// "rank nothing" request, not an error).
     ///
-    /// The ranking runs on [`PackedRows::top_k_range`], whose
-    /// `(distance, row)` tie-break lets rankings of disjoint row ranges
-    /// merge into exactly this one.
+    /// The ranking runs on [`PackedRows::top_k`] under this memory's
+    /// scan plan; every exact plan ranks identically.
     ///
     /// # Errors
     ///
@@ -569,13 +570,9 @@ impl AssociativeMemory {
     ) -> Result<Vec<(ClassId, Distance)>, HdcError> {
         self.check_query(query)?;
         let mut ranked = Vec::new();
-        self.packed.top_k_planned_sliced(
-            active_backend(),
-            self.strategy,
-            self.index.as_deref(),
-            self.sliced.as_deref(),
+        self.packed.top_k(
+            &self.plan(),
             query.as_bitvec().as_words(),
-            0..self.packed.len(),
             k,
             &mut ranked,
             None,
@@ -602,13 +599,9 @@ impl AssociativeMemory {
         self.check_query(query)?;
         let mut ranked = Vec::new();
         let mut counters = ScanCounters::default();
-        self.packed.top_k_planned_sliced(
-            active_backend(),
-            self.strategy,
-            self.index.as_deref(),
-            self.sliced.as_deref(),
+        self.packed.top_k(
+            &self.plan(),
             query.as_bitvec().as_words(),
-            0..self.packed.len(),
             k,
             &mut ranked,
             Some(&mut counters),
@@ -626,11 +619,7 @@ impl AssociativeMemory {
     /// [`ScanStrategy`] resolves to against its attached index — how
     /// telemetry observes which engine [`ScanStrategy::Auto`] picked.
     pub fn resolved_strategy(&self) -> ResolvedScan {
-        self.strategy.resolve_full(
-            self.index.as_deref(),
-            self.sliced.as_deref(),
-            self.dim.get(),
-        )
+        self.plan().resolved()
     }
 
     fn check_query(&self, query: &Hypervector) -> Result<(), HdcError> {
@@ -963,6 +952,34 @@ mod tests {
         assert_eq!(frozen.index().unwrap().rows(), 11);
         assert_eq!(publishing.index().unwrap().rows(), 12);
         assert_eq!(am.index().unwrap().rows(), 11);
+    }
+
+    #[test]
+    fn probe_search_survives_an_update_that_empties_a_bucket() {
+        // Four rows in four buckets: each row is its own medoid. Moving
+        // row 0 onto row 1 leaves bucket sizes [1, 0, 2, 1], and the old
+        // row 0 is closest to the emptied bucket's centroid. One probe
+        // must still find a row.
+        let (mut am, rows) = memory_with(1_024, 4);
+        am.build_index(IndexBuildOptions {
+            buckets: 4,
+            ..IndexBuildOptions::default()
+        })
+        .unwrap();
+        am.set_scan_strategy(ScanStrategy::Probe { nprobe: 1 });
+        am.replace_row(ClassId(0), rows[1].clone()).unwrap();
+        let index = am.index().unwrap();
+        let mut sizes: Vec<usize> = (0..index.buckets())
+            .map(|b| index.members(b).len())
+            .collect();
+        sizes.sort_unstable();
+        assert_eq!(sizes, [0, 1, 1, 2]);
+        let (hit, counters) = am.search_counted(&rows[0]).unwrap();
+        assert!(hit.class.0 < 4);
+        assert_eq!(counters.buckets_probed, 1);
+        assert!(!am.search_top_k(&rows[0], 2).unwrap().is_empty());
+        // A stored row is found exactly through its own bucket.
+        assert_eq!(am.search(&rows[2]).unwrap().class, ClassId(2));
     }
 
     #[test]

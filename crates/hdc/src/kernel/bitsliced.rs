@@ -1,6 +1,6 @@
 //! Bit-sliced dim-major row storage and the columnwise group-pruned scan.
 //!
-//! The row-major scan ([`PackedRows::scan_min2`]) prunes *per row*: even
+//! The row-major scan ([`PackedRows::min2`]) prunes *per row*: even
 //! a hopeless candidate costs at least one pass over enough of its words
 //! for the abandonment bound to fire. This module transposes the matrix
 //! so the scan walks *word-columns* instead, and prunes 64 rows at a
@@ -36,7 +36,7 @@
 //! runner-up only tightens and updates are strict (`<` with ascending
 //! row order), such rows can affect neither the winner, the runner-up,
 //! nor a tie-break. Surviving groups are extracted lane-ascending, so
-//! the scan is bit-identical to [`PackedRows::scan_min2`] — the
+//! the scan is bit-identical to [`PackedRows::min2`] — the
 //! proptest suite `tests/bitsliced_equivalence.rs` pins this for every
 //! backend × query mode.
 //!
@@ -49,11 +49,9 @@
 //! unique, and binary counter planes are a unique representation — so
 //! results *and* telemetry are backend-independent.
 //!
-//! [`PackedRows::scan_min2`]: super::PackedRows::scan_min2
+//! [`PackedRows::min2`]: super::PackedRows::min2
 //! [`DistanceBackend::accumulate_column`]: super::backend::DistanceBackend::accumulate_column
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use super::backend::DistanceBackend;
@@ -62,54 +60,6 @@ use super::{Min2, PackedRows, RowSource};
 
 /// Rows per transposed group: one lane bit of a `u64` plane per row.
 pub const GROUP_ROWS: usize = 64;
-
-/// A shared, monotonically tightening pruning bound — the relaxed
-/// `AtomicU32` best-so-far runner-up that the scans of disjoint row
-/// ranges of one query publish to each other (and that the row-major
-/// pilot of a bit-sliced scan seeds).
-///
-/// **Soundness.** Every published value is some worker's *current*
-/// local runner-up, which is ≥ that worker's final local runner-up,
-/// which is ≥ the merged scan's final runner-up (a subset's
-/// second-smallest distance is ≥ the union's second-smallest). So the
-/// shared value never drops below the final global runner-up, and
-/// pruning rows whose distance lower bound *strictly* exceeds it can
-/// change neither the winner, the runner-up, nor a tie-break — the
-/// bound only ever skips work, never answers. Relaxed ordering is
-/// enough: a stale read is simply a looser (still sound) bound.
-#[derive(Debug)]
-pub struct SharedBound(AtomicU32);
-
-impl Default for SharedBound {
-    fn default() -> Self {
-        SharedBound::unbounded()
-    }
-}
-
-impl SharedBound {
-    /// A bound no distance exceeds.
-    pub fn unbounded() -> Self {
-        SharedBound(AtomicU32::new(u32::MAX))
-    }
-
-    /// The current bound; `usize::MAX` when nothing was published yet.
-    pub fn get(&self) -> usize {
-        match self.0.load(Ordering::Relaxed) {
-            u32::MAX => usize::MAX,
-            bound => bound as usize,
-        }
-    }
-
-    /// Publishes a runner-up observation; the bound only ever tightens.
-    /// Values ≥ `u32::MAX` (unrepresentable distances, `usize::MAX`
-    /// sentinels) are dropped rather than clamped — clamping would
-    /// *tighten* the bound unsoundly.
-    pub fn tighten(&self, bound: usize) {
-        if bound < u32::MAX as usize {
-            self.0.fetch_min(bound as u32, Ordering::Relaxed);
-        }
-    }
-}
 
 /// One software carry-save adder (full adder over 64 independent bit
 /// lanes): `(carry, sum)` with `carry·2 + sum = a + b + c` per lane.
@@ -297,12 +247,11 @@ pub fn transpose64(a: &mut [u64; 64]) {
     }
 }
 
-/// The lane bits `[lo, hi)` of a group's live-row mask.
+/// The live-lane mask of a group holding `live` rows.
 #[inline]
-fn lane_mask(lo: usize, hi: usize) -> u64 {
-    debug_assert!(lo < hi && hi <= GROUP_ROWS);
-    let span = !0u64 >> (GROUP_ROWS - (hi - lo));
-    span << lo
+fn lane_mask(live: usize) -> u64 {
+    debug_assert!(live > 0 && live <= GROUP_ROWS);
+    !0u64 >> (GROUP_ROWS - live)
 }
 
 /// One 64-row group of the transposed store: `words_per_row × 64`
@@ -536,62 +485,56 @@ impl BitSlicedRows {
     }
 
     /// The columnwise fused min/runner-up scan with whole-group
-    /// pruning — bit-identical to [`PackedRows::scan_min2`] over the
-    /// same rows (module docs give the argument).
+    /// pruning — bit-identical to [`PackedRows::min2`] over the same
+    /// rows (module docs give the argument).
     ///
-    /// `shared`, when given, is consulted as an *additional* pruning
-    /// bound and tightened with this scan's runner-up observations
-    /// (see [`SharedBound`]). Counters record surviving rows in
+    /// `seed` is an *additional* pruning bound, consulted from the first
+    /// group on. It must be at least the scan's true runner-up distance
+    /// (the winner's distance when only one row is stored); any subset's
+    /// second-smallest distance qualifies, because a subset's
+    /// second-smallest is ≥ the union's. Such a seed never drops below
+    /// the final runner-up, so pruning rows whose lower bound *strictly*
+    /// exceeds it changes neither the winner, the runner-up, nor a
+    /// tie-break — the seed only ever skips work, never answers.
+    /// `usize::MAX` seeds nothing. Counters record surviving rows in
     /// `rows_scanned` and group-pruned rows in `rows_group_pruned`.
     ///
-    /// Returns `None` when the range is empty — or when a `shared`
-    /// bound proved every row of the range irrelevant to the merged
-    /// result (only possible with `shared`; [`Min2::merge`] treats the
-    /// two cases identically).
+    /// Returns `None` exactly when no row is mirrored.
     ///
-    /// [`PackedRows::scan_min2`]: super::PackedRows::scan_min2
+    /// [`PackedRows::min2`]: super::PackedRows::min2
     ///
     /// # Panics
     ///
-    /// Panics if `query` or `mask` has the wrong word count or `range`
-    /// exceeds the mirrored rows.
+    /// Panics if `query` or `mask` has the wrong word count.
     pub fn scan_min2(
         &self,
         backend: &dyn DistanceBackend,
         query: &[u64],
         mask: Option<&[u64]>,
-        range: Range<usize>,
+        seed: usize,
         mut counters: Option<&mut ScanCounters>,
-        shared: Option<&SharedBound>,
     ) -> Option<Min2> {
         assert_eq!(query.len(), self.words_per_row, "query word count mismatch");
         if let Some(mask) = mask {
             assert_eq!(mask.len(), self.words_per_row, "mask word count mismatch");
         }
-        assert!(range.end <= self.rows, "row range out of bounds");
-        if range.is_empty() {
+        if self.is_empty() {
             return None;
         }
         let mut best = 0usize;
         let mut best_distance = usize::MAX;
         let mut runner_up = usize::MAX;
         let mut acc = GroupAccumulator::new();
-        let first = range.start / GROUP_ROWS;
-        let last = (range.end - 1) / GROUP_ROWS;
-        for (g, group) in self.groups[first..=last].iter().enumerate() {
-            let base = (first + g) * GROUP_ROWS;
-            let lo = range.start.saturating_sub(base);
-            let hi = (range.end - base).min(GROUP_ROWS);
-            let lanes = lane_mask(lo, hi);
+        for (g, group) in self.groups.iter().enumerate() {
+            let base = g * GROUP_ROWS;
+            let live = (self.rows - base).min(GROUP_ROWS);
+            let lanes = lane_mask(live);
             acc.reset();
             let mut pruned = false;
             for c in 0..self.words_per_row {
                 let mask_word = mask.map_or(!0u64, |m| m[c]);
                 backend.accumulate_column(group.column(c), query[c], mask_word, &mut acc);
-                let bound = match shared {
-                    Some(shared) => runner_up.min(shared.get()),
-                    None => runner_up,
-                };
+                let bound = runner_up.min(seed);
                 if bound != usize::MAX && acc.min_lower_bound(lanes) > bound {
                     pruned = true;
                     break;
@@ -599,14 +542,14 @@ impl BitSlicedRows {
             }
             if pruned {
                 if let Some(counters) = counters.as_deref_mut() {
-                    counters.rows_group_pruned += (hi - lo) as u64;
+                    counters.rows_group_pruned += live as u64;
                 }
                 continue;
             }
             if let Some(counters) = counters.as_deref_mut() {
-                counters.rows_scanned += (hi - lo) as u64;
+                counters.rows_scanned += live as u64;
             }
-            for lane in lo..hi {
+            for lane in 0..live {
                 let distance = acc.lane_total(lane);
                 if distance < best_distance {
                     runner_up = best_distance;
@@ -616,15 +559,12 @@ impl BitSlicedRows {
                     runner_up = distance;
                 }
             }
-            if let Some(shared) = shared {
-                shared.tighten(runner_up);
-            }
         }
-        if best_distance == usize::MAX {
-            // Every group fell to the shared bound: nothing here can
-            // influence the merged result.
-            return None;
-        }
+        debug_assert_ne!(
+            best_distance,
+            usize::MAX,
+            "seed bound below the winner's distance"
+        );
         Some(Min2 {
             best,
             best_distance,
@@ -632,42 +572,35 @@ impl BitSlicedRows {
         })
     }
 
-    /// The columnwise ranked scan: `k` nearest rows of `range` as
-    /// `(row, distance)` pairs in `(distance, row)` order, identical
-    /// to [`PackedRows::top_k_range`] — a group is dropped once the
-    /// list is full and the group-minimum bound strictly exceeds the
-    /// k-th distance. No shared bound: a runner-up bound is only sound
-    /// for min-2 scans.
+    /// The columnwise ranked scan: the `k` nearest rows as
+    /// `(row, distance)` pairs in `(distance, row)` order, identical to
+    /// [`PackedRows::top_k`] — a group is dropped once the list is full
+    /// and the group-minimum bound strictly exceeds the k-th distance.
+    /// The buffer is cleared first.
     ///
-    /// [`PackedRows::top_k_range`]: super::PackedRows::top_k_range
+    /// [`PackedRows::top_k`]: super::PackedRows::top_k
     ///
     /// # Panics
     ///
-    /// Panics if `query` has the wrong word count or `range` exceeds
-    /// the mirrored rows.
+    /// Panics if `query` has the wrong word count.
     pub fn top_k_into(
         &self,
         backend: &dyn DistanceBackend,
         query: &[u64],
-        range: Range<usize>,
         k: usize,
         mut counters: Option<&mut ScanCounters>,
         ranked: &mut Vec<(usize, usize)>,
     ) {
         assert_eq!(query.len(), self.words_per_row, "query word count mismatch");
-        assert!(range.end <= self.rows, "row range out of bounds");
         ranked.clear();
-        if k == 0 || range.is_empty() {
+        if k == 0 || self.is_empty() {
             return;
         }
         let mut acc = GroupAccumulator::new();
-        let first = range.start / GROUP_ROWS;
-        let last = (range.end - 1) / GROUP_ROWS;
-        for (g, group) in self.groups[first..=last].iter().enumerate() {
-            let base = (first + g) * GROUP_ROWS;
-            let lo = range.start.saturating_sub(base);
-            let hi = (range.end - base).min(GROUP_ROWS);
-            let lanes = lane_mask(lo, hi);
+        for (g, group) in self.groups.iter().enumerate() {
+            let base = g * GROUP_ROWS;
+            let live = (self.rows - base).min(GROUP_ROWS);
+            let lanes = lane_mask(live);
             acc.reset();
             let mut pruned = false;
             for (c, &word) in query.iter().enumerate() {
@@ -682,14 +615,14 @@ impl BitSlicedRows {
             }
             if pruned {
                 if let Some(counters) = counters.as_deref_mut() {
-                    counters.rows_group_pruned += (hi - lo) as u64;
+                    counters.rows_group_pruned += live as u64;
                 }
                 continue;
             }
             if let Some(counters) = counters.as_deref_mut() {
-                counters.rows_scanned += (hi - lo) as u64;
+                counters.rows_scanned += live as u64;
             }
-            for lane in lo..hi {
+            for lane in 0..live {
                 let row = base + lane;
                 let distance = acc.lane_total(lane);
                 if ranked.len() == k {
@@ -710,6 +643,7 @@ impl BitSlicedRows {
 mod tests {
     use super::super::backend::enabled_backends;
     use super::super::scalar::Scalar;
+    use super::super::ScanPlan;
     use super::*;
     use crate::bitvec::BitVec;
 
@@ -830,6 +764,11 @@ mod tests {
         );
     }
 
+    /// The row-major direct scan every transposed scan must match.
+    fn direct(packed: &PackedRows, query: &[u64], mask: Option<&[u64]>) -> Option<Min2> {
+        packed.min2(&ScanPlan::direct(), query, mask, None)
+    }
+
     #[test]
     fn sliced_scan_matches_packed_scan_across_shapes() {
         // Non-word-multiple dims and non-group-multiple row counts
@@ -850,12 +789,12 @@ mod tests {
             assert_eq!(sliced.dim(), d);
             let query = pseudo_bits(d, 999);
             let mask = pseudo_bits(d, 1_000);
-            let expected = packed.scan_min2(query.as_words());
-            let expected_masked = packed.scan_min2_masked(query.as_words(), mask.as_words());
+            let expected = direct(&packed, query.as_words(), None);
+            let expected_masked = direct(&packed, query.as_words(), Some(mask.as_words()));
             for backend in enabled_backends() {
                 let name = backend.name();
                 assert_eq!(
-                    sliced.scan_min2(backend, query.as_words(), None, 0..c, None, None),
+                    sliced.scan_min2(backend, query.as_words(), None, usize::MAX, None),
                     expected,
                     "{name} {c}x{d}"
                 );
@@ -864,8 +803,7 @@ mod tests {
                         backend,
                         query.as_words(),
                         Some(mask.as_words()),
-                        0..c,
-                        None,
+                        usize::MAX,
                         None
                     ),
                     expected_masked,
@@ -897,11 +835,10 @@ mod tests {
             &Scalar,
             query.as_words(),
             None,
-            0..rows.len(),
+            usize::MAX,
             Some(&mut counters),
-            None,
         );
-        assert_eq!(got, packed.scan_min2(query.as_words()));
+        assert_eq!(got, direct(&packed, query.as_words(), None));
         assert!(
             counters.rows_group_pruned >= 128,
             "far groups must fall to the group bound: {counters:?}"
@@ -914,51 +851,47 @@ mod tests {
     }
 
     #[test]
-    fn range_scans_use_global_indices_and_merge() {
-        let d = 777;
-        let rows: Vec<BitVec> = (0..150).map(|i| pseudo_bits(d, i * 3 + 1)).collect();
-        let packed = packed_from(&rows);
-        let sliced = BitSlicedRows::from_packed(&packed);
-        let query = pseudo_bits(d, 500);
-        let serial = packed.scan_min2(query.as_words());
-        // Uneven parts that straddle group boundaries.
-        let parts = [0usize..50, 50..97, 97..150];
-        let merged = Min2::merge(parts.iter().filter_map(|r| {
-            sliced.scan_min2(&Scalar, query.as_words(), None, r.clone(), None, None)
-        }));
-        assert_eq!(merged, serial);
-        assert_eq!(
-            sliced.scan_min2(&Scalar, query.as_words(), None, 7..7, None, None),
-            None
-        );
-    }
-
-    #[test]
-    fn shared_bound_prunes_soundly_across_parts() {
+    fn a_subset_seed_prunes_leading_groups_without_changing_the_answer() {
+        // The query's two nearest rows sit in the last group, so an
+        // unseeded scan reaches a tight runner-up only at the end. A
+        // seed from a subset that holds them (the last group's
+        // second-smallest distance) is ≥ the true runner-up, so the
+        // leading groups fall to it and the answer does not move.
         let d = 1_024;
         let query = pseudo_bits(d, 3);
-        let mut rows: Vec<BitVec> = vec![query.clone()];
-        rows[0].flip(5);
-        rows.extend((0..255).map(|i| pseudo_bits(d, i + 10)));
+        let mut rows: Vec<BitVec> = (0..254).map(|i| pseudo_bits(d, i + 10)).collect();
+        let mut second = query.clone();
+        for bit in 0..50 {
+            second.flip(bit * 19);
+        }
+        let mut near = query.clone();
+        near.flip(5);
+        rows.push(second);
+        rows.push(near);
         let packed = packed_from(&rows);
         let sliced = BitSlicedRows::from_packed(&packed);
-        let serial = packed.scan_min2(query.as_words());
-        let shared = SharedBound::unbounded();
-        // Part 1 sees the near-duplicate and publishes a tight bound;
-        // part 2 may then return nothing at all — the merge of the
-        // surviving parts must still equal the serial scan.
-        let parts = [0..128, 128..256]
-            .map(|r| sliced.scan_min2(&Scalar, query.as_words(), None, r, None, Some(&shared)));
-        assert!(shared.get() < usize::MAX, "part 1 published its runner-up");
-        assert_eq!(Min2::merge(parts.into_iter().flatten()), serial);
-        // Tighten semantics: bounds only ever decrease, and
-        // unrepresentable values are dropped.
-        let bound = SharedBound::default();
-        bound.tighten(usize::MAX);
-        assert_eq!(bound.get(), usize::MAX);
-        bound.tighten(100);
-        bound.tighten(200);
-        assert_eq!(bound.get(), 100);
+        let mut tail: Vec<usize> = rows[192..].iter().map(|row| row.hamming(&query)).collect();
+        tail.sort_unstable();
+        let seed = tail[1];
+        let mut unseeded = ScanCounters::default();
+        let mut seeded = ScanCounters::default();
+        let plain = sliced.scan_min2(
+            &Scalar,
+            query.as_words(),
+            None,
+            usize::MAX,
+            Some(&mut unseeded),
+        );
+        let got = sliced.scan_min2(&Scalar, query.as_words(), None, seed, Some(&mut seeded));
+        assert_eq!(got, direct(&packed, query.as_words(), None));
+        assert_eq!(got, plain);
+        assert_eq!(got.unwrap().best, 255);
+        assert_eq!(got.unwrap().runner_up, Some(seed));
+        assert!(
+            seeded.rows_group_pruned >= 192 && unseeded.rows_group_pruned < 192,
+            "the seed must prune the leading groups: {seeded:?} vs {unseeded:?}"
+        );
+        assert_eq!(seeded.rows_scanned + seeded.rows_group_pruned, 256);
     }
 
     #[test]
@@ -969,22 +902,17 @@ mod tests {
         let sliced = BitSlicedRows::from_packed(&packed);
         let query = pseudo_bits(d, 42);
         let mut ranked = Vec::new();
+        let mut expected = Vec::new();
         for k in [0usize, 1, 5, 64, 130, 200] {
-            for range in [0..130usize, 10..130, 64..65] {
-                sliced.top_k_into(
-                    &Scalar,
-                    query.as_words(),
-                    range.clone(),
-                    k,
-                    None,
-                    &mut ranked,
-                );
-                assert_eq!(
-                    ranked,
-                    packed.top_k_range(query.as_words(), range.clone(), k),
-                    "k={k} range={range:?}"
-                );
-            }
+            sliced.top_k_into(&Scalar, query.as_words(), k, None, &mut ranked);
+            packed.top_k(
+                &ScanPlan::direct(),
+                query.as_words(),
+                k,
+                &mut expected,
+                None,
+            );
+            assert_eq!(ranked, expected, "k={k}");
         }
     }
 
@@ -1001,16 +929,16 @@ mod tests {
         assert_eq!(sliced.group_count(), 2);
         let query = pseudo_bits(d, 500);
         assert_eq!(
-            sliced.scan_min2(&Scalar, query.as_words(), None, 0..70, None, None),
-            packed.scan_min2(query.as_words())
+            sliced.scan_min2(&Scalar, query.as_words(), None, usize::MAX, None),
+            direct(&packed, query.as_words(), None)
         );
         // In-place overwrite stays mirrored.
         let replacement = pseudo_bits(d, 900);
         packed.replace(65, replacement.as_words());
         sliced.update_row(65, replacement.as_words());
         assert_eq!(
-            sliced.scan_min2(&Scalar, query.as_words(), None, 0..70, None, None),
-            packed.scan_min2(query.as_words())
+            sliced.scan_min2(&Scalar, query.as_words(), None, usize::MAX, None),
+            direct(&packed, query.as_words(), None)
         );
         // Incremental maintenance ≡ transposing from scratch, and a
         // group-granular retranspose reproduces the same group.

@@ -25,15 +25,14 @@
 //! full-dimension radius still dominates `d_M(centroid, row)`.
 //!
 //! An explicit probe mode ([`ScanStrategy::Probe`]) visits only the
-//! `nprobe` buckets closest by centroid distance — approximate, with
-//! recall measured in the bench (`BENCH_search.json` `index_scaling`),
-//! mirroring the paper's sampling knobs.
+//! `nprobe` non-empty buckets closest by centroid distance —
+//! approximate, with recall measured in the bench (`BENCH_search.json`
+//! `index_scaling`), mirroring the paper's sampling knobs.
 //!
 //! [`ScanStrategy::Probe`]: super::ScanStrategy::Probe
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::ops::Range;
 
 use super::{splitmix64, DistanceBackend, Min2, PackedRows, RowSource};
 
@@ -59,8 +58,8 @@ thread_local! {
 /// indexed walks fill the bucket fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanCounters {
-    /// Buckets whose members were visited (had at least one in-range
-    /// member and survived the radius bound).
+    /// Buckets whose members were visited (had at least one member
+    /// and survived the radius bound).
     pub buckets_probed: u64,
     /// Rows handed to the distance backend (including rows the backend
     /// abandoned early under its bound).
@@ -162,9 +161,9 @@ impl Default for IndexBuildOptions {
 /// original row numbering (rows are never re-packed), one bundled
 /// centroid row per bucket, and per-bucket radii.
 ///
-/// An index is built against one specific [`PackedRows`] snapshot; the
-/// scan entry points assert that the matrix they are handed has the
-/// row count the index was built for. Incremental mutation goes
+/// An index is built against one specific [`PackedRows`] snapshot, and
+/// it scans through a [`ScanPlan`](super::ScanPlan), whose constructor
+/// asserts that the index covers the matrix. Incremental mutation goes
 /// through [`assign_row`](Self::assign_row) (reassign-on-add — radii
 /// only grow, which keeps the bound sound but loosens it, tracked by
 /// [`dirty`](Self::dirty) until the owner rebuilds).
@@ -507,21 +506,12 @@ impl BucketIndex {
         };
     }
 
-    /// Members of `bucket` that fall inside the global row `range`.
-    fn members_in(&self, bucket: usize, range: &Range<usize>) -> &[u32] {
-        let members = &self.members[bucket];
-        let lo = members.partition_point(|&m| (m as usize) < range.start);
-        let hi = members.partition_point(|&m| (m as usize) < range.end);
-        &members[lo..hi]
-    }
-
-    /// The indexed winner/runner-up scan over all buckets. With
-    /// `nprobe: None` the result is bit-identical to
-    /// [`PackedRows::scan_min2`]; `Some(n)` visits only the `n` buckets
-    /// closest by centroid distance (approximate).
-    ///
-    /// Returns `None` when the range is empty, or when (in probe mode)
-    /// no probed bucket intersects it.
+    /// The indexed winner/runner-up scan over every row of `packed`,
+    /// which must be the non-empty matrix this index covers (the
+    /// [`ScanPlan`](super::ScanPlan) constructor checks coverage). With
+    /// `nprobe: None` the result is bit-identical to the direct scan;
+    /// `Some(n)` visits only the `n` non-empty buckets closest by
+    /// centroid distance (approximate).
     ///
     /// Exactness argument (full sketch in DESIGN.md §14):
     ///
@@ -537,26 +527,17 @@ impl BucketIndex {
     ///   result independent of traversal order — bit-identical to the
     ///   direct scan's lowest-index tie-break.
     ///
-    /// # Panics
-    ///
-    /// Panics if `packed` is not the matrix this index was built for
-    /// (row count or width mismatch), `query`/`mask` have the wrong
-    /// word count, or `range` exceeds the stored rows.
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_min2(
+    /// The first bucket walked is never pruned (the runner-up is still
+    /// unbounded) and holds a member, so the scan always has a winner.
+    pub(crate) fn scan_min2(
         &self,
-        packed: &dyn RowSource,
+        packed: &PackedRows,
         backend: &dyn DistanceBackend,
         query: &[u64],
         mask: Option<&[u64]>,
-        range: Range<usize>,
         nprobe: Option<usize>,
         counters: Option<&mut ScanCounters>,
-    ) -> Option<Min2> {
-        self.check_scan(packed, query, mask, &range);
-        if range.is_empty() {
-            return None;
-        }
+    ) -> Min2 {
         let mut local = ScanCounters::default();
         let mut best = 0usize;
         let mut best_distance = usize::MAX;
@@ -565,20 +546,17 @@ impl BucketIndex {
             let order = &mut *cell.borrow_mut();
             let limit = self.order_buckets(backend, query, mask, nprobe, order);
             for &(_, _, bucket) in &order[limit..] {
-                local.rows_pruned += self.members_in(bucket, &range).len() as u64;
+                local.rows_pruned += self.members[bucket].len() as u64;
             }
             for position in 0..limit {
                 let (_, lower, bucket) = order[position];
-                let members = self.members_in(bucket, &range);
-                if members.is_empty() {
-                    continue;
-                }
+                let members = &self.members[bucket];
                 if lower > runner_up {
                     if nprobe.is_none() {
                         // Exact walk: ordered by lower bound, so every
                         // remaining bucket is prunable too.
                         for &(_, _, later) in &order[position..limit] {
-                            local.rows_pruned += self.members_in(later, &range).len() as u64;
+                            local.rows_pruned += self.members[later].len() as u64;
                         }
                         break;
                     }
@@ -608,36 +586,31 @@ impl BucketIndex {
         if let Some(counters) = counters {
             counters.absorb(local);
         }
-        (best_distance != usize::MAX).then_some(Min2 {
+        Min2 {
             best,
             best_distance,
             runner_up: (runner_up != usize::MAX).then_some(runner_up),
-        })
+        }
     }
 
-    /// The indexed ranked scan. With `nprobe: None` the buffer ends
-    /// bit-identical to [`PackedRows::top_k_range_into`] — a bucket is
+    /// The indexed ranked scan over every row of `packed` (same
+    /// contract as [`scan_min2`](Self::scan_min2)). With `nprobe: None`
+    /// the buffer ends bit-identical to the direct ranking — a bucket is
     /// pruned only when the list is full and the bucket's lower bound
     /// strictly exceeds the k-th distance, which never increases.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`scan_min2`](Self::scan_min2).
     #[allow(clippy::too_many_arguments)]
-    pub fn top_k_into(
+    pub(crate) fn top_k_into(
         &self,
-        packed: &dyn RowSource,
+        packed: &PackedRows,
         backend: &dyn DistanceBackend,
         query: &[u64],
-        range: Range<usize>,
         k: usize,
         nprobe: Option<usize>,
         counters: Option<&mut ScanCounters>,
         ranked: &mut Vec<(usize, usize)>,
     ) {
-        self.check_scan(packed, query, None, &range);
         ranked.clear();
-        if k == 0 || range.is_empty() {
+        if k == 0 || packed.is_empty() {
             return;
         }
         let mut local = ScanCounters::default();
@@ -645,14 +618,11 @@ impl BucketIndex {
             let order = &mut *cell.borrow_mut();
             let limit = self.order_buckets(backend, query, None, nprobe, order);
             for &(_, _, bucket) in &order[limit..] {
-                local.rows_pruned += self.members_in(bucket, &range).len() as u64;
+                local.rows_pruned += self.members[bucket].len() as u64;
             }
             for position in 0..limit {
                 let (_, lower, bucket) = order[position];
-                let members = self.members_in(bucket, &range);
-                if members.is_empty() {
-                    continue;
-                }
+                let members = &self.members[bucket];
                 let kth = match ranked.len() == k {
                     true => ranked.last().map_or(usize::MAX, |&(_, d)| d),
                     false => usize::MAX,
@@ -660,7 +630,7 @@ impl BucketIndex {
                 if lower > kth {
                     if nprobe.is_none() {
                         for &(_, _, later) in &order[position..limit] {
-                            local.rows_pruned += self.members_in(later, &range).len() as u64;
+                            local.rows_pruned += self.members[later].len() as u64;
                         }
                         break;
                     }
@@ -697,10 +667,13 @@ impl BucketIndex {
         }
     }
 
-    /// Scores every bucket against the query and
-    /// sorts the scratch: by prunability lower bound for the exact
-    /// walk, by centroid distance for probe mode. Returns how many
-    /// leading entries the walk may visit.
+    /// Scores every non-empty bucket against the query and sorts the
+    /// scratch: by prunability lower bound for the exact walk, by
+    /// centroid distance for probe mode. Returns how many leading
+    /// entries the walk may visit. Updates can empty a bucket (a
+    /// replaced row moves to another bucket, centroids stay put); it is
+    /// left out of the order, so probe mode spends its `nprobe` visits
+    /// on buckets that hold rows.
     fn order_buckets(
         &self,
         backend: &dyn DistanceBackend,
@@ -711,6 +684,9 @@ impl BucketIndex {
     ) -> usize {
         order.clear();
         for bucket in 0..self.buckets() {
+            if self.members[bucket].is_empty() {
+                continue;
+            }
             let centroid = self.centroids.row_words(bucket);
             let dc = match mask {
                 None => backend.bounded_distance(centroid, query, usize::MAX),
@@ -729,39 +705,6 @@ impl BucketIndex {
             None => order.len(),
             Some(n) => n.max(1).min(order.len()),
         }
-    }
-
-    /// Common scan-entry validation.
-    fn check_scan(
-        &self,
-        packed: &dyn RowSource,
-        query: &[u64],
-        mask: Option<&[u64]>,
-        range: &Range<usize>,
-    ) {
-        assert_eq!(
-            self.assignments.len(),
-            packed.len(),
-            "index does not cover the scanned matrix"
-        );
-        assert_eq!(
-            self.centroids.words_per_row(),
-            packed.words_per_row(),
-            "index row width mismatch"
-        );
-        assert_eq!(
-            query.len(),
-            packed.words_per_row(),
-            "query word count mismatch"
-        );
-        if let Some(mask) = mask {
-            assert_eq!(
-                mask.len(),
-                packed.words_per_row(),
-                "mask word count mismatch"
-            );
-        }
-        assert!(range.end <= packed.len(), "row range out of bounds");
     }
 }
 
@@ -821,7 +764,7 @@ fn compute_stats(
 
 #[cfg(test)]
 mod tests {
-    use super::super::active_backend;
+    use super::super::{active_backend, ScanPlan};
     use super::*;
     use crate::bitvec::BitVec;
 
@@ -894,6 +837,20 @@ mod tests {
         }
     }
 
+    /// The direct scan the indexed walks must match.
+    fn linear(packed: &PackedRows, query: &[u64], mask: Option<&[u64]>) -> Min2 {
+        packed
+            .min2(&ScanPlan::direct(), query, mask, None)
+            .expect("non-empty matrix")
+    }
+
+    /// The direct ranking the indexed ranked walk must match.
+    fn linear_top_k(packed: &PackedRows, query: &[u64], k: usize) -> Vec<(usize, usize)> {
+        let mut ranked = Vec::new();
+        packed.top_k(&ScanPlan::direct(), query, k, &mut ranked, None);
+        ranked
+    }
+
     #[test]
     fn exact_indexed_matches_linear_on_all_shapes() {
         let backend = active_backend();
@@ -906,39 +863,38 @@ mod tests {
             for salt in 0..8u64 {
                 let query = pseudo_bits(packed.dim(), 0xAB ^ salt);
                 let mask = pseudo_bits(packed.dim(), 0xCD ^ salt);
-                let linear = packed.scan_min2(query.as_words());
                 let mut counters = ScanCounters::default();
                 let indexed = index.scan_min2(
                     &packed,
                     backend,
                     query.as_words(),
                     None,
-                    0..packed.len(),
                     None,
                     Some(&mut counters),
                 );
-                assert_eq!(indexed, linear, "{name} plain salt {salt}");
+                assert_eq!(
+                    indexed,
+                    linear(&packed, query.as_words(), None),
+                    "{name} plain salt {salt}"
+                );
                 assert_eq!(
                     counters.rows_scanned + counters.rows_pruned,
                     packed.len() as u64,
                     "{name}: every row is scanned or pruned"
                 );
-                let linear_masked = packed.scan_min2_masked(query.as_words(), mask.as_words());
                 let indexed_masked = index.scan_min2(
                     &packed,
                     backend,
                     query.as_words(),
                     Some(mask.as_words()),
-                    0..packed.len(),
                     None,
                     None,
                 );
-                assert_eq!(indexed_masked, linear_masked, "{name} masked salt {salt}");
-                let range = packed.len() / 4..packed.len() - 1;
-                let linear_ranged = packed.scan_min2_range(query.as_words(), range.clone());
-                let indexed_ranged =
-                    index.scan_min2(&packed, backend, query.as_words(), None, range, None, None);
-                assert_eq!(indexed_ranged, linear_ranged, "{name} ranged salt {salt}");
+                assert_eq!(
+                    indexed_masked,
+                    linear(&packed, query.as_words(), Some(mask.as_words())),
+                    "{name} masked salt {salt}"
+                );
             }
         }
     }
@@ -950,13 +906,12 @@ mod tests {
         let index = BucketIndex::build(&packed, backend, IndexBuildOptions::default()).unwrap();
         let query = pseudo_bits(300, 7);
         for k in [0usize, 1, 3, 60, 100] {
-            let linear = packed.top_k_range(query.as_words(), 0..packed.len(), k);
+            let linear = linear_top_k(&packed, query.as_words(), k);
             let mut ranked = Vec::new();
             index.top_k_into(
                 &packed,
                 backend,
                 query.as_words(),
-                0..packed.len(),
                 k,
                 None,
                 None,
@@ -967,7 +922,6 @@ mod tests {
                 &packed,
                 backend,
                 query.as_words(),
-                0..packed.len(),
                 k,
                 Some(index.buckets()),
                 None,
@@ -983,21 +937,12 @@ mod tests {
         let backend = active_backend();
         let index = BucketIndex::build(&packed, backend, IndexBuildOptions::default()).unwrap();
         let query = pseudo_bits(300, 11);
-        let exact = index.scan_min2(
-            &packed,
-            backend,
-            query.as_words(),
-            None,
-            0..packed.len(),
-            None,
-            None,
-        );
+        let exact = index.scan_min2(&packed, backend, query.as_words(), None, None, None);
         let probed = index.scan_min2(
             &packed,
             backend,
             query.as_words(),
             None,
-            0..packed.len(),
             Some(index.buckets() + 5),
             None,
         );
@@ -1008,7 +953,6 @@ mod tests {
             backend,
             query.as_words(),
             None,
-            0..packed.len(),
             Some(1),
             Some(&mut counters),
         );
@@ -1016,6 +960,42 @@ mod tests {
         assert_eq!(
             counters.rows_scanned + counters.rows_pruned,
             packed.len() as u64
+        );
+    }
+
+    #[test]
+    fn probe_skips_buckets_an_update_emptied() {
+        // Four rows, four buckets: every row is its own medoid. Moving
+        // row 0 onto row 1 empties bucket 0 while its centroid stays
+        // the old row 0, so a query equal to the old row is closest to
+        // an empty bucket. The one probe must go to a bucket with rows.
+        let mut packed = uniform(1_024, 4);
+        let backend = active_backend();
+        let options = IndexBuildOptions {
+            buckets: 4,
+            ..IndexBuildOptions::default()
+        };
+        let mut index = BucketIndex::build(&packed, backend, options).unwrap();
+        let old = packed.row_words(0).to_vec();
+        let moved = packed.row_words(1).to_vec();
+        packed.replace(0, &moved);
+        index.assign_row(&packed, backend, 0);
+        assert!(
+            (0..index.buckets()).any(|b| index.members(b).is_empty()),
+            "the update emptied a bucket"
+        );
+        let mut counters = ScanCounters::default();
+        let hit = index.scan_min2(&packed, backend, &old, None, Some(1), Some(&mut counters));
+        assert!(hit.best < packed.len() && hit.best_distance < usize::MAX);
+        assert_eq!(counters.buckets_probed, 1);
+        assert!(counters.rows_scanned >= 1, "{counters:?}");
+        let mut ranked = Vec::new();
+        index.top_k_into(&packed, backend, &old, 2, Some(1), None, &mut ranked);
+        assert!(!ranked.is_empty(), "the probed bucket ranks its rows");
+        // The exact walk is unaffected by the empty bucket.
+        assert_eq!(
+            index.scan_min2(&packed, backend, &old, None, None, None),
+            linear(&packed, &old, None)
         );
     }
 
@@ -1037,16 +1017,8 @@ mod tests {
             }
             let query = pseudo_bits(257, 0xBEEF ^ step);
             assert_eq!(
-                index.scan_min2(
-                    &packed,
-                    backend,
-                    query.as_words(),
-                    None,
-                    0..packed.len(),
-                    None,
-                    None,
-                ),
-                packed.scan_min2(query.as_words()),
+                index.scan_min2(&packed, backend, query.as_words(), None, None, None),
+                linear(&packed, query.as_words(), None),
                 "step {step}"
             );
         }

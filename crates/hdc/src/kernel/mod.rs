@@ -19,7 +19,7 @@
 //!   forces any of them by name. [`hamming_words`] /
 //!   [`hamming_words_masked`] are the scalar-callable faces of the active
 //!   backend;
-//! * [`PackedRows::scan_min2`] — a fused single-pass min/runner-up scan
+//! * [`PackedRows::min2`] — a fused single-pass min/runner-up scan
 //!   that abandons a row as soon as a *lower bound* on its partial
 //!   distance exceeds the current runner-up bound (*early abandonment*):
 //!   a row that can no longer be the winner or the runner-up cannot
@@ -35,7 +35,12 @@
 //!   distance, so no popcount work is repeated; the cascade collapses
 //!   the scan to near-window cost when memories cluster, but its extra
 //!   per-row calls and sort still lose to the direct scan on uniform
-//!   random rows — see [`ScanStrategy::Auto`] for the measured policy.
+//!   random rows — see [`ScanStrategy::Auto`] for the measured policy;
+//! * [`ScanPlan`] — a [`ScanStrategy`] resolved once against the attached
+//!   [`BucketIndex`] and [`BitSlicedRows`] mirror. Every scan runs
+//!   through one: [`PackedRows::min2`] and [`PackedRows::top_k`] are the
+//!   only scan entry points, plus [`PackedRows::distances_into`] for the
+//!   APIs that need all `C` distances.
 //!
 //! Every kernel here is bit-identical to the naive per-row reference for
 //! all inputs, including dimensions that are not a multiple of 64 (the
@@ -56,7 +61,7 @@ mod neon;
 mod scalar;
 
 pub use backend::{active_backend, active_backend_name, enabled_backends, DistanceBackend};
-pub use bitsliced::{BitSlicedRows, GroupAccumulator, SharedBound, GROUP_ROWS};
+pub use bitsliced::{BitSlicedRows, GroupAccumulator, GROUP_ROWS};
 pub use index::{BucketIndex, IndexBuildOptions, IndexStats, ScanCounters};
 
 use std::cell::RefCell;
@@ -115,72 +120,27 @@ pub struct Min2 {
     pub runner_up: Option<usize>,
 }
 
-impl Min2 {
-    /// Merges partial scans of *disjoint* row ranges into the scan of
-    /// their union — the exact gather step of a range-split search (the
-    /// software form of MEMHD-style sub-arrays feeding one comparator).
-    ///
-    /// Each part must carry row indices from the shared (global) index
-    /// space, which is what the range scans
-    /// ([`PackedRows::scan_min2_range`]) return. Because every part is an
-    /// exact (winner, runner-up) over its own rows, the union's winner is
-    /// one of the part winners and the union's runner-up is either the
-    /// winning part's runner-up or another part's winner; ties resolve to
-    /// the lowest global row index, so the merge is bit-identical to one
-    /// serial [`PackedRows::scan_min2`] over all rows, in any merge order.
-    ///
-    /// Returns `None` when `parts` is empty.
-    pub fn merge(parts: impl IntoIterator<Item = Min2>) -> Option<Min2> {
-        parts.into_iter().fold(None, |merged, part| {
-            Some(match merged {
-                None => part,
-                Some(acc) => acc.join(part),
-            })
-        })
-    }
-
-    /// Merges two partial scans over disjoint row sets.
-    fn join(self, other: Min2) -> Min2 {
-        // The union's winner: smaller distance, lowest global index on a
-        // tie (indices are unique across disjoint ranges).
-        let (winner, loser) = if (other.best_distance, other.best) < (self.best_distance, self.best)
-        {
-            (other, self)
-        } else {
-            (self, other)
-        };
-        // The union's second-smallest distance is the winning side's
-        // runner-up or the losing side's winner — the losing side's
-        // runner-up is dominated by its own winner.
-        let runner_up = Some(match winner.runner_up {
-            Some(r) => r.min(loser.best_distance),
-            None => loser.best_distance,
-        });
-        Min2 {
-            best: winner.best,
-            best_distance: winner.best_distance,
-            runner_up,
-        }
-    }
-}
-
 /// How a [`PackedRows`] scan traverses its rows.
 ///
 /// Every strategy except [`Probe`](Self::Probe) returns bit-identical
 /// results; they differ only in how much distance work they can skip.
+/// [`ScanPlan::new`] resolves a strategy into the traversal a scan runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanStrategy {
     /// Let the library pick, from the stats of the attached
     /// [`BucketIndex`] when one is present (decision rule in DESIGN.md
-    /// §12): [`Indexed`](Self::Indexed) when the stored shape is
+    /// §12 and §17, implemented by [`ScanPlan::new`]):
+    /// [`Indexed`](Self::Indexed) when the stored shape is
     /// [`pruning_friendly`](IndexStats::pruning_friendly) (bucket
     /// separation clearly exceeds bucket diameters, so the radius bound
-    /// actually fires), [`Cascade`](Self::Cascade) when radii are tiny
-    /// but buckets unseparated (the planted-near-duplicate shape where
-    /// the sampled prefilter wins ~1.2–1.5×, `BENCH_search.json`
-    /// `cascade`), and otherwise [`Direct`](Self::Direct) — on uniform
-    /// random rows both pruners lose to the plain fused scan.
-    /// Without an index it is always the direct scan.
+    /// actually fires); on [`cascade_friendly`](IndexStats::cascade_friendly)
+    /// shapes (radii tiny but buckets unseparated, the
+    /// planted-near-duplicate shape) [`BitSliced`](Self::BitSliced) when
+    /// a mirror of at least [`BITSLICED_MIN_ROWS`] rows is attached and
+    /// [`Cascade`](Self::Cascade) otherwise; and [`Direct`](Self::Direct)
+    /// everywhere else — on uniform random rows every pruner loses to
+    /// the plain fused scan. Without an index it is always the direct
+    /// scan.
     #[default]
     Auto,
     /// One bounded-distance pass per row in index order.
@@ -188,31 +148,29 @@ pub enum ScanStrategy {
     /// Sampled prefilter + best-first complement rescore (exact).
     Cascade,
     /// Columnwise dim-major scan with whole-group pruning through an
-    /// attached [`BitSlicedRows`] mirror (exact; the `sliced` argument
-    /// of [`PackedRows::scan_min2_planned_sliced`]); falls back to
-    /// [`Direct`](Self::Direct) when no mirror is given.
+    /// attached [`BitSlicedRows`] mirror (exact); falls back to
+    /// [`Direct`](Self::Direct) when no mirror is attached.
     BitSliced,
-    /// Exact bucket-pruned walk through an attached [`BucketIndex`]
-    /// (the `index` argument of [`PackedRows::scan_min2_planned`]);
-    /// falls back to [`Direct`](Self::Direct) when no index is given.
+    /// Exact bucket-pruned walk through an attached [`BucketIndex`];
+    /// falls back to [`Direct`](Self::Direct) when no index is attached.
     Indexed,
-    /// Approximate: visit only the `nprobe` buckets whose centroids
-    /// are closest to the query (clamped to ≥ 1; values ≥ the bucket
-    /// count degenerate to the exact [`Indexed`](Self::Indexed) walk).
-    /// The only strategy allowed to miss the true winner — recall is
-    /// measured in `BENCH_search.json` `index_scaling`. Falls back to
-    /// [`Direct`](Self::Direct) (exact) when no index is given.
+    /// Approximate: visit only the `nprobe` non-empty buckets whose
+    /// centroids are closest to the query (clamped to ≥ 1; values ≥ the
+    /// bucket count degenerate to the exact [`Indexed`](Self::Indexed)
+    /// walk). The only strategy allowed to miss the true winner — recall
+    /// is measured in `BENCH_search.json` `index_scaling`. Falls back to
+    /// [`Direct`](Self::Direct) (exact) when no index is attached.
     Probe {
         /// How many closest buckets to scan.
         nprobe: usize,
     },
 }
 
-/// A [`ScanStrategy`] resolved against the presence (and stats) of a
-/// [`BucketIndex`] — the concrete traversal a planned scan will run.
+/// The concrete traversal a [`ScanPlan`] runs — a [`ScanStrategy`]
+/// resolved against the presence (and stats) of an attached
+/// [`BucketIndex`] and [`BitSlicedRows`] mirror.
 ///
-/// [`ScanStrategy::resolve`] is the one place the `Auto` decision rule
-/// lives; exposing the resolved form lets callers (telemetry, workload
+/// Exposing the resolved form lets callers (telemetry, workload
 /// reports, regression tests) observe *which* engine `Auto` picked
 /// without re-deriving the rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,41 +184,98 @@ pub enum ResolvedScan {
     BitSliced,
     /// Bucket walk through the attached [`BucketIndex`].
     Indexed {
-        /// `Some(n)` caps the walk at the `n` closest buckets
+        /// `Some(n)` caps the walk at the `n` closest non-empty buckets
         /// (approximate); `None` is the exact pruned walk.
         nprobe: Option<usize>,
     },
 }
 
-impl ScanStrategy {
-    /// Resolves this strategy against an optional attached index into
-    /// the concrete traversal a planned scan will run, applying the
-    /// `Auto` decision rule (DESIGN.md §16) when applicable:
-    /// [`ResolvedScan::Indexed`] when the stored shape is
-    /// [`pruning_friendly`](IndexStats::pruning_friendly),
-    /// [`ResolvedScan::Cascade`] when it is
-    /// [`cascade_friendly`](IndexStats::cascade_friendly), and
-    /// [`ResolvedScan::Direct`] otherwise.
-    pub fn resolve(self, index: Option<&BucketIndex>, dim: usize) -> ResolvedScan {
-        self.resolve_full(index, None, dim)
-    }
+/// A scan resolved once: the distance backend, the traversal, and
+/// borrows of the index and mirror it may walk.
+///
+/// [`ScanPlan::new`] is the one place the [`ScanStrategy::Auto`]
+/// decision rule lives, and the one place that checks an attached
+/// [`BucketIndex`] or [`BitSlicedRows`] mirror covers the matrix. A plan
+/// holding either may only scan a matrix of the shape it was built for;
+/// [`ScanPlan::direct`] holds neither and scans any matrix.
+///
+/// # Examples
+///
+/// ```
+/// use hdc::{BitVec, kernel::{PackedRows, ScanPlan}};
+///
+/// let mut rows = PackedRows::new(130);
+/// let a = BitVec::ones(130);
+/// let b = BitVec::zeros(130);
+/// rows.push(a.as_words());
+/// rows.push(b.as_words());
+///
+/// let hit = rows.min2(&ScanPlan::direct(), b.as_words(), None, None).unwrap();
+/// assert_eq!(hit.best, 1);
+/// assert_eq!(hit.best_distance, 0);
+/// assert_eq!(hit.runner_up, Some(130));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct ScanPlan<'a> {
+    backend: &'a dyn DistanceBackend,
+    resolved: ResolvedScan,
+    index: Option<&'a BucketIndex>,
+    sliced: Option<&'a BitSlicedRows>,
+    /// `(rows, words_per_row)` of the matrix the attached index or
+    /// mirror covers; `None` when neither is attached.
+    shape: Option<(usize, usize)>,
+}
 
-    /// [`resolve`](Self::resolve) made aware of an attached
-    /// [`BitSlicedRows`] mirror. [`BitSliced`](Self::BitSliced) without
-    /// a mirror falls back to the direct scan (like `Indexed` without
-    /// an index), and `Auto` extends its rule (DESIGN.md §17): on
-    /// cascade-friendly geometry with a mirror attached and at least
-    /// [`BITSLICED_MIN_ROWS`] rows, the columnwise group bound prunes
-    /// whole near-duplicate clusters after a handful of word-columns
-    /// and overtakes the sampled cascade; below the row floor the
-    /// per-group fixed costs do not amortize.
-    pub fn resolve_full(
-        self,
-        index: Option<&BucketIndex>,
-        sliced: Option<&BitSlicedRows>,
+impl<'a> ScanPlan<'a> {
+    /// Resolves `strategy` for a `rows × dim` matrix with an optional
+    /// attached `index` and bit-sliced `sliced` mirror.
+    ///
+    /// `Indexed`/`Probe` without an index and `BitSliced` without a
+    /// mirror fall back to the direct scan. `Auto` picks
+    /// [`ResolvedScan::Indexed`] when the index stats are
+    /// [`pruning_friendly`](IndexStats::pruning_friendly); on
+    /// [`cascade_friendly`](IndexStats::cascade_friendly) stats it picks
+    /// [`ResolvedScan::BitSliced`] when a mirror of at least
+    /// [`BITSLICED_MIN_ROWS`] rows is attached (the columnwise group
+    /// bound prunes whole near-duplicate clusters after a handful of
+    /// word-columns; below the row floor the per-group fixed costs do
+    /// not amortize) and [`ResolvedScan::Cascade`] otherwise; it picks
+    /// [`ResolvedScan::Direct`] in every other case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` or `sliced` does not cover exactly `rows` rows
+    /// of `dim` bits.
+    pub fn new(
+        backend: &'a dyn DistanceBackend,
+        strategy: ScanStrategy,
+        index: Option<&'a BucketIndex>,
+        sliced: Option<&'a BitSlicedRows>,
+        rows: usize,
         dim: usize,
-    ) -> ResolvedScan {
-        match self {
+    ) -> Self {
+        let words_per_row = dim.div_ceil(64);
+        if let Some(index) = index {
+            assert_eq!(
+                index.rows(),
+                rows,
+                "index does not cover the scanned matrix"
+            );
+            assert_eq!(
+                index.centroids().words_per_row(),
+                words_per_row,
+                "index row width mismatch"
+            );
+        }
+        if let Some(sliced) = sliced {
+            assert_eq!(sliced.len(), rows, "bit-sliced mirror row mismatch");
+            assert_eq!(
+                sliced.words_per_row(),
+                words_per_row,
+                "bit-sliced mirror width mismatch"
+            );
+        }
+        let resolved = match strategy {
             ScanStrategy::Direct => ResolvedScan::Direct,
             ScanStrategy::Cascade => ResolvedScan::Cascade,
             ScanStrategy::BitSliced => match sliced {
@@ -287,6 +302,41 @@ impl ScanStrategy {
                 },
                 _ => ResolvedScan::Direct,
             },
+        };
+        ScanPlan {
+            backend,
+            resolved,
+            index,
+            sliced,
+            shape: (index.is_some() || sliced.is_some()).then_some((rows, words_per_row)),
+        }
+    }
+
+    /// The direct scan on the [`active_backend`], with nothing attached.
+    pub fn direct() -> ScanPlan<'static> {
+        ScanPlan {
+            backend: active_backend(),
+            resolved: ResolvedScan::Direct,
+            index: None,
+            sliced: None,
+            shape: None,
+        }
+    }
+
+    /// The traversal this plan runs.
+    pub fn resolved(&self) -> ResolvedScan {
+        self.resolved
+    }
+
+    /// Asserts that `packed` is the matrix the attached index or mirror
+    /// covers.
+    fn check(&self, packed: &PackedRows) {
+        if let Some(shape) = self.shape {
+            assert_eq!(
+                shape,
+                (packed.len(), packed.words_per_row()),
+                "scan plan covers a different matrix"
+            );
         }
     }
 }
@@ -303,11 +353,11 @@ pub const BITSLICED_MIN_ROWS: usize = 4_096;
 /// cluster, so on average half the groups cannot prune; the exact
 /// distances of a sparse sample give a second-smallest that is ≥ the
 /// scan's final runner-up (a subset's second-smallest is ≥ the
-/// union's — the [`SharedBound`] soundness argument), so pruning with
-/// it stays bit-identical while firing from the very first group.
+/// union's), so pruning with it stays bit-identical while firing from
+/// the very first group.
 const BITSLICED_PILOT_SAMPLES: usize = 256;
 
-/// Range floor for the pilot: below this the sample would be a large
+/// Row floor for the pilot: below this the sample would be a large
 /// fraction of the rows and the seed cannot pay for itself.
 const BITSLICED_PILOT_MIN_ROWS: usize = 2_048;
 
@@ -333,13 +383,14 @@ thread_local! {
     static CASCADE_SCRATCH: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Read-only access to a matrix of packed rows, by global row index.
+/// Read-only access to a matrix of packed rows, by row index.
 ///
 /// [`PackedRows`] is the canonical contiguous implementation; callers
 /// that keep rows in several non-contiguous allocations (e.g. the
 /// chunked delta storage behind ham-core's versioned memory) implement
-/// this instead, so the [`BucketIndex`] walks — which touch rows one
-/// member at a time anyway — can scan them without a copy. Rows must be
+/// this instead, so index maintenance ([`BucketIndex::assign_row`]) and
+/// the bit-sliced transpose ([`BitSlicedRows::from_source`]) can read
+/// them without a copy. Rows must be
 /// packed exactly like [`PackedRows`] rows: `words_per_row` little-
 /// endian `u64` words with tail bits beyond the dimension zero.
 pub trait RowSource {
@@ -395,10 +446,9 @@ impl RowSource for PackedRows {
 /// rows.push(a.as_words());
 /// rows.push(b.as_words());
 ///
-/// let hit = rows.scan_min2(b.as_words()).unwrap();
-/// assert_eq!(hit.best, 1);
-/// assert_eq!(hit.best_distance, 0);
-/// assert_eq!(hit.runner_up, Some(130));
+/// let mut distances = Vec::new();
+/// rows.distances_into(b.as_words(), None, &mut distances);
+/// assert_eq!(distances, [130, 0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedRows {
@@ -529,438 +579,207 @@ impl PackedRows {
     }
 
     /// Exact distance from `query` to every row, in row order — the full
-    /// (non-abandoning) scan backing APIs that need all `C` distances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` has the wrong word count.
-    pub fn distances(&self, query: &[u64]) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.distances_into(query, &mut out);
-        out
-    }
-
-    /// [`distances`](Self::distances) into a caller-owned buffer, so hot
-    /// loops (batch workers) pay the `Vec` allocation once per
-    /// worker instead of once per query. The buffer is cleared first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` has the wrong word count.
-    pub fn distances_into(&self, query: &[u64], out: &mut Vec<usize>) {
-        assert_eq!(query.len(), self.words_per_row, "query word count mismatch");
-        let backend = active_backend();
-        out.clear();
-        out.extend(self.iter_rows().map(|row| {
-            backend
-                .bounded_distance(row, query, usize::MAX)
-                .expect("unbounded distance never abandons")
-        }));
-    }
-
-    /// Masked distances from `query` to every row, in row order.
+    /// (non-abandoning) scan backing APIs that need all `C` distances —
+    /// restricted to the positions set in `mask` when one is given. The
+    /// buffer is cleared first, so hot loops (batch workers) pay the
+    /// `Vec` allocation once per worker instead of once per query.
     ///
     /// # Panics
     ///
     /// Panics if `query` or `mask` has the wrong word count.
-    pub fn distances_masked(&self, query: &[u64], mask: &[u64]) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.distances_masked_into(query, mask, &mut out);
-        out
-    }
-
-    /// [`distances_masked`](Self::distances_masked) into a caller-owned
-    /// buffer. The buffer is cleared first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` or `mask` has the wrong word count.
-    pub fn distances_masked_into(&self, query: &[u64], mask: &[u64], out: &mut Vec<usize>) {
+    pub fn distances_into(&self, query: &[u64], mask: Option<&[u64]>, out: &mut Vec<usize>) {
         assert_eq!(query.len(), self.words_per_row, "query word count mismatch");
-        assert_eq!(mask.len(), self.words_per_row, "mask word count mismatch");
+        if let Some(mask) = mask {
+            assert_eq!(mask.len(), self.words_per_row, "mask word count mismatch");
+        }
         let backend = active_backend();
         out.clear();
         out.extend(self.iter_rows().map(|row| {
-            backend
-                .bounded_distance_masked(row, query, mask, usize::MAX)
-                .expect("unbounded distance never abandons")
+            match mask {
+                None => backend.bounded_distance(row, query, usize::MAX),
+                Some(mask) => backend.bounded_distance_masked(row, query, mask, usize::MAX),
+            }
+            .expect("unbounded distance never abandons")
         }));
     }
 
-    /// Fused single-pass nearest + runner-up scan with early abandonment.
+    /// Fused nearest + runner-up scan, run the way `plan` resolved, with
+    /// the distance restricted to the positions set in `mask` when one
+    /// is given (the kernel behind sampled D-HAM/R-HAM style search).
+    /// Pruning telemetry accumulates into `counters` when given.
     ///
-    /// Rows are scored through the [`active_backend`]; a row is abandoned
-    /// once a lower bound on its partial distance strictly exceeds the
-    /// current runner-up bound. Distance is monotone in the number of
-    /// scanned words and the lower bound never exceeds the true partial,
-    /// so an abandoned row's final distance provably exceeds the final
-    /// runner-up — abandonment can change neither the winner, nor the
+    /// Every plan except [`ResolvedScan::Indexed`] with `Some(nprobe)`
+    /// returns the same bits. The direct scan abandons a row once a
+    /// lower bound on its partial distance strictly exceeds the current
+    /// runner-up bound: distance is monotone in the number of scanned
+    /// words and the lower bound never exceeds the true partial, so an
+    /// abandoned row's final distance provably exceeds the final
+    /// runner-up, and abandonment can change neither the winner, nor the
     /// runner-up, nor either reported distance. Ties resolve to the
-    /// lowest row index. No index or mirror is passed, so
-    /// [`ScanStrategy::Auto`] always resolves to the direct scan here; the
-    /// other traversals take an explicit strategy
-    /// ([`scan_min2_with`](Self::scan_min2_with)) or an index and mirror
-    /// ([`scan_min2_planned_sliced`](Self::scan_min2_planned_sliced)).
+    /// lowest row index.
     ///
-    /// Returns `None` when the matrix is empty.
+    /// Returns `None` exactly when the matrix is empty.
     ///
     /// # Panics
     ///
-    /// Panics if `query` has the wrong word count.
-    pub fn scan_min2(&self, query: &[u64]) -> Option<Min2> {
-        self.scan_min2_with(
-            active_backend(),
-            ScanStrategy::Auto,
-            query,
-            None,
-            0..self.rows,
-        )
-    }
-
-    /// [`scan_min2`](Self::scan_min2) restricted to the positions set in
-    /// `mask` — the kernel behind sampled (D-HAM/R-HAM style) search.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` or `mask` has the wrong word count.
-    pub fn scan_min2_masked(&self, query: &[u64], mask: &[u64]) -> Option<Min2> {
-        self.scan_min2_with(
-            active_backend(),
-            ScanStrategy::Auto,
-            query,
-            Some(mask),
-            0..self.rows,
-        )
-    }
-
-    /// [`scan_min2`](Self::scan_min2) restricted to the rows in
-    /// `range`. The returned indices are **global** row indices, so
-    /// partial results from disjoint ranges merge directly through
-    /// [`Min2::merge`].
-    ///
-    /// Returns `None` when the range is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` has the wrong word count or `range` exceeds the
-    /// stored rows.
-    pub fn scan_min2_range(&self, query: &[u64], range: std::ops::Range<usize>) -> Option<Min2> {
-        self.scan_min2_with(active_backend(), ScanStrategy::Auto, query, None, range)
-    }
-
-    /// The fully explicit scan: any [`DistanceBackend`], any
-    /// [`ScanStrategy`], optional mask, row range. Every convenience scan
-    /// above delegates here; benchmarks and the equivalence suites use it
-    /// to pin backend × strategy pairs. Results are bit-identical across
-    /// all backend × strategy combinations.
-    ///
-    /// Returns `None` when the range is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` or `mask` has the wrong word count or `range`
-    /// exceeds the stored rows.
-    pub fn scan_min2_with(
+    /// Panics if `query` or `mask` has the wrong word count, or `plan`
+    /// holds an index or mirror built for a different matrix.
+    pub fn min2(
         &self,
-        backend: &dyn DistanceBackend,
-        strategy: ScanStrategy,
+        plan: &ScanPlan<'_>,
         query: &[u64],
         mask: Option<&[u64]>,
-        range: std::ops::Range<usize>,
-    ) -> Option<Min2> {
-        self.scan_min2_planned(backend, strategy, None, query, mask, range, None)
-    }
-
-    /// The index-aware scan every search path routes through: resolves
-    /// `strategy` against the (optional) [`BucketIndex`] — the one
-    /// place the [`ScanStrategy::Auto`] decision rule lives — and
-    /// accumulates pruning telemetry into `counters` when given.
-    ///
-    /// `index` must have been built over exactly this matrix (same row
-    /// count and width); it is ignored by the non-indexed strategies.
-    /// Results are bit-identical to [`scan_min2`](Self::scan_min2) for
-    /// every strategy except [`ScanStrategy::Probe`].
-    ///
-    /// Returns `None` when the range is empty, or in probe mode when
-    /// no probed bucket intersects it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` or `mask` has the wrong word count, `range`
-    /// exceeds the stored rows, or `index` does not cover this matrix.
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_min2_planned(
-        &self,
-        backend: &dyn DistanceBackend,
-        strategy: ScanStrategy,
-        index: Option<&BucketIndex>,
-        query: &[u64],
-        mask: Option<&[u64]>,
-        range: std::ops::Range<usize>,
         counters: Option<&mut ScanCounters>,
-    ) -> Option<Min2> {
-        self.scan_min2_planned_sliced(backend, strategy, index, None, query, mask, range, counters)
-    }
-
-    /// [`scan_min2_planned`](Self::scan_min2_planned) made aware of an
-    /// optional [`BitSlicedRows`] mirror, routing the
-    /// [`ScanStrategy::BitSliced`] family through the columnwise scan.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`scan_min2_planned`](Self::scan_min2_planned),
-    /// plus: `sliced` must mirror exactly this matrix (same row count
-    /// and width).
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_min2_planned_sliced(
-        &self,
-        backend: &dyn DistanceBackend,
-        strategy: ScanStrategy,
-        index: Option<&BucketIndex>,
-        sliced: Option<&BitSlicedRows>,
-        query: &[u64],
-        mask: Option<&[u64]>,
-        range: std::ops::Range<usize>,
-        mut counters: Option<&mut ScanCounters>,
     ) -> Option<Min2> {
         assert_eq!(query.len(), self.words_per_row, "query word count mismatch");
         if let Some(mask) = mask {
             assert_eq!(mask.len(), self.words_per_row, "mask word count mismatch");
         }
-        assert!(range.end <= self.rows, "row range out of bounds");
-        if range.is_empty() {
+        plan.check(self);
+        if self.is_empty() {
             return None;
         }
-        if let Some(sliced) = sliced {
-            assert_eq!(sliced.len(), self.rows, "bit-sliced mirror row mismatch");
-            assert_eq!(
-                sliced.words_per_row(),
-                self.words_per_row,
-                "bit-sliced mirror width mismatch"
-            );
-        }
-        match strategy.resolve_full(index, sliced, self.dim) {
-            ResolvedScan::Direct => {
-                if let Some(counters) = counters.as_deref_mut() {
-                    counters.rows_scanned += range.len() as u64;
-                }
-                self.scan_min2_direct(backend, query, mask, range)
-            }
-            ResolvedScan::Cascade => {
-                if let Some(counters) = counters.as_deref_mut() {
-                    counters.rows_scanned += range.len() as u64;
-                }
-                self.scan_min2_cascade(backend, query, mask, range)
-            }
-            ResolvedScan::BitSliced => {
-                let sliced = sliced.expect("resolved BitSliced implies a mirror");
-                // Seed the group-pruning bound from a sparse row-major
-                // pilot sample (see [`BITSLICED_PILOT_SAMPLES`]): the
-                // sample's second-smallest exact distance is ≥ the
-                // final runner-up, so the columnwise pass prunes from
-                // the first group without its result changing by a
-                // bit. Pilot rows are bound-seeding overhead, not part
-                // of the traversal, so the counters still partition
-                // the range into scanned vs group-pruned.
-                let bound = SharedBound::unbounded();
-                if range.len() >= BITSLICED_PILOT_MIN_ROWS {
-                    let stride = range.len() / BITSLICED_PILOT_SAMPLES;
-                    let mut smallest = usize::MAX;
-                    let mut second = usize::MAX;
-                    let mut at = range.start + stride / 2;
-                    while at < range.end {
-                        // Abandon a sample once it cannot tighten the
-                        // seed: a dropped sample only loosens (never
-                        // unsounds) the resulting bound.
-                        let cap = second.min(bound.get()).saturating_sub(1);
-                        let row = self.row_words(at);
-                        let distance = match mask {
-                            Some(mask) => backend.bounded_distance_masked(row, query, mask, cap),
-                            None => backend.bounded_distance(row, query, cap),
-                        };
-                        if let Some(distance) = distance {
-                            if distance < smallest {
-                                second = smallest;
-                                smallest = distance;
-                            } else if distance < second {
-                                second = distance;
-                            }
-                        }
-                        at += stride;
-                    }
-                    if second != usize::MAX {
-                        bound.tighten(second);
-                    }
-                }
-                sliced.scan_min2(backend, query, mask, range, counters, Some(&bound))
-            }
-            ResolvedScan::Indexed { nprobe } => index
-                .expect("resolved Indexed implies an index")
-                .scan_min2(self, backend, query, mask, range, nprobe, counters),
-        }
-    }
-
-    /// Index-aware ranked scan, the [`scan_min2_planned`] analogue of
-    /// [`top_k_range_into`](Self::top_k_range_into): identical output
-    /// for every strategy except [`ScanStrategy::Probe`] (the cascade
-    /// has no ranked form and resolves to the direct ranking, which is
-    /// exact).
-    ///
-    /// [`scan_min2_planned`]: Self::scan_min2_planned
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`scan_min2_planned`](Self::scan_min2_planned).
-    #[allow(clippy::too_many_arguments)]
-    pub fn top_k_planned(
-        &self,
-        backend: &dyn DistanceBackend,
-        strategy: ScanStrategy,
-        index: Option<&BucketIndex>,
-        query: &[u64],
-        range: std::ops::Range<usize>,
-        k: usize,
-        ranked: &mut Vec<(usize, usize)>,
-        counters: Option<&mut ScanCounters>,
-    ) {
-        self.top_k_planned_sliced(
-            backend, strategy, index, None, query, range, k, ranked, counters,
-        )
-    }
-
-    /// [`top_k_planned`](Self::top_k_planned) made aware of an optional
-    /// [`BitSlicedRows`] mirror, routing the
-    /// [`ScanStrategy::BitSliced`] family through the columnwise
-    /// ranked scan. (No shared bound: a runner-up bound is only sound
-    /// for min-2 scans.)
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`scan_min2_planned_sliced`].
-    ///
-    /// [`scan_min2_planned_sliced`]: Self::scan_min2_planned_sliced
-    #[allow(clippy::too_many_arguments)]
-    pub fn top_k_planned_sliced(
-        &self,
-        backend: &dyn DistanceBackend,
-        strategy: ScanStrategy,
-        index: Option<&BucketIndex>,
-        sliced: Option<&BitSlicedRows>,
-        query: &[u64],
-        range: std::ops::Range<usize>,
-        k: usize,
-        ranked: &mut Vec<(usize, usize)>,
-        counters: Option<&mut ScanCounters>,
-    ) {
-        if let Some(sliced) = sliced {
-            assert_eq!(sliced.len(), self.rows, "bit-sliced mirror row mismatch");
-            assert_eq!(
-                sliced.words_per_row(),
-                self.words_per_row,
-                "bit-sliced mirror width mismatch"
-            );
-        }
-        match strategy.resolve_full(index, sliced, self.dim) {
-            ResolvedScan::Indexed { nprobe } => {
-                let index = index.expect("resolved Indexed implies an index");
-                index.top_k_into(self, backend, query, range, k, nprobe, counters, ranked);
-            }
-            ResolvedScan::BitSliced => {
-                let sliced = sliced.expect("resolved BitSliced implies a mirror");
-                sliced.top_k_into(backend, query, range, k, counters, ranked);
-            }
+        let backend = plan.backend;
+        match plan.resolved {
             ResolvedScan::Direct | ResolvedScan::Cascade => {
-                if k > 0 && !range.is_empty() {
-                    if let Some(counters) = counters {
-                        counters.rows_scanned += range.len() as u64;
-                    }
+                if let Some(counters) = counters {
+                    counters.rows_scanned += self.rows as u64;
                 }
-                self.top_k_range_into(query, range, k, ranked);
+                Some(match plan.resolved {
+                    ResolvedScan::Cascade => self.min2_cascade(backend, query, mask),
+                    _ => self.min2_direct(backend, query, mask),
+                })
             }
+            ResolvedScan::BitSliced => {
+                let sliced = plan.sliced.expect("resolved BitSliced implies a mirror");
+                sliced.scan_min2(
+                    backend,
+                    query,
+                    mask,
+                    self.pilot_seed(backend, query, mask),
+                    counters,
+                )
+            }
+            ResolvedScan::Indexed { nprobe } => Some(
+                plan.index
+                    .expect("resolved Indexed implies an index")
+                    .scan_min2(self, backend, query, mask, nprobe, counters),
+            ),
         }
     }
 
-    /// The `k` nearest rows of `range` as `(global row, distance)` pairs
-    /// in increasing `(distance, row)` order — the **one** tie-break rule
-    /// behind [`AssociativeMemory::search_top_k`], so ranked lists from
-    /// disjoint ranges concatenate,
-    /// re-sort and truncate into exactly the serial ranking.
+    /// The `k` nearest rows as `(row, distance)` pairs in increasing
+    /// `(distance, row)` order — the **one** tie-break rule behind
+    /// [`AssociativeMemory::search_top_k`] — run the way `plan`
+    /// resolved. Identical for every plan except
+    /// [`ResolvedScan::Indexed`] with `Some(nprobe)`; the cascade has no
+    /// ranked form and runs the direct ranking, which is exact.
     ///
-    /// Returns fewer than `k` pairs when the range is shorter, and an
-    /// empty list for `k == 0`.
+    /// The buffer is cleared first and holds `min(k, rows)` pairs on
+    /// return, so a hot loop ranks thousands of queries without a `Vec`
+    /// allocation each; `k == 0` ranks nothing.
     ///
     /// [`AssociativeMemory::search_top_k`]: crate::am::AssociativeMemory::search_top_k
     ///
     /// # Panics
     ///
-    /// Panics if `query` has the wrong word count or `range` exceeds the
-    /// stored rows.
-    pub fn top_k_range(
+    /// Panics if `query` has the wrong word count, or `plan` holds an
+    /// index or mirror built for a different matrix.
+    pub fn top_k(
         &self,
+        plan: &ScanPlan<'_>,
         query: &[u64],
-        range: std::ops::Range<usize>,
-        k: usize,
-    ) -> Vec<(usize, usize)> {
-        let mut ranked = Vec::new();
-        self.top_k_range_into(query, range, k, &mut ranked);
-        ranked
-    }
-
-    /// [`top_k_range`](Self::top_k_range) into a caller-owned buffer, so
-    /// a hot loop ranks thousands of queries without a `Vec` allocation
-    /// each. The buffer is cleared first and holds at most `k` pairs on
-    /// return.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` has the wrong word count or `range` exceeds the
-    /// stored rows.
-    pub fn top_k_range_into(
-        &self,
-        query: &[u64],
-        range: std::ops::Range<usize>,
         k: usize,
         ranked: &mut Vec<(usize, usize)>,
+        counters: Option<&mut ScanCounters>,
     ) {
         assert_eq!(query.len(), self.words_per_row, "query word count mismatch");
-        assert!(range.end <= self.rows, "row range out of bounds");
-        ranked.clear();
-        if k == 0 || range.is_empty() {
-            return;
-        }
-        let backend = active_backend();
-        let start = range.start;
-        ranked.extend(
-            self.words[start * self.words_per_row..range.end * self.words_per_row]
-                .chunks_exact(self.words_per_row)
-                .enumerate()
-                .map(|(offset, row)| {
+        plan.check(self);
+        let backend = plan.backend;
+        match plan.resolved {
+            ResolvedScan::Indexed { nprobe } => plan
+                .index
+                .expect("resolved Indexed implies an index")
+                .top_k_into(self, backend, query, k, nprobe, counters, ranked),
+            ResolvedScan::BitSliced => plan
+                .sliced
+                .expect("resolved BitSliced implies a mirror")
+                .top_k_into(backend, query, k, counters, ranked),
+            ResolvedScan::Direct | ResolvedScan::Cascade => {
+                ranked.clear();
+                if k == 0 || self.is_empty() {
+                    return;
+                }
+                if let Some(counters) = counters {
+                    counters.rows_scanned += self.rows as u64;
+                }
+                ranked.extend(self.iter_rows().enumerate().map(|(row, words)| {
                     let distance = backend
-                        .bounded_distance(row, query, usize::MAX)
+                        .bounded_distance(words, query, usize::MAX)
                         .expect("unbounded distance never abandons");
-                    (start + offset, distance)
-                }),
-        );
-        ranked.sort_by_key(|&(row, distance)| (distance, row));
-        ranked.truncate(k);
+                    (row, distance)
+                }));
+                ranked.sort_by_key(|&(row, distance)| (distance, row));
+                ranked.truncate(k);
+            }
+        }
     }
 
-    /// Direct strategy: one bounded pass per row in index order.
-    fn scan_min2_direct(
+    /// The seed bound of the bit-sliced scan: the second-smallest exact
+    /// distance of a sparse row-major pilot sample (see
+    /// [`BITSLICED_PILOT_SAMPLES`]), or `usize::MAX` below the pilot's
+    /// row floor. The sample's second-smallest is ≥ the final runner-up
+    /// (a subset's second-smallest is ≥ the union's), so the columnwise
+    /// pass prunes from the first group without its result changing by
+    /// a bit. Pilot rows are bound-seeding overhead, not part of the
+    /// traversal, so the counters still partition the rows into
+    /// scanned vs group-pruned.
+    fn pilot_seed(
         &self,
         backend: &dyn DistanceBackend,
         query: &[u64],
         mask: Option<&[u64]>,
-        range: std::ops::Range<usize>,
-    ) -> Option<Min2> {
-        let start = range.start;
-        let rows = self.words[start * self.words_per_row..range.end * self.words_per_row]
-            .chunks_exact(self.words_per_row);
+    ) -> usize {
+        if self.rows < BITSLICED_PILOT_MIN_ROWS {
+            return usize::MAX;
+        }
+        let stride = self.rows / BITSLICED_PILOT_SAMPLES;
+        let mut smallest = usize::MAX;
+        let mut second = usize::MAX;
+        let mut at = stride / 2;
+        while at < self.rows {
+            // Abandon a sample once it cannot tighten the seed: a
+            // dropped sample only loosens (never unsounds) the bound.
+            let cap = second.saturating_sub(1);
+            let row = self.row_words(at);
+            let distance = match mask {
+                Some(mask) => backend.bounded_distance_masked(row, query, mask, cap),
+                None => backend.bounded_distance(row, query, cap),
+            };
+            if let Some(distance) = distance {
+                if distance < smallest {
+                    second = smallest;
+                    smallest = distance;
+                } else if distance < second {
+                    second = distance;
+                }
+            }
+            at += stride;
+        }
+        second
+    }
+
+    /// Direct strategy: one bounded pass per row in index order.
+    fn min2_direct(
+        &self,
+        backend: &dyn DistanceBackend,
+        query: &[u64],
+        mask: Option<&[u64]>,
+    ) -> Min2 {
         let mut best = 0usize;
         let mut best_distance = usize::MAX;
         let mut runner_up = usize::MAX;
-        for (offset, row) in rows.enumerate() {
-            let index = start + offset;
+        for (index, row) in self.iter_rows().enumerate() {
             // A row whose distance strictly exceeds the runner-up cannot
             // affect the result, so the kernel may stop counting it as
             // soon as that is provable (and `None`/larger distances fall
@@ -978,16 +797,16 @@ impl PackedRows {
                 runner_up = distance;
             }
         }
-        Some(Min2 {
+        Min2 {
             best,
             best_distance,
             runner_up: (runner_up != usize::MAX).then_some(runner_up),
-        })
+        }
     }
 
     /// The seeded structured-sample window `[offset, offset + len)`, in
     /// words. Deterministic per row width, so every scan of a matrix
-    /// (and of any of its row ranges) samples the same columns.
+    /// samples the same columns.
     fn cascade_window(&self) -> (usize, usize) {
         let len = (self.words_per_row / CASCADE_WINDOW_DENOM)
             .max(CASCADE_WINDOW_MIN_WORDS)
@@ -1029,17 +848,15 @@ impl PackedRows {
     /// *final* runner-up and can influence neither reported field. Best
     /// and runner-up are tracked by `(distance, row)`, making the result
     /// independent of traversal order and therefore bit-identical to
-    /// [`scan_min2_direct`](Self::scan_min2_direct).
-    fn scan_min2_cascade(
+    /// [`min2_direct`](Self::min2_direct).
+    fn min2_cascade(
         &self,
         backend: &dyn DistanceBackend,
         query: &[u64],
         mask: Option<&[u64]>,
-        range: std::ops::Range<usize>,
-    ) -> Option<Min2> {
+    ) -> Min2 {
         let (off, len) = self.cascade_window();
         let end = off + len;
-        let wpr = self.words_per_row;
         // Full distance of the row via its complement words, or `None`
         // when provably above `sampled + budget` (the row then cannot
         // matter to min2 given the runner-up the budget came from).
@@ -1092,11 +909,7 @@ impl PackedRows {
         CASCADE_SCRATCH.with(|cell| {
             let order = &mut *cell.borrow_mut();
             order.clear();
-            let start = range.start;
-            for (offset, row) in self.words[start * wpr..range.end * wpr]
-                .chunks_exact(wpr)
-                .enumerate()
-            {
+            for (index, row) in self.iter_rows().enumerate() {
                 let sampled = match mask {
                     None => backend.bounded_distance(&row[off..end], &query[off..end], usize::MAX),
                     Some(mask) => backend.bounded_distance_masked(
@@ -1107,7 +920,7 @@ impl PackedRows {
                     ),
                 }
                 .expect("unbounded distance never abandons");
-                order.push((sampled, start + offset));
+                order.push((sampled, index));
             }
             // Seeds: the two smallest (sampled, row) pairs — the rows the
             // sorted walk would have visited first.
@@ -1156,11 +969,11 @@ impl PackedRows {
                     );
                 }
             }
-            Some(Min2 {
+            Min2 {
                 best,
                 best_distance,
                 runner_up: (runner_up != usize::MAX).then_some(runner_up),
-            })
+            }
         })
     }
 }
@@ -1188,6 +1001,25 @@ mod tests {
             out.push(row.as_words());
         }
         out
+    }
+
+    /// Every row's distance, optionally masked, through `distances_into`.
+    fn distances(packed: &PackedRows, query: &[u64], mask: Option<&[u64]>) -> Vec<usize> {
+        let mut out = Vec::new();
+        packed.distances_into(query, mask, &mut out);
+        out
+    }
+
+    /// The direct min-2 scan.
+    fn scan(packed: &PackedRows, query: &[u64], mask: Option<&[u64]>) -> Option<Min2> {
+        packed.min2(&ScanPlan::direct(), query, mask, None)
+    }
+
+    /// The direct ranking.
+    fn ranking(packed: &PackedRows, query: &[u64], k: usize) -> Vec<(usize, usize)> {
+        let mut ranked = Vec::new();
+        packed.top_k(&ScanPlan::direct(), query, k, &mut ranked, None);
+        ranked
     }
 
     /// Reference min/runner-up over a full distance list.
@@ -1257,10 +1089,9 @@ mod tests {
             let rows: Vec<BitVec> = (0..c).map(|i| pseudo_bits(d, i * 11 + 1)).collect();
             let packed = packed_from(&rows);
             let query = pseudo_bits(d, 999);
-            let distances = packed.distances(query.as_words());
-            let expected = reference_min2(&distances);
+            let expected = reference_min2(&distances(&packed, query.as_words(), None));
             assert_eq!(
-                packed.scan_min2(query.as_words()),
+                scan(&packed, query.as_words(), None),
                 Some(expected),
                 "{c}x{d}"
             );
@@ -1282,9 +1113,8 @@ mod tests {
         let mut rows = vec![near, nearer];
         rows.extend((0..30).map(|i| pseudo_bits(d, i + 100)));
         let packed = packed_from(&rows);
-        let distances = packed.distances(query.as_words());
-        let expected = reference_min2(&distances);
-        let got = packed.scan_min2(query.as_words()).unwrap();
+        let expected = reference_min2(&distances(&packed, query.as_words(), None));
+        let got = scan(&packed, query.as_words(), None).unwrap();
         assert_eq!(got, expected);
         assert_eq!(got.best, 0);
         assert_eq!(got.best_distance, 1);
@@ -1296,7 +1126,7 @@ mod tests {
         let d = 256;
         let row = pseudo_bits(d, 1);
         let packed = packed_from(&[row.clone(), row.clone(), row.clone()]);
-        let hit = packed.scan_min2(row.as_words()).unwrap();
+        let hit = scan(&packed, row.as_words(), None).unwrap();
         assert_eq!(hit.best, 0);
         assert_eq!(hit.best_distance, 0);
         assert_eq!(hit.runner_up, Some(0));
@@ -1306,7 +1136,7 @@ mod tests {
     fn single_row_has_no_runner_up() {
         let row = pseudo_bits(100, 1);
         let packed = packed_from(std::slice::from_ref(&row));
-        let hit = packed.scan_min2(row.as_words()).unwrap();
+        let hit = scan(&packed, row.as_words(), None).unwrap();
         assert_eq!(hit.best, 0);
         assert_eq!(hit.runner_up, None);
     }
@@ -1315,7 +1145,7 @@ mod tests {
     fn empty_matrix_scans_to_none() {
         let packed = PackedRows::new(64);
         assert!(packed.is_empty());
-        assert_eq!(packed.scan_min2(&[0u64]), None);
+        assert_eq!(scan(&packed, &[0u64], None), None);
     }
 
     #[test]
@@ -1325,10 +1155,9 @@ mod tests {
         let packed = packed_from(&rows);
         let query = pseudo_bits(d, 77);
         let mask = pseudo_bits(d, 78);
-        let distances = packed.distances_masked(query.as_words(), mask.as_words());
-        let expected = reference_min2(&distances);
+        let expected = reference_min2(&distances(&packed, query.as_words(), Some(mask.as_words())));
         assert_eq!(
-            packed.scan_min2_masked(query.as_words(), mask.as_words()),
+            scan(&packed, query.as_words(), Some(mask.as_words())),
             Some(expected)
         );
     }
@@ -1373,102 +1202,23 @@ mod tests {
         packed.replace(0, &[0u64, 1 << 63]);
     }
 
-    /// Splits `0..rows` into `k` contiguous chunks the way a shard plan
-    /// does.
-    fn ranges(rows: usize, k: usize) -> Vec<std::ops::Range<usize>> {
-        let chunk = rows.div_ceil(k);
-        (0..k)
-            .map(|i| (i * chunk).min(rows)..((i + 1) * chunk).min(rows))
-            .collect()
-    }
-
     #[test]
-    fn range_scans_merge_to_the_serial_scan() {
-        let d = 777;
-        let rows: Vec<BitVec> = (0..23).map(|i| pseudo_bits(d, i * 3 + 1)).collect();
-        let packed = packed_from(&rows);
-        let query = pseudo_bits(d, 500);
-        let mask = pseudo_bits(d, 501);
-        let serial = packed.scan_min2(query.as_words());
-        let serial_masked = packed.scan_min2_masked(query.as_words(), mask.as_words());
-        for k in [1usize, 2, 3, 7, 23, 40] {
-            let parts = ranges(rows.len(), k)
-                .into_iter()
-                .filter_map(|r| packed.scan_min2_range(query.as_words(), r));
-            assert_eq!(Min2::merge(parts), serial, "k={k}");
-            let parts = ranges(rows.len(), k).into_iter().filter_map(|r| {
-                packed.scan_min2_with(
-                    active_backend(),
-                    ScanStrategy::Auto,
-                    query.as_words(),
-                    Some(mask.as_words()),
-                    r,
-                )
-            });
-            assert_eq!(Min2::merge(parts), serial_masked, "masked k={k}");
-        }
-    }
-
-    #[test]
-    fn range_scan_indices_are_global_and_empty_ranges_yield_none() {
-        let rows: Vec<BitVec> = (0..6).map(|i| pseudo_bits(200, i + 1)).collect();
-        let packed = packed_from(&rows);
-        // Query row 4 exactly: a scan over 3..6 must report global index 4.
-        let hit = packed.scan_min2_range(rows[4].as_words(), 3..6).unwrap();
-        assert_eq!(hit.best, 4);
-        assert_eq!(hit.best_distance, 0);
-        assert_eq!(packed.scan_min2_range(rows[0].as_words(), 2..2), None);
-        assert_eq!(Min2::merge(std::iter::empty()), None);
-    }
-
-    #[test]
-    fn merge_breaks_cross_shard_ties_to_the_lowest_global_index() {
-        let row = pseudo_bits(128, 9);
-        let other = pseudo_bits(128, 10);
-        // Identical winners in shards {0..2} and {2..4}: merged winner
-        // must be the lowest global index (0), runner-up its duplicate.
-        let packed = packed_from(&[row.clone(), other.clone(), row.clone(), other.clone()]);
-        let serial = packed.scan_min2(row.as_words()).unwrap();
-        let merged = Min2::merge(
-            [0..2, 2..4]
-                .into_iter()
-                .filter_map(|r| packed.scan_min2_range(row.as_words(), r)),
-        )
-        .unwrap();
-        assert_eq!(merged, serial);
-        assert_eq!(merged.best, 0);
-        assert_eq!(merged.runner_up, Some(0));
-        // Merge order must not matter.
-        let reversed = Min2::merge(
-            [2..4, 0..2]
-                .into_iter()
-                .filter_map(|r| packed.scan_min2_range(row.as_words(), r)),
-        )
-        .unwrap();
-        assert_eq!(reversed, serial);
-    }
-
-    #[test]
-    fn top_k_range_ranks_by_distance_then_row() {
+    fn top_k_ranks_by_distance_then_row() {
         let d = 300;
         let rows: Vec<BitVec> = (0..9).map(|i| pseudo_bits(d, i + 1)).collect();
         let packed = packed_from(&rows);
         let query = pseudo_bits(d, 42);
-        let full = packed.top_k_range(query.as_words(), 0..9, 9);
+        let full = ranking(&packed, query.as_words(), 9);
         assert_eq!(full.len(), 9);
         assert!(full.windows(2).all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)));
-        // Concatenating per-range rankings and re-sorting reproduces the
-        // serial top-k for every k — the sharded top-k contract.
+        // Every depth is a prefix of the full ranking.
         for k in [0usize, 1, 4, 9, 20] {
-            let mut gathered: Vec<(usize, usize)> = ranges(9, 3)
-                .into_iter()
-                .flat_map(|r| packed.top_k_range(query.as_words(), r, k))
-                .collect();
-            gathered.sort_by_key(|&(row, distance)| (distance, row));
-            gathered.truncate(k);
-            assert_eq!(gathered, packed.top_k_range(query.as_words(), 0..9, k));
+            assert_eq!(
+                ranking(&packed, query.as_words(), k),
+                full[..k.min(9)],
+                "k={k}"
+            );
         }
-        assert!(packed.top_k_range(query.as_words(), 4..4, 3).is_empty());
     }
 
     #[test]
@@ -1485,9 +1235,9 @@ mod tests {
         rows.extend((0..158).map(|i| pseudo_bits(d, i * 13 + 21)));
         let packed = packed_from(&rows);
         let mask = pseudo_bits(d, 1_000);
-        let expected = reference_min2(&packed.distances(query.as_words()));
+        let expected = reference_min2(&distances(&packed, query.as_words(), None));
         let expected_masked =
-            reference_min2(&packed.distances_masked(query.as_words(), mask.as_words()));
+            reference_min2(&distances(&packed, query.as_words(), Some(mask.as_words())));
         for backend in enabled_backends() {
             for strategy in [
                 ScanStrategy::Auto,
@@ -1502,19 +1252,14 @@ mod tests {
                 ScanStrategy::Probe { nprobe: 1 },
             ] {
                 let name = backend.name();
+                let plan = ScanPlan::new(backend, strategy, None, None, 160, d);
                 assert_eq!(
-                    packed.scan_min2_with(backend, strategy, query.as_words(), None, 0..160),
+                    packed.min2(&plan, query.as_words(), None, None),
                     Some(expected),
                     "{name} {strategy:?}"
                 );
                 assert_eq!(
-                    packed.scan_min2_with(
-                        backend,
-                        strategy,
-                        query.as_words(),
-                        Some(mask.as_words()),
-                        0..160
-                    ),
+                    packed.min2(&plan, query.as_words(), Some(mask.as_words()), None),
                     Some(expected_masked),
                     "masked {name} {strategy:?}"
                 );
@@ -1529,20 +1274,19 @@ mod tests {
         let packed = packed_from(&rows);
         let sliced = BitSlicedRows::from_packed(&packed);
         let query = pseudo_bits(d, 321);
-        let expected = reference_min2(&packed.distances(query.as_words()));
+        let expected = reference_min2(&distances(&packed, query.as_words(), None));
         // With the mirror attached, BitSliced resolves and agrees with
         // the reference; counters land in scanned/group-pruned.
-        let mut counters = ScanCounters::default();
-        let got = packed.scan_min2_planned_sliced(
+        let plan = ScanPlan::new(
             &scalar::Scalar,
             ScanStrategy::BitSliced,
             None,
             Some(&sliced),
-            query.as_words(),
-            None,
-            0..150,
-            Some(&mut counters),
+            150,
+            d,
         );
+        let mut counters = ScanCounters::default();
+        let got = packed.min2(&plan, query.as_words(), None, Some(&mut counters));
         assert_eq!(got, Some(expected));
         assert_eq!(
             counters.rows_scanned + counters.rows_group_pruned,
@@ -1550,28 +1294,15 @@ mod tests {
             "{counters:?}"
         );
         // Resolution is observable, and without a mirror it falls back.
+        assert_eq!(plan.resolved(), ResolvedScan::BitSliced);
         assert_eq!(
-            ScanStrategy::BitSliced.resolve_full(None, Some(&sliced), d),
-            ResolvedScan::BitSliced
-        );
-        assert_eq!(
-            ScanStrategy::BitSliced.resolve(None, d),
+            ScanPlan::new(&scalar::Scalar, ScanStrategy::BitSliced, None, None, 150, d).resolved(),
             ResolvedScan::Direct
         );
         // Ranked form matches the row-major ranking.
         let mut ranked = Vec::new();
-        packed.top_k_planned_sliced(
-            &scalar::Scalar,
-            ScanStrategy::BitSliced,
-            None,
-            Some(&sliced),
-            query.as_words(),
-            0..150,
-            7,
-            &mut ranked,
-            None,
-        );
-        assert_eq!(ranked, packed.top_k_range(query.as_words(), 0..150, 7));
+        packed.top_k(&plan, query.as_words(), 7, &mut ranked, None);
+        assert_eq!(ranked, ranking(&packed, query.as_words(), 7));
     }
 
     #[test]
@@ -1593,58 +1324,119 @@ mod tests {
             row.flip((i * 31) % d);
             rows.push(row);
         }
-        let packed = packed_from(&rows);
-        let index =
-            BucketIndex::build(&packed, &scalar::Scalar, IndexBuildOptions::default()).unwrap();
-        let stats = index.stats();
-        assert!(
-            stats.cascade_friendly(d) && !stats.pruning_friendly(d),
-            "stats = {stats:?}"
-        );
-        let mirror = BitSlicedRows::from_packed(&packed);
-        let small = packed_from(&rows[..64]);
-        let small_mirror = BitSlicedRows::from_packed(&small);
+        let auto = |rows: &[BitVec], mirrored: bool| {
+            let packed = packed_from(rows);
+            let index =
+                BucketIndex::build(&packed, &scalar::Scalar, IndexBuildOptions::default()).unwrap();
+            let stats = index.stats();
+            assert!(
+                stats.cascade_friendly(d) && !stats.pruning_friendly(d),
+                "stats = {stats:?}"
+            );
+            let mirror = mirrored.then(|| BitSlicedRows::from_packed(&packed));
+            ScanPlan::new(
+                &scalar::Scalar,
+                ScanStrategy::Auto,
+                Some(&index),
+                mirror.as_ref(),
+                rows.len(),
+                d,
+            )
+            .resolved()
+        };
+        assert_eq!(auto(&rows, true), ResolvedScan::BitSliced);
         assert_eq!(
-            ScanStrategy::Auto.resolve_full(Some(&index), Some(&mirror), d),
-            ResolvedScan::BitSliced
-        );
-        assert_eq!(
-            ScanStrategy::Auto.resolve_full(Some(&index), None, d),
+            auto(&rows, false),
             ResolvedScan::Cascade,
             "no mirror: the cascade keeps the cascade-friendly branch"
         );
         assert_eq!(
-            ScanStrategy::Auto.resolve_full(Some(&index), Some(&small_mirror), d),
+            auto(&rows[..BITSLICED_MIN_ROWS - 1], true),
             ResolvedScan::Cascade,
             "row floor: small mirrors do not amortize the group costs"
         );
     }
 
     #[test]
-    fn cascade_matches_direct_on_ranges_and_small_shapes() {
+    fn pilot_seed_keeps_the_runner_up_when_the_query_is_a_sample() {
+        // The query is the first pilot sample itself, so the sample's
+        // smallest distance is the winner's 0. Seeding with it would
+        // prune every group but the winner's and lose the true runner-up;
+        // the second-smallest sample keeps the answer exact.
+        let d = 1_024;
+        let rows: Vec<BitVec> = (0..BITSLICED_PILOT_MIN_ROWS as u64)
+            .map(|i| BitVec::from_bits((0..d as u64).map(|b| splitmix64(i << 32 ^ b) & 1 == 1)))
+            .collect();
+        let packed = packed_from(&rows);
+        let sliced = BitSlicedRows::from_packed(&packed);
+        let sampled = BITSLICED_PILOT_MIN_ROWS / BITSLICED_PILOT_SAMPLES / 2;
+        let query = rows[sampled].as_words();
+        let plan = ScanPlan::new(
+            &scalar::Scalar,
+            ScanStrategy::BitSliced,
+            None,
+            Some(&sliced),
+            rows.len(),
+            d,
+        );
+        let all = distances(&packed, query, None);
+        let expected = reference_min2(&all);
+        assert_eq!(expected.best, sampled);
+        let runner_up = (0..all.len())
+            .filter(|&row| row != sampled)
+            .min_by_key(|&row| all[row])
+            .unwrap();
+        assert!(
+            runner_up / GROUP_ROWS != sampled / GROUP_ROWS && Some(16) <= expected.runner_up,
+            "the runner-up must sit in another group, past one counter step"
+        );
+        assert_eq!(packed.min2(&plan, query, None, None), Some(expected));
+    }
+
+    #[test]
+    #[should_panic(expected = "bit-sliced mirror row mismatch")]
+    fn plans_reject_a_mirror_of_another_matrix() {
+        let rows: Vec<BitVec> = (0..5).map(|i| pseudo_bits(200, i + 1)).collect();
+        let sliced = BitSlicedRows::from_packed(&packed_from(&rows[..4]));
+        ScanPlan::new(
+            &scalar::Scalar,
+            ScanStrategy::BitSliced,
+            None,
+            Some(&sliced),
+            5,
+            200,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "scan plan covers a different matrix")]
+    fn plans_only_scan_the_matrix_they_cover() {
+        let rows: Vec<BitVec> = (0..5).map(|i| pseudo_bits(200, i + 1)).collect();
+        let small = packed_from(&rows[..4]);
+        let sliced = BitSlicedRows::from_packed(&small);
+        let plan = ScanPlan::new(
+            &scalar::Scalar,
+            ScanStrategy::BitSliced,
+            None,
+            Some(&sliced),
+            4,
+            200,
+        );
+        packed_from(&rows).min2(&plan, rows[0].as_words(), None, None);
+    }
+
+    #[test]
+    fn cascade_matches_direct_on_small_shapes() {
         // Shapes below the Auto thresholds, forced through the cascade:
         // the window clamps to the whole row and results must not change.
         for (c, d) in [(1usize, 70usize), (3, 64), (17, 300), (40, 1_100)] {
             let rows: Vec<BitVec> = (0..c).map(|i| pseudo_bits(d, i * 5 + 2)).collect();
             let packed = packed_from(&rows);
             let query = pseudo_bits(d, 888);
-            for range in [0..c, 0..c / 2, c / 3..c] {
-                let direct = packed.scan_min2_with(
-                    &scalar::Scalar,
-                    ScanStrategy::Direct,
-                    query.as_words(),
-                    None,
-                    range.clone(),
-                );
-                let cascade = packed.scan_min2_with(
-                    &scalar::Scalar,
-                    ScanStrategy::Cascade,
-                    query.as_words(),
-                    None,
-                    range.clone(),
-                );
-                assert_eq!(cascade, direct, "{c}x{d} range {range:?}");
-            }
+            let plan = |strategy| ScanPlan::new(&scalar::Scalar, strategy, None, None, c, d);
+            let direct = packed.min2(&plan(ScanStrategy::Direct), query.as_words(), None, None);
+            let cascade = packed.min2(&plan(ScanStrategy::Cascade), query.as_words(), None, None);
+            assert_eq!(cascade, direct, "{c}x{d}");
         }
     }
 
@@ -1656,15 +1448,8 @@ mod tests {
         let row = pseudo_bits(d, 4);
         let rows: Vec<BitVec> = (0..130).map(|_| row.clone()).collect();
         let packed = packed_from(&rows);
-        let hit = packed
-            .scan_min2_with(
-                &scalar::Scalar,
-                ScanStrategy::Cascade,
-                row.as_words(),
-                None,
-                0..130,
-            )
-            .unwrap();
+        let plan = ScanPlan::new(&scalar::Scalar, ScanStrategy::Cascade, None, None, 130, d);
+        let hit = packed.min2(&plan, row.as_words(), None, None).unwrap();
         assert_eq!(hit.best, 0);
         assert_eq!(hit.best_distance, 0);
         assert_eq!(hit.runner_up, Some(0));
@@ -1678,33 +1463,36 @@ mod tests {
         let q1 = pseudo_bits(d, 50);
         let q2 = pseudo_bits(d, 60);
         let mask = pseudo_bits(d, 70);
+        let naive = |query: &BitVec| -> Vec<usize> {
+            rows.iter()
+                .map(|row| naive_hamming(row.as_words(), query.as_words()))
+                .collect()
+        };
         let mut buffer = Vec::new();
-        packed.distances_into(q1.as_words(), &mut buffer);
-        assert_eq!(buffer, packed.distances(q1.as_words()));
+        packed.distances_into(q1.as_words(), None, &mut buffer);
+        assert_eq!(buffer, naive(&q1));
         // A second query through the same buffer replaces, not appends.
-        packed.distances_into(q2.as_words(), &mut buffer);
-        assert_eq!(buffer, packed.distances(q2.as_words()));
-        packed.distances_masked_into(q1.as_words(), mask.as_words(), &mut buffer);
-        assert_eq!(
-            buffer,
-            packed.distances_masked(q1.as_words(), mask.as_words())
-        );
+        packed.distances_into(q2.as_words(), None, &mut buffer);
+        assert_eq!(buffer, naive(&q2));
+        packed.distances_into(q1.as_words(), Some(mask.as_words()), &mut buffer);
+        let masked: Vec<usize> = rows
+            .iter()
+            .map(|row| hamming_words_masked(row.as_words(), q1.as_words(), mask.as_words()))
+            .collect();
+        assert_eq!(buffer, masked);
     }
 
     #[test]
-    fn top_k_range_into_matches_the_allocating_variant() {
+    fn top_k_clears_the_buffer_it_reuses() {
         let d = 400;
         let rows: Vec<BitVec> = (0..11).map(|i| pseudo_bits(d, i + 3)).collect();
         let packed = packed_from(&rows);
         let query = pseudo_bits(d, 9);
         let mut buffer = vec![(99usize, 99usize); 40];
         for k in [0usize, 1, 5, 11, 30] {
-            packed.top_k_range_into(query.as_words(), 0..11, k, &mut buffer);
-            assert_eq!(
-                buffer,
-                packed.top_k_range(query.as_words(), 0..11, k),
-                "k={k}"
-            );
+            packed.top_k(&ScanPlan::direct(), query.as_words(), k, &mut buffer, None);
+            assert_eq!(buffer, ranking(&packed, query.as_words(), k), "k={k}");
+            assert_eq!(buffer.len(), k.min(11), "k={k}");
         }
     }
 }

@@ -312,42 +312,38 @@ impl MultiBitRows {
     ///
     /// Panics if `query` has the wrong word count.
     pub fn scan_min2(&self, query: &[u64]) -> Option<Min2> {
-        self.scan_min2_with(active_backend(), query, None, 0..self.rows, None)
+        self.scan_min2_with(active_backend(), query, None, None)
     }
 
-    /// The fully explicit weighted scan: any backend, optional mask, row
-    /// range, optional [`ScanCounters`]. Ties resolve to the lowest row
-    /// index and abandonment never changes either reported field — the
-    /// same exactness contract as
-    /// [`PackedRows::scan_min2_with`](super::PackedRows::scan_min2_with),
+    /// The fully explicit weighted scan: any backend, optional mask,
+    /// optional [`ScanCounters`]. Ties resolve to the lowest row index
+    /// and abandonment never changes either reported field — the same
+    /// exactness contract as [`PackedRows::min2`](super::PackedRows::min2),
     /// held by `tests/weighted_equivalence.rs` across every enabled
     /// backend.
     ///
-    /// Returns `None` when the range is empty.
+    /// Returns `None` when the matrix is empty.
     ///
     /// # Panics
     ///
-    /// Panics if `query`/`mask` has the wrong word count or `range`
-    /// exceeds the stored rows.
+    /// Panics if `query`/`mask` has the wrong word count.
     pub fn scan_min2_with(
         &self,
         backend: &dyn DistanceBackend,
         query: &[u64],
         mask: Option<&[u64]>,
-        range: std::ops::Range<usize>,
         counters: Option<&mut ScanCounters>,
     ) -> Option<Min2> {
-        assert!(range.end <= self.rows, "row range out of bounds");
-        if range.is_empty() {
+        if self.is_empty() {
             return None;
         }
         if let Some(counters) = counters {
-            counters.rows_scanned += range.len() as u64;
+            counters.rows_scanned += self.rows as u64;
         }
         let mut best = 0usize;
         let mut best_distance = usize::MAX;
         let mut runner_up = usize::MAX;
-        for row in range {
+        for row in 0..self.rows {
             // A row strictly above the runner-up cannot change the
             // result; the bounded kernel may prove that early.
             let Some(distance) = self.bounded_distance_with(backend, row, query, mask, runner_up)
@@ -369,35 +365,31 @@ impl MultiBitRows {
         })
     }
 
-    /// The `k` nearest rows of `range` by weighted distance, as
-    /// `(row, distance)` pairs in increasing `(distance, row)` order —
-    /// the same tie rule as
-    /// [`PackedRows::top_k_range`](super::PackedRows::top_k_range), so
-    /// weighted and binary rankings merge under one contract. The buffer
-    /// is cleared first.
+    /// The `k` nearest rows by weighted distance, as `(row, distance)`
+    /// pairs in increasing `(distance, row)` order — the same tie rule
+    /// as [`PackedRows::top_k`](super::PackedRows::top_k), so weighted
+    /// and binary rankings follow one contract. The buffer is cleared
+    /// first.
     ///
     /// # Panics
     ///
-    /// Panics if `query` has the wrong word count or `range` exceeds the
-    /// stored rows.
+    /// Panics if `query` has the wrong word count.
     pub fn top_k_into(
         &self,
         backend: &dyn DistanceBackend,
         query: &[u64],
-        range: std::ops::Range<usize>,
         k: usize,
         ranked: &mut Vec<(usize, usize)>,
         counters: Option<&mut ScanCounters>,
     ) {
-        assert!(range.end <= self.rows, "row range out of bounds");
         ranked.clear();
-        if k == 0 || range.is_empty() {
+        if k == 0 || self.is_empty() {
             return;
         }
         if let Some(counters) = counters {
-            counters.rows_scanned += range.len() as u64;
+            counters.rows_scanned += self.rows as u64;
         }
-        ranked.extend(range.map(|row| {
+        ranked.extend((0..self.rows).map(|row| {
             let distance = self
                 .bounded_distance_with(backend, row, query, None, usize::MAX)
                 .expect("unbounded distance never abandons");
@@ -565,7 +557,6 @@ mod tests {
         rows.top_k_into(
             active_backend(),
             query.as_words(),
-            0..6,
             4,
             &mut ranked,
             Some(&mut counters),
@@ -582,18 +573,23 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_range_edges() {
+    fn empty_and_zero_k_edges() {
         let rows = MultiBitRows::new(64, 2);
         assert!(rows.is_empty());
         assert_eq!(rows.scan_min2(&[0u64]), None);
-        let mut some = MultiBitRows::with_capacity(64, 2, 3);
-        some.push_counts(&[1u16; 64]);
+        let mut counters = ScanCounters::default();
         assert_eq!(
-            some.scan_min2_with(active_backend(), &[0u64], None, 0..0, None),
+            rows.scan_min2_with(active_backend(), &[0u64], None, Some(&mut counters)),
             None
         );
+        assert_eq!(counters.rows_scanned, 0);
         let mut ranked = vec![(9, 9)];
-        some.top_k_into(active_backend(), &[0u64], 0..1, 0, &mut ranked, None);
+        rows.top_k_into(active_backend(), &[0u64], 3, &mut ranked, None);
+        assert!(ranked.is_empty());
+        let mut some = MultiBitRows::with_capacity(64, 2, 3);
+        some.push_counts(&[1u16; 64]);
+        let mut ranked = vec![(9, 9)];
+        some.top_k_into(active_backend(), &[0u64], 0, &mut ranked, None);
         assert!(ranked.is_empty());
     }
 

@@ -96,7 +96,7 @@ pub use crate::kernel::weighted::MultiBitRows;
 pub use crate::kernel::{
     active_backend, active_backend_name, enabled_backends, BitSlicedRows, BucketIndex,
     DistanceBackend, IndexBuildOptions, IndexStats, Min2, PackedRows, ResolvedScan, RowSource,
-    ScanCounters, ScanStrategy, SharedBound,
+    ScanCounters, ScanPlan, ScanStrategy,
 };
 pub use crate::level::{LevelEncoder, RecordEncoder};
 pub use crate::ops::{Bundler, TieBreak};
@@ -115,8 +115,8 @@ pub mod prelude {
     pub use crate::item_memory::{ItemMemory, Rematerializer};
     pub use crate::kernel::weighted::MultiBitRows;
     pub use crate::kernel::{
-        BitSlicedRows, Min2, PackedRows, ResolvedScan, RowSource, ScanCounters, ScanStrategy,
-        SharedBound,
+        BitSlicedRows, Min2, PackedRows, ResolvedScan, RowSource, ScanCounters, ScanPlan,
+        ScanStrategy,
     };
     pub use crate::level::{LevelEncoder, RecordEncoder};
     pub use crate::ops::{Bundler, TieBreak};

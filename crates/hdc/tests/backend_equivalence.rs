@@ -1,21 +1,24 @@
 //! Property-based proof that every distance backend and scan strategy is
 //! bit-identical to the scalar full scan.
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! * the [`DistanceBackend`] contract itself — for every enabled backend,
 //!   `bounded_distance` returns the exact distance whenever it returns at
 //!   all, abandons only when the exact distance strictly exceeds the
 //!   bound, and never abandons at `bound == usize::MAX`;
-//! * the scan — `scan_min2_with` must report the same winner, winner
+//! * the scan — `PackedRows::min2` must report the same winner, winner
 //!   distance, and runner-up for **every** enabled backend × strategy
 //!   (direct, sampled-prefilter cascade, auto) as the naive per-row
 //!   reference, on random class counts, dimensions with non-word-multiple
-//!   tails, masks, and sub-ranges.
+//!   tails, and masks;
+//! * the memory — with an index and a mirror attached, every strategy
+//!   answers after updates that can empty a bucket, and the exact ones
+//!   agree with the direct scan.
 
 use hdc::kernel::PackedRows;
 use hdc::prelude::*;
-use hdc::{enabled_backends, DistanceBackend, ScanStrategy};
+use hdc::{enabled_backends, DistanceBackend, IndexBuildOptions, ScanPlan, ScanStrategy};
 use proptest::prelude::*;
 
 /// The seed's naive word-wise zip kernel — the reference implementation.
@@ -178,47 +181,73 @@ proptest! {
         let (mbest, mbest_distance, mrunner_up) = naive_min2(&masked);
         for backend in enabled_backends() {
             for strategy in STRATEGIES {
-                let hit = packed
-                    .scan_min2_with(backend, strategy, &query, None, 0..c)
-                    .unwrap();
+                let plan = ScanPlan::new(backend, strategy, None, None, c, d);
+                let hit = packed.min2(&plan, &query, None, None).unwrap();
                 prop_assert_eq!(hit.best, best, "{} {:?}", backend.name(), strategy);
                 prop_assert_eq!(hit.best_distance, best_distance);
                 prop_assert_eq!(hit.runner_up, runner_up);
-                let hit = packed
-                    .scan_min2_with(backend, strategy, &query, Some(&mask), 0..c)
-                    .unwrap();
+                let hit = packed.min2(&plan, &query, Some(&mask), None).unwrap();
                 prop_assert_eq!(hit.best, mbest, "{} {:?} masked", backend.name(), strategy);
                 prop_assert_eq!(hit.best_distance, mbest_distance);
                 prop_assert_eq!(hit.runner_up, mrunner_up);
             }
         }
     }
+}
 
-    /// Sub-range scans agree with the naive reference restricted to the
-    /// same range, for every backend × strategy.
+proptest! {
+    /// Every strategy answers on every non-empty memory with an index
+    /// and a mirror attached, also after updates that move rows onto
+    /// other rows' contents and so can empty a bucket whose centroid
+    /// stays closest to a query. The exact strategies agree with the
+    /// direct scan; the probe still finds stored rows.
     #[test]
-    fn ranged_scans_match_on_every_backend(
-        c in 2usize..40,
-        d in dims(),
+    fn every_strategy_answers_after_updates_empty_buckets(
+        c in 1usize..40,
+        d in 2usize..700,
+        buckets in 1usize..40,
         seed in any::<u64>(),
-        lo in 0usize..40,
-        span in 0usize..40,
+        moves in prop::collection::vec((0usize..40, 0usize..40), 1..6),
     ) {
-        let (packed, query) = packed_memory(c, d, seed, false);
-        let lo = lo % c;
-        let hi = (lo + 1 + span % c).min(c);
-        let naive: Vec<usize> = (lo..hi)
-            .map(|r| naive_hamming(packed.row_words(r), &query))
+        let dim = Dimension::new(d).unwrap();
+        let rows: Vec<Hypervector> = (0..c as u64)
+            .map(|i| Hypervector::random(dim, seed ^ (i << 32)))
             .collect();
-        let (best, best_distance, runner_up) = naive_min2(&naive);
-        for backend in enabled_backends() {
-            for strategy in STRATEGIES {
-                let hit = packed
-                    .scan_min2_with(backend, strategy, &query, None, lo..hi)
-                    .unwrap();
-                prop_assert_eq!(hit.best, lo + best, "{} {:?}", backend.name(), strategy);
-                prop_assert_eq!(hit.best_distance, best_distance);
-                prop_assert_eq!(hit.runner_up, runner_up);
+        let mut memory = AssociativeMemory::new(dim);
+        for (i, row) in rows.iter().enumerate() {
+            memory.insert(format!("row-{i}"), row.clone()).unwrap();
+        }
+        memory.build_index(IndexBuildOptions { buckets, ..IndexBuildOptions::default() });
+        memory.build_sliced();
+        for (from, to) in moves {
+            let moved = memory.row(ClassId(to % c)).unwrap().clone();
+            memory.replace_row(ClassId(from % c), moved).unwrap();
+        }
+        let mut direct = memory.clone();
+        direct.set_scan_strategy(ScanStrategy::Direct);
+        let far = Hypervector::random(dim, !seed);
+        for query in rows.iter().chain([&far]) {
+            let expected = direct.search(query).unwrap();
+            let expected_top = direct.search_top_k(query, 3).unwrap();
+            for strategy in [
+                ScanStrategy::Auto,
+                ScanStrategy::Cascade,
+                ScanStrategy::BitSliced,
+                ScanStrategy::Indexed,
+                ScanStrategy::Probe { nprobe: 1 },
+                ScanStrategy::Probe { nprobe: 2 },
+            ] {
+                let mut planned = memory.clone();
+                planned.set_scan_strategy(strategy);
+                let hit = planned.search(query).unwrap();
+                let top = planned.search_top_k(query, 3).unwrap();
+                if let ScanStrategy::Probe { .. } = strategy {
+                    prop_assert!(hit.class.0 < c, "{:?}", strategy);
+                    prop_assert!(!top.is_empty(), "{:?}", strategy);
+                } else {
+                    prop_assert_eq!(&hit, &expected, "{:?}", strategy);
+                    prop_assert_eq!(&top, &expected_top, "{:?}", strategy);
+                }
             }
         }
     }
@@ -254,9 +283,8 @@ fn large_auto_cascade_shape_matches_the_naive_scan() {
     let (best, best_distance, runner_up) = naive_min2(&naive);
     for backend in enabled_backends() {
         for strategy in STRATEGIES {
-            let hit = packed
-                .scan_min2_with(backend, strategy, query, None, 0..160)
-                .unwrap();
+            let plan = ScanPlan::new(backend, strategy, None, None, 160, d);
+            let hit = packed.min2(&plan, query, None, None).unwrap();
             assert_eq!(
                 (hit.best, hit.best_distance, hit.runner_up),
                 (best, best_distance, runner_up),

@@ -8,18 +8,18 @@
 //!   padding out of the counts);
 //! * non-group-multiple class counts (a ragged tail group with fewer
 //!   than 64 live lanes);
-//! * masked scans, sub-range scans, and top-k rankings with the shared
-//!   `(distance, row)` tie-break;
-//! * the [`SharedBound`] scatter contract: any pre-tightened bound
-//!   never changes a reported winner, it can only turn a slice into a
-//!   sound `None`;
+//! * masked scans and top-k rankings with the shared `(distance, row)`
+//!   tie-break;
+//! * the seed-bound contract: any seed at or above the true runner-up
+//!   (what the row-major pilot of a planned scan supplies) never changes
+//!   the answer;
 //! * online updates: `push_row`/`update_row` keep the transpose
 //!   coherent with the row-major matrix it mirrors (the in-crate twin
 //!   of the `ham-core` retranspose-coherence suite).
 
 use hdc::kernel::PackedRows;
 use hdc::prelude::*;
-use hdc::{enabled_backends, BitSlicedRows, ScanStrategy};
+use hdc::{enabled_backends, BitSlicedRows, ScanPlan, ScanStrategy};
 use proptest::prelude::*;
 
 /// The seed's naive word-wise zip kernel — the reference implementation.
@@ -138,7 +138,7 @@ proptest! {
         for backend in enabled_backends() {
             let mut counters = ScanCounters::default();
             let hit = sliced
-                .scan_min2(backend, &query, None, 0..c, Some(&mut counters), None)
+                .scan_min2(backend, &query, None, usize::MAX, Some(&mut counters))
                 .unwrap();
             prop_assert_eq!(hit.best, best, "{}", backend.name());
             prop_assert_eq!(hit.best_distance, best_distance);
@@ -151,39 +151,11 @@ proptest! {
                 backend.name()
             );
             let hit = sliced
-                .scan_min2(backend, &query, Some(&mask), 0..c, None, None)
+                .scan_min2(backend, &query, Some(&mask), usize::MAX, None)
                 .unwrap();
             prop_assert_eq!(hit.best, mbest, "{} masked", backend.name());
             prop_assert_eq!(hit.best_distance, mbest_distance);
             prop_assert_eq!(hit.runner_up, mrunner_up);
-        }
-    }
-
-    /// Sub-range scans agree with the naive reference restricted to the
-    /// same range — ranges that straddle group boundaries included.
-    #[test]
-    fn bitsliced_ranged_scans_match(
-        c in 2usize..200,
-        d in dims(),
-        seed in any::<u64>(),
-        lo in 0usize..200,
-        span in 0usize..200,
-    ) {
-        let (packed, query) = packed_memory(c, d, seed, false);
-        let sliced = BitSlicedRows::from_packed(&packed);
-        let lo = lo % c;
-        let hi = (lo + 1 + span % c).min(c);
-        let naive: Vec<usize> = (lo..hi)
-            .map(|r| naive_hamming(packed.row_words(r), &query))
-            .collect();
-        let (best, best_distance, runner_up) = naive_min2(&naive);
-        for backend in enabled_backends() {
-            let hit = sliced
-                .scan_min2(backend, &query, None, lo..hi, None, None)
-                .unwrap();
-            prop_assert_eq!(hit.best, lo + best, "{}", backend.name());
-            prop_assert_eq!(hit.best_distance, best_distance);
-            prop_assert_eq!(hit.runner_up, runner_up);
         }
     }
 
@@ -205,18 +177,18 @@ proptest! {
         expected.truncate(k);
         for backend in enabled_backends() {
             let mut ranked = Vec::new();
-            sliced.top_k_into(backend, &query, 0..c, k, None, &mut ranked);
+            sliced.top_k_into(backend, &query, k, None, &mut ranked);
             prop_assert_eq!(&ranked, &expected, "{} k={}", backend.name(), k);
         }
     }
 
-    /// The scatter contract of [`SharedBound`]: a scan against a bound
-    /// pre-tightened by "another worker" either reports exactly the
-    /// unshared result or proves its whole slice irrelevant (`None`) —
-    /// and it never returns `None` when its slice holds a row at or
-    /// under the bound.
+    /// The seed-bound contract: a scan seeded with any bound at or
+    /// above the true runner-up (the winner's distance for one row) —
+    /// what a subset's second-smallest distance, e.g. the planned scan's
+    /// row-major pilot, always is — reports exactly the unseeded result,
+    /// however tight the seed.
     #[test]
-    fn shared_bound_never_changes_a_surviving_winner(
+    fn seed_bound_never_changes_a_surviving_winner(
         c in class_counts(),
         d in dims(),
         seed in any::<u64>(),
@@ -229,36 +201,15 @@ proptest! {
             .map(|r| naive_hamming(packed.row_words(r), &query))
             .collect();
         let (best, best_distance, runner_up) = naive_min2(&distances);
-        // A bound some other shard could legitimately have published:
-        // its own runner-up observation, at or above the global one.
-        let published = match runner_up {
+        let bound = match runner_up {
             Some(r) => r + slack,
             None => best_distance + slack,
         };
         for backend in enabled_backends() {
-            let shared = SharedBound::unbounded();
-            shared.tighten(published);
-            match sliced.scan_min2(backend, &query, None, 0..c, None, Some(&shared)) {
-                Some(hit) => {
-                    prop_assert_eq!(hit.best, best, "{}", backend.name());
-                    prop_assert_eq!(hit.best_distance, best_distance);
-                    // The runner-up may be pruned relative to a foreign
-                    // bound, but when reported it is exact.
-                    if let Some(r) = hit.runner_up {
-                        prop_assert_eq!(Some(r), runner_up);
-                    }
-                }
-                None => prop_assert!(
-                    best_distance > published,
-                    "{}: dropped a slice holding distance {} under bound {}",
-                    backend.name(),
-                    best_distance,
-                    published
-                ),
-            }
-            // The scan tightened the bound with its own observations,
-            // never loosened it.
-            prop_assert!(shared.get() <= published, "{}", backend.name());
+            let hit = sliced.scan_min2(backend, &query, None, bound, None).unwrap();
+            prop_assert_eq!(hit.best, best, "{}", backend.name());
+            prop_assert_eq!(hit.best_distance, best_distance);
+            prop_assert_eq!(hit.runner_up, runner_up);
         }
     }
 
@@ -296,7 +247,7 @@ proptest! {
         for backend in enabled_backends() {
             for sliced in [&live, &rebuilt] {
                 let hit = sliced
-                    .scan_min2(backend, &query, None, 0..rows, None, None)
+                    .scan_min2(backend, &query, None, usize::MAX, None)
                     .unwrap();
                 prop_assert_eq!(hit.best, best, "{}", backend.name());
                 prop_assert_eq!(hit.best_distance, best_distance);
@@ -306,8 +257,8 @@ proptest! {
     }
 }
 
-/// The pilot-seeded planned path: above the pilot row floor,
-/// `scan_min2_planned_sliced` samples a sparse set of row-major
+/// The pilot-seeded planned path: above the pilot row floor, a
+/// bit-sliced [`ScanPlan`] samples a sparse set of row-major
 /// distances to seed the group bound before the columnwise pass. The
 /// winner's cluster is planted *last*, so every group ahead of it can
 /// prune only because of the pilot seed — and the result (winner,
@@ -347,18 +298,10 @@ fn pilot_seeded_planned_scan_stays_exact_and_prunes_leading_clusters() {
     let (best, best_distance, runner_up) = naive_min2(&plain);
     let (mbest, mbest_distance, mrunner_up) = naive_min2(&masked);
     for backend in enabled_backends() {
+        let plan = ScanPlan::new(backend, ScanStrategy::BitSliced, None, Some(&sliced), c, d);
         let mut counters = ScanCounters::default();
         let hit = packed
-            .scan_min2_planned_sliced(
-                backend,
-                ScanStrategy::BitSliced,
-                None,
-                Some(&sliced),
-                query,
-                None,
-                0..c,
-                Some(&mut counters),
-            )
+            .min2(&plan, query, None, Some(&mut counters))
             .unwrap();
         assert_eq!(
             (hit.best, hit.best_distance, hit.runner_up),
@@ -379,18 +322,7 @@ fn pilot_seeded_planned_scan_stays_exact_and_prunes_leading_clusters() {
             backend.name(),
             counters.rows_group_pruned
         );
-        let hit = packed
-            .scan_min2_planned_sliced(
-                backend,
-                ScanStrategy::BitSliced,
-                None,
-                Some(&sliced),
-                query,
-                Some(mask),
-                0..c,
-                None,
-            )
-            .unwrap();
+        let hit = packed.min2(&plan, query, Some(mask), None).unwrap();
         assert_eq!(
             (hit.best, hit.best_distance, hit.runner_up),
             (mbest, mbest_distance, mrunner_up),
@@ -432,7 +364,7 @@ fn group_pruning_fires_and_stays_exact_on_clustered_rows() {
     for backend in enabled_backends() {
         let mut counters = ScanCounters::default();
         let hit = sliced
-            .scan_min2(backend, query, None, 0..512, Some(&mut counters), None)
+            .scan_min2(backend, query, None, usize::MAX, Some(&mut counters))
             .unwrap();
         assert_eq!(
             (hit.best, hit.best_distance, hit.runner_up),

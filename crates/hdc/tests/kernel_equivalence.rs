@@ -7,7 +7,7 @@
 //! counts and dimensions, including dimensions with a non-word-multiple
 //! tail (`D % 64 ≠ 0`).
 
-use hdc::kernel::{hamming_words, hamming_words_masked, PackedRows};
+use hdc::kernel::{hamming_words, hamming_words_masked, PackedRows, ScanPlan};
 use hdc::prelude::*;
 use proptest::prelude::*;
 
@@ -135,12 +135,15 @@ proptest! {
         let (best, best_distance, runner_up) = naive_min2(&naive);
         // Early abandonment must never change the winner, the runner-up,
         // or either reported distance.
-        let hit = packed.scan_min2(query.as_bitvec().as_words()).unwrap();
+        let words = query.as_bitvec().as_words();
+        let hit = packed.min2(&ScanPlan::direct(), words, None, None).unwrap();
         prop_assert_eq!(hit.best, best);
         prop_assert_eq!(hit.best_distance, best_distance);
         prop_assert_eq!(hit.runner_up, runner_up);
         // The full (non-abandoning) distance sweep agrees row for row.
-        prop_assert_eq!(packed.distances(query.as_bitvec().as_words()), naive);
+        let mut distances = Vec::new();
+        packed.distances_into(words, None, &mut distances);
+        prop_assert_eq!(distances, naive);
     }
 
     #[test]
@@ -166,7 +169,12 @@ proptest! {
             .collect();
         let (best, best_distance, runner_up) = naive_min2(&naive);
         let hit = packed
-            .scan_min2_masked(query.as_bitvec().as_words(), mask.as_bitvec().as_words())
+            .min2(
+                &ScanPlan::direct(),
+                query.as_bitvec().as_words(),
+                Some(mask.as_bitvec().as_words()),
+                None,
+            )
             .unwrap();
         prop_assert_eq!(hit.best, best);
         prop_assert_eq!(hit.best_distance, best_distance);

@@ -247,7 +247,6 @@ impl Workload for WeightedWorkload {
         self.counts.top_k_into(
             active_backend(),
             query.as_bitvec().as_words(),
-            0..self.counts.len(),
             self.k(),
             &mut ranked,
             Some(&mut scan),

@@ -3,9 +3,12 @@
 //! provisioning, and the real TCP wire — deterministically per seed,
 //! with the `Auto` scan decision pinned on the near-duplicate geometry.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use ham_core::resilience::PRIORITY_NORMAL;
+use ham_core::shard::{OnlineUpdater, VersionedMemory};
+use ham_core::{ensure_indexed, IndexPolicy};
 use ham_serve::frame::STATUS_OK;
 use ham_serve::{HamClient, ServeConfig, Server, SlotResult};
 use ham_workloads::neardup::{NearDupParams, NearDupWorkload};
@@ -100,13 +103,21 @@ fn auto_pins_the_cascade_on_the_near_duplicate_geometry() {
     // the decision-rule level and through the memory the tenant clones.
     assert!(stats.cascade_friendly(dim), "stats = {stats:?}");
     assert!(!stats.pruning_friendly(dim), "stats = {stats:?}");
-    assert_eq!(
-        ScanStrategy::Auto.resolve(w.memory().index(), dim),
-        ResolvedScan::Cascade
-    );
+    let plan = |strategy| {
+        ScanPlan::new(
+            hdc::active_backend(),
+            strategy,
+            w.memory().index(),
+            None,
+            w.memory().len(),
+            dim,
+        )
+        .resolved()
+    };
+    assert_eq!(plan(ScanStrategy::Auto), ResolvedScan::Cascade);
     assert_eq!(w.resolved_strategy(), ResolvedScan::Cascade);
     assert_eq!(
-        ScanStrategy::Direct.resolve(w.memory().index(), dim),
+        plan(ScanStrategy::Direct),
         ResolvedScan::Direct,
         "explicit strategies must not be second-guessed"
     );
@@ -256,4 +267,71 @@ fn workloads_serve_over_the_real_wire() {
     }
     let report = server.drain();
     assert_eq!(report.connection_threads_joined as u64, 1);
+}
+
+/// The near-duplicate world perfbench serves (its `neardup_world`
+/// parameters at `rows × 8,192` bits, seed 1), provisioned the way a
+/// tenant is: the dim-major mirror built, the default index policy
+/// applied, and updates published through an index-maintaining updater.
+fn served_neardup(rows: usize) -> (Arc<VersionedMemory>, OnlineUpdater) {
+    let dim = 8_192;
+    let params = NearDupParams {
+        dim,
+        rows,
+        clusters: (rows as f64).sqrt().ceil() as usize,
+        center_flips: dim * 3 / 128,
+        max_row_flips: dim * 35 / 1_024,
+        query_flips: dim / 800,
+        k: 1,
+    };
+    let mut memory = NearDupWorkload::build(params, 1).memory().clone();
+    memory.build_sliced();
+    ensure_indexed(&mut memory, &IndexPolicy::default());
+    let versioned = Arc::new(VersionedMemory::new(memory));
+    let updater =
+        OnlineUpdater::new(Arc::clone(&versioned)).with_index_policy(IndexPolicy::default());
+    (versioned, updater)
+}
+
+/// How `Auto` resolves on perfbench's served shapes, across the updates
+/// its churn workload makes (one retire, then one random add). At the
+/// neardup size the bit-sliced scan holds. At the churn size the retire
+/// drops the mirror below `BITSLICED_MIN_ROWS`, so the cascade takes
+/// over; the random row then joins a bucket as a far outlier, lifting
+/// the mean radius past `dim / 32`, so the geometry stops reading
+/// cascade-friendly and the direct scan takes over. Every plan is exact,
+/// so these flips move time, never answers.
+#[test]
+fn auto_resolution_follows_the_served_shapes_across_updates() {
+    for (rows, after_retire, after_add) in [
+        (16_384, ResolvedScan::BitSliced, ResolvedScan::BitSliced),
+        (4_096, ResolvedScan::Cascade, ResolvedScan::Direct),
+    ] {
+        let (versioned, updater) = served_neardup(rows);
+        let resolved = || versioned.load().resolved_strategy();
+        let mean_radius = || versioned.load().index().unwrap().stats().mean_radius;
+        assert_eq!(
+            resolved(),
+            ResolvedScan::BitSliced,
+            "{rows} rows at provisioning"
+        );
+        assert!(
+            mean_radius() <= 8_192 / 32,
+            "{rows} rows: {}",
+            mean_radius()
+        );
+        updater.retire_class(ClassId(rows / 2)).unwrap();
+        assert_eq!(resolved(), after_retire, "{rows} rows after one retire");
+        let dim = versioned.load().dim();
+        updater
+            .add_class("random", Hypervector::random(dim, 0xADD))
+            .unwrap();
+        assert_eq!(resolved(), after_add, "{rows} rows after one random add");
+        assert_eq!(
+            mean_radius() <= 8_192 / 32,
+            after_add != ResolvedScan::Direct,
+            "{rows} rows: the mean radius {} decides the cascade-friendly branch",
+            mean_radius()
+        );
+    }
 }
