@@ -48,7 +48,6 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::OnceLock;
 
 use hdc::prelude::*;
 
@@ -137,24 +136,58 @@ impl From<HamError> for SnapshotError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-            *entry = crc;
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the byte-at-a-time table of
+/// the reflected polynomial 0xEDB88320, and `CRC_TABLES[k][b]` is the CRC
+/// of byte `b` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
-        table
-    });
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`,
+/// eight bytes per step (slicing-by-8), then a byte at a time for the
+/// tail.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ byte as u32) & 0xFF) as usize];
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -262,9 +295,10 @@ fn decode_record(body: &[u8], class: usize, start: usize, dim: usize) -> (String
     }
 }
 
-pub(crate) fn words_to_hv(words: &[u64], dim: usize) -> Hypervector {
-    let bits = BitVec::from_bits((0..dim).map(|i| (words[i / 64] >> (i % 64)) & 1 == 1));
-    Hypervector::from_bitvec(bits).expect("dim ≥ 1 checked by the header")
+/// A stored row's words as a hypervector; bits past `dim` in the last
+/// word are cleared.
+pub(crate) fn words_to_hv(words: Vec<u64>, dim: usize) -> Hypervector {
+    Hypervector::from_bitvec(BitVec::from_words(words, dim)).expect("dim ≥ 1 checked by the header")
 }
 
 /// What a snapshot is written from: a row space, its `(label, row)`
@@ -548,7 +582,7 @@ pub fn load_snapshot(path: &Path) -> Result<SnapshotLoad, SnapshotError> {
     for class in 0..classes {
         let (label, row_words, ok) = decode_record(body, class, class * stride, dim);
         memory
-            .insert(label, words_to_hv(&row_words, dim))
+            .insert(label, words_to_hv(row_words, dim))
             .expect("row rebuilt in the memory's own space");
         if !ok {
             corrupted.push(ClassId(class));
@@ -981,10 +1015,70 @@ mod tests {
     }
 
     #[test]
+    fn row_bits_past_dim_are_ignored_on_load() {
+        let dim = 100;
+        let memory = random_memory(4, dim, 12);
+        let path = temp_path("tailbits");
+        save_snapshot(&memory, &path).unwrap();
+
+        // Set every bit past `dim` in row 2's last word and re-armour the
+        // record, so the row passes its CRC with junk in the tail.
+        let mut bytes = fs::read(&path).unwrap();
+        let stride = row_stride(dim);
+        let record = HEADER_BODY + 4 + 2 * stride;
+        let last = record + LABEL_FIELD + (words_per_row(dim) - 1) * 8;
+        let word = le_u64(&bytes[last..]) | !0u64 << (dim % 64);
+        bytes[last..last + 8].copy_from_slice(&word.to_le_bytes());
+        let crc = crc32(&bytes[record..record + stride - 4]);
+        bytes[record + stride - 4..record + stride].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+
+        let load = load_snapshot(&path).unwrap();
+        assert!(load.is_clean());
+        for (class, _, row) in memory.iter() {
+            let loaded = load.memory.row(class).unwrap();
+            assert_eq!(loaded, row, "{class}");
+            assert_eq!(
+                loaded.as_bitvec().count_ones(),
+                row.as_bitvec().iter().filter(|&b| b).count()
+            );
+        }
+        cleanup(&path);
+    }
+
+    #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The textbook bitwise CRC-32, one byte and one bit at a time.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sliced_crc32_matches_the_bytewise_reference(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 4_104..4_105),
+            len in 0usize..4_096,
+        ) {
+            // Every start offset, so the 8-byte steps meet every alignment.
+            for start in 0..8 {
+                let data = &bytes[start..start + len];
+                proptest::prop_assert_eq!(crc32(data), crc32_bytewise(data), "start {}", start);
+            }
+        }
     }
 
     #[test]

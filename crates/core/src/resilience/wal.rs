@@ -1211,7 +1211,7 @@ fn apply_record(
                 )));
             }
             memory
-                .insert(label.clone(), words_to_hv(words, dim))
+                .insert(label.clone(), words_to_hv(words.clone(), dim))
                 .map_err(|e| replay_err(e.to_string()))?;
         }
         WalRecord::ReplaceRow { row, words } => {
@@ -1222,7 +1222,7 @@ fn apply_record(
                 )));
             }
             memory
-                .replace_row(ClassId(*row as usize), words_to_hv(words, dim))
+                .replace_row(ClassId(*row as usize), words_to_hv(words.clone(), dim))
                 .map_err(|e| replay_err(e.to_string()))?;
         }
         WalRecord::RetireClass { row } => {

@@ -97,6 +97,33 @@ impl BitVec {
         BitVec { words, len }
     }
 
+    /// Takes ownership of packed words (bit `i` in word `i / 64` at
+    /// offset `i % 64`) as a vector of `len` bits. Bits past `len` in the
+    /// last word are cleared, so a caller may hand over raw words read
+    /// from disk or the wire.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != len.div_ceil(64)`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let v = hdc::BitVec::from_words(vec![u64::MAX], 3);
+    /// assert_eq!(v.count_ones(), 3);
+    /// assert_eq!(v.as_words(), &[0b111]);
+    /// ```
+    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(WORD_BITS),
+            "word count does not match {len} bits"
+        );
+        let mut v = BitVec { words, len };
+        v.mask_tail();
+        v
+    }
+
     /// Number of bits in the vector.
     pub fn len(&self) -> usize {
         self.len
@@ -429,6 +456,12 @@ mod tests {
     #[should_panic(expected = "unequal lengths")]
     fn hamming_mismatched_lengths_panics() {
         BitVec::zeros(10).hamming(&BitVec::zeros(11));
+    }
+
+    #[test]
+    #[should_panic(expected = "word count")]
+    fn from_words_with_wrong_word_count_panics() {
+        BitVec::from_words(vec![0; 2], 64);
     }
 
     #[test]

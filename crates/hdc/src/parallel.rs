@@ -8,7 +8,7 @@
 //! splitting, scheduling, input-order assembly and the poisoned-lock
 //! contract live in one place.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Locks a mutex, taking the guard even from a poisoned lock.
 ///
@@ -23,10 +23,16 @@ pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// One worker per available core, or `1` when the host cannot report its
 /// parallelism (the conservative fallback every caller now shares).
+///
+/// Resolved once per process: `available_parallelism` reads cgroup files
+/// on Linux, which costs tens of µs — more than a small batch's search.
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        #[allow(clippy::disallowed_methods)] // the one cached call
+        let host = std::thread::available_parallelism();
+        host.map(|n| n.get()).unwrap_or(1)
+    })
 }
 
 /// Resolves a user-supplied worker count for a batch of `jobs` items:

@@ -37,6 +37,20 @@ proptest! {
     }
 
     #[test]
+    fn bitvec_from_words_matches_from_bits(
+        len in 1usize..300,
+        raw in prop::collection::vec(any::<u64>(), 5..6),
+    ) {
+        // Random words keep their tail bits set: from_words must drop them.
+        let words = raw[..len.div_ceil(64)].to_vec();
+        let expected = BitVec::from_bits((0..len).map(|i| words[i / 64] >> (i % 64) & 1 == 1));
+        let v = BitVec::from_words(words, len);
+        prop_assert_eq!(v.as_words(), expected.as_words());
+        prop_assert_eq!(v.count_ones(), expected.count_ones());
+        prop_assert_eq!(v, expected);
+    }
+
+    #[test]
     fn bitvec_rotation_preserves_weight(
         bits in prop::collection::vec(any::<bool>(), 1..300),
         by in 0usize..1000,

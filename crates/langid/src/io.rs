@@ -218,8 +218,8 @@ pub fn load_model(path: &Path) -> io::Result<LanguageClassifier> {
         let words: Vec<u64> = (0..words_per_row)
             .map(|w| read_u64(body, start + 8 + w * 8))
             .collect::<io::Result<_>>()?;
-        let bits = BitVec::from_bits((0..dim).map(|i| (words[i / 64] >> (i % 64)) & 1 == 1));
-        let row = Hypervector::from_bitvec(bits).map_err(|e| corrupt(&e.to_string()))?;
+        let row = Hypervector::from_bitvec(BitVec::from_words(words, dim))
+            .map_err(|e| corrupt(&e.to_string()))?;
         memory
             .insert(language.name(), row)
             .map_err(|e| corrupt(&e.to_string()))?;

@@ -6,7 +6,7 @@
 //! frames with both CRCs, and treats any decode error from the server
 //! as fatal to the connection.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -62,7 +62,9 @@ impl From<FrameError> for ClientError {
 /// A blocking client over one connection.
 #[derive(Debug)]
 pub struct HamClient {
-    stream: TcpStream,
+    /// The connection, read through one buffer kept for its lifetime
+    /// (so bytes read ahead are never dropped) and written directly.
+    stream: BufReader<TcpStream>,
     max_payload: u32,
     next_request_id: u64,
 }
@@ -75,7 +77,7 @@ impl HamClient {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(read_timeout))?;
         Ok(HamClient {
-            stream,
+            stream: BufReader::new(stream),
             max_payload: 1 << 20,
             next_request_id: 1,
         })
@@ -108,7 +110,7 @@ impl HamClient {
         let request_id = self.next_request_id;
         self.next_request_id += 1;
         let frame = encode_request(priority, tenant, request_id, deadline_us, queries);
-        write_frame(&mut self.stream, &frame)?;
+        write_frame(self.stream.get_mut(), &frame)?;
         match read_response(&mut self.stream, self.max_payload)? {
             Some(response) => Ok(response),
             None => Err(ClientError::ServerClosed),

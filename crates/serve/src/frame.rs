@@ -20,7 +20,8 @@
 //!    0    4   dim          hypervector dimensionality (1..=MAX_DIM)
 //!    4    4   count        queries in the batch
 //!    8    …   count × ceil(dim/64) little-endian u64 words per query,
-//!             bit i of a row in word i/64 at offset i%64
+//!             bit i of a row in word i/64 at offset i%64; bits
+//!             past dim in the last word are ignored
 //!
 //! response (28-byte header + payload)
 //!    0    4   magic        b"HAMR"
@@ -38,7 +39,7 @@
 //!             distance u32, margin u32 (zeros for non-OK slots)
 //! ```
 //!
-//! The CRCs reuse the snapshot format's table-driven CRC-32
+//! The CRCs reuse the snapshot format's slicing-by-8 CRC-32
 //! ([`ham_core::resilience::snapshot::crc32`]), so one checksum
 //! implementation covers both the disk and the wire.
 //!
@@ -504,7 +505,9 @@ pub fn read_request_payload(
     decode_query_batch(&payload)
 }
 
-/// Parses a CRC-verified request payload into its query batch.
+/// Parses a CRC-verified request payload into its query batch. Bits
+/// past `dim` in a row's last word are ignored: they are cleared, never
+/// counted or compared.
 pub fn decode_query_batch(payload: &[u8]) -> Result<QueryBatch, FrameError> {
     if payload.len() < 8 {
         return Err(FrameError::MalformedPayload {
@@ -537,17 +540,17 @@ pub fn decode_query_batch(payload: &[u8]) -> Result<QueryBatch, FrameError> {
     }
     let mut queries = Vec::with_capacity(count as usize);
     for q in 0..count as usize {
-        let rows = &payload[8 + q * row_bytes..8 + (q + 1) * row_bytes];
-        let words: Vec<u64> = rows
+        let row = &payload[8 + q * row_bytes..8 + (q + 1) * row_bytes];
+        let words: Vec<u64> = row
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("chunk bounds")))
             .collect();
-        let bits = (0..dim as usize).map(|i| words[i / 64] >> (i % 64) & 1 == 1);
-        let hv = Hypervector::from_bitvec(BitVec::from_bits(bits)).map_err(|_| {
-            FrameError::MalformedPayload {
-                reason: "hypervector rejected by the HD layer",
-            }
-        })?;
+        let hv =
+            Hypervector::from_bitvec(BitVec::from_words(words, dim as usize)).map_err(|_| {
+                FrameError::MalformedPayload {
+                    reason: "hypervector rejected by the HD layer",
+                }
+            })?;
         queries.push(hv);
     }
     Ok(QueryBatch { dim, queries })

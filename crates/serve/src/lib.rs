@@ -12,7 +12,7 @@
 //!   degradation/health engine, a token-bucket quota, and an
 //!   EMA-of-inflight admission gate, so one noisy tenant sheds its own
 //!   traffic while its neighbours' p99 holds;
-//! * [`server`] — nonblocking accept loops feeding thread-per-connection
+//! * [`server`] — blocking accept loops feeding thread-per-connection
 //!   handlers; wire deadlines propagate into
 //!   [`QueryBudget`](ham_core::resilience::QueryBudget) so a request
 //!   arriving nearly-expired is shed before touching a shard; graceful

@@ -1,15 +1,17 @@
-//! The TCP front end: nonblocking accept loops, thread-per-connection
+//! The TCP front end: blocking accept loops, thread-per-connection
 //! framing, deadline propagation, and a graceful drain that provably
 //! joins every thread it ever spawned.
 //!
 //! Life of a request:
 //!
-//! 1. an accept loop (one of [`ServeConfig::accept_threads`], polling a
-//!    shared nonblocking listener) hands the socket to a connection
-//!    thread and records it in the registry;
+//! 1. an accept loop (one of [`ServeConfig::accept_threads`], each
+//!    blocked in `accept` on the shared listener) hands the socket to a
+//!    connection thread and records it in the registry;
 //! 2. the connection thread reads one validated header + payload
-//!    ([`frame`](crate::frame)); recoverable decode errors answer a
-//!    typed reject and keep the connection, fatal ones close it;
+//!    ([`frame`](crate::frame)) through a buffered reader, so a frame
+//!    that has arrived costs one `read`; recoverable decode errors
+//!    answer a typed reject and keep the connection, fatal ones close
+//!    it;
 //! 3. the tenant registry routes by wire tenant id — unknown tenants,
 //!    exhausted quotas, and the draining state reject *before* any
 //!    engine work;
@@ -24,10 +26,16 @@
 //!
 //! ```text
 //! Serving ──drain()──► Draining ──grace expires──► Forcing ──► Drained
-//!    │  accept loops exit;        in-flight requests      leftover sockets
-//!    │  open conns answer         finish and conns        shutdown(Both);
-//!    │  STATUS_DRAINING           close gracefully        every thread joined
+//!    │  accept loops woken        in-flight requests      leftover sockets
+//!    │  and joined; open conns    finish and conns        shutdown(Both);
+//!    │  answer STATUS_DRAINING    close gracefully        every thread joined
 //! ```
+//!
+//! A blocked `accept` does not see the `draining` flag, so the drain
+//! wakes each accept loop with one connection to the server's own
+//! address; a loop whose `accept` returns while draining drops that
+//! socket and exits. Dropping a [`Server`] without draining takes the
+//! same path with no grace period and no snapshot flush.
 //!
 //! [`Server::drain`] consumes the server and returns a [`DrainReport`]
 //! accounting for every accept loop and connection thread. The server
@@ -36,8 +44,8 @@
 //! which the integration tests assert. (The batch workers a request runs
 //! on are scoped threads, joined before its response is written.)
 
-use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,8 +69,9 @@ use crate::tenant::{TenantRegistry, TenantSpec, TenantStats};
 pub struct ServeConfig {
     /// Address to bind (port 0 picks an ephemeral port).
     pub addr: SocketAddr,
-    /// Parallel accept loops over the shared nonblocking listener —
-    /// the thread-per-core front door.
+    /// Accept loops blocked on the shared listener — the thread-per-core
+    /// front door. A drain wakes each one with a connection to the
+    /// server's own address.
     pub accept_threads: usize,
     /// Per-read socket timeout: the slow-loris bound. A peer that trickles
     /// bytes slower than this gets its connection closed.
@@ -135,7 +144,8 @@ struct Shared {
 }
 
 /// A running multi-tenant serving front end. Dropping without
-/// [`drain`](Self::drain) aborts sockets but still joins every thread.
+/// [`drain`](Self::drain) aborts sockets but still joins every thread
+/// (and flushes no snapshot).
 #[derive(Debug)]
 pub struct Server {
     shared: Arc<Shared>,
@@ -166,7 +176,6 @@ impl Server {
             TenantRegistry::provision(tenants, config.options, config.snapshot_dir.as_deref())
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let listener = TcpListener::bind(config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let accept_threads = config.accept_threads.max(1);
         let shared = Arc::new(Shared {
@@ -178,22 +187,24 @@ impl Server {
             spawned: AtomicU64::new(0),
             joined: AtomicU64::new(0),
         });
-        let mut accept_handles = Vec::with_capacity(accept_threads);
+        // Built before the loops start, so a failed clone below drops it
+        // and `Drop` stops the loops already running.
+        let mut server = Server {
+            shared,
+            local_addr,
+            accept_handles: Vec::with_capacity(accept_threads),
+        };
         for i in 0..accept_threads {
             let listener = listener.try_clone()?;
-            let shared = Arc::clone(&shared);
-            accept_handles.push(
+            let shared = Arc::clone(&server.shared);
+            server.accept_handles.push(
                 std::thread::Builder::new()
                     .name(format!("ham-accept-{i}"))
                     .spawn(move || accept_loop(&listener, &shared))
                     .expect("spawn accept loop"),
             );
         }
-        Ok(Server {
-            shared,
-            local_addr,
-            accept_handles,
-        })
+        Ok(server)
     }
 
     /// The bound address (with the real port when 0 was requested).
@@ -226,15 +237,9 @@ impl Server {
     /// within the grace period, force leftover sockets shut, join every
     /// thread, and flush one snapshot per tenant. After this returns no
     /// thread spawned by the server is alive.
-    pub fn drain(self) -> DrainReport {
-        self.shared.draining.store(true, Ordering::SeqCst);
+    pub fn drain(mut self) -> DrainReport {
         let accept_loops = self.accept_handles.len();
-        let mut accept_loops_joined = 0;
-        for handle in self.accept_handles {
-            if handle.join().is_ok() {
-                accept_loops_joined += 1;
-            }
-        }
+        let accept_loops_joined = self.stop_accepting();
 
         // Grace: reap connections as their handlers finish.
         let deadline = Instant::now() + self.shared.config.drain_grace;
@@ -249,16 +254,7 @@ impl Server {
             std::thread::sleep(Duration::from_millis(2));
         }
 
-        // Force: shut the leftover sockets so blocked reads error out,
-        // then join the handlers.
-        let forced_shutdowns = {
-            let registry = lock_unpoisoned(&self.shared.registry);
-            for entry in registry.iter() {
-                let _ = entry.stream.shutdown(Shutdown::Both);
-            }
-            registry.len()
-        };
-        let _ = reap(&self.shared, true);
+        let forced_shutdowns = self.force_close();
 
         let mut snapshots_flushed = 0;
         let mut flush_failures = Vec::new();
@@ -283,6 +279,61 @@ impl Server {
             flush_failures,
         }
     }
+
+    /// Sets `draining`, wakes every accept loop still blocked in
+    /// `accept` with one connection each, and joins them. Returns how
+    /// many joined without panicking; a second call finds none left.
+    fn stop_accepting(&mut self) -> usize {
+        self.shared.draining.store(true, Ordering::SeqCst);
+        let handles = std::mem::take(&mut self.accept_handles);
+        let wake = wake_addr(self.local_addr);
+        for _ in &handles {
+            // Each loop takes one connection off the listener and exits,
+            // so one connection per loop wakes them all.
+            let _ = TcpStream::connect_timeout(&wake, WAKE_CONNECT_TIMEOUT);
+        }
+        handles.into_iter().filter_map(|h| h.join().ok()).count()
+    }
+
+    /// Shuts every registered socket so blocked reads error out, then
+    /// joins every connection thread. Returns how many sockets it shut.
+    fn force_close(&self) -> usize {
+        let forced = {
+            let registry = lock_unpoisoned(&self.shared.registry);
+            for entry in registry.iter() {
+                let _ = entry.stream.shutdown(Shutdown::Both);
+            }
+            registry.len()
+        };
+        reap(&self.shared, true);
+        forced
+    }
+}
+
+impl Drop for Server {
+    /// Aborts without a grace period or a snapshot flush: stops the
+    /// accept loops, shuts every open socket and joins every thread.
+    /// After [`drain`](Server::drain) there is nothing left to do.
+    fn drop(&mut self) {
+        self.stop_accepting();
+        self.force_close();
+    }
+}
+
+/// How long a drain waits for its wake-up connection to be accepted
+/// into the listener's backlog (a loopback connect completes at once).
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The address a drain connects to in order to wake the accept loops:
+/// the bound address, with an unspecified IP replaced by loopback of the
+/// same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// Joins finished connection threads out of the registry; with `force`,
@@ -312,11 +363,14 @@ fn reap(shared: &Shared, force: bool) -> usize {
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
-        if shared.draining.load(Ordering::Relaxed) {
+        let accepted = listener.accept();
+        if shared.draining.load(Ordering::SeqCst) {
+            // A drain's wake-up, or a client that raced it: either way
+            // the socket closes unanswered.
             return;
         }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
+        match accepted {
+            Ok((stream, _)) => {
                 shared.accepted.fetch_add(1, Ordering::Relaxed);
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
@@ -329,7 +383,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 let spawned = std::thread::Builder::new()
                     .name("ham-conn".to_string())
                     .spawn(move || {
-                        handle_connection(&mut stream, &conn_shared);
+                        handle_connection(&stream, &conn_shared);
                         // The registry still holds a dup of this socket
                         // until the next reap; shutdown acts on the
                         // socket itself, so the peer gets its FIN now
@@ -349,9 +403,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 // unboundedly under connection churn.
                 reap(shared, false);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            // Back off on a real accept error (EMFILE, ENOBUFS, …).
             Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
@@ -359,9 +411,17 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
 /// One connection: a loop of header → payload → handle → respond.
 /// Never panics on hostile input; every exit path closes the socket.
-fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
+///
+/// Reads go through a buffer (the default 8 KiB), so a frame that has
+/// arrived costs one `read`; a payload larger than the buffer is read
+/// straight into its own allocation. Responses are written to the socket
+/// directly. The socket's read timeout and a drain's `shutdown` still end
+/// a blocked read.
+fn handle_connection(stream: &TcpStream, shared: &Shared) {
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
     loop {
-        let header = match read_request_header(stream, shared.config.max_payload) {
+        let header = match read_request_header(&mut reader, shared.config.max_payload) {
             Ok(None) => return,
             Ok(Some(header)) => header,
             Err(e) => {
@@ -370,19 +430,19 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
                 // typed answer before the close when the header parsed
                 // far enough to be answerable.
                 if let Some(status) = e.reject_status() {
-                    let _ = write_frame(stream, &encode_response(status, 0, 0, &[]));
+                    let _ = write_frame(&mut writer, &encode_response(status, 0, 0, &[]));
                 }
                 return;
             }
         };
-        let batch = match read_request_payload(stream, &header) {
+        let batch = match read_request_payload(&mut reader, &header) {
             Ok(batch) => batch,
             Err(e) => match e.reject_status() {
                 // Framing survived (the declared length was consumed):
                 // typed reject, keep the connection.
                 Some(status) if !e.is_fatal() => {
                     let frame = encode_response(status, header.tenant, header.request_id, &[]);
-                    if write_frame(stream, &frame).is_err() {
+                    if write_frame(&mut writer, &frame).is_err() {
                         return;
                     }
                     continue;
@@ -392,7 +452,7 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
         };
 
         let response = handle_request(shared, &header, batch);
-        if write_frame(stream, &response).is_err() {
+        if write_frame(&mut writer, &response).is_err() {
             return;
         }
     }
@@ -435,5 +495,22 @@ fn handle_request(
             encode_response(STATUS_OK, header.tenant, header.request_id, &slots)
         }
         Err(_) => reject(STATUS_FAILED),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_replaces_only_an_unspecified_ip() {
+        for (bound, wake) in [
+            ("0.0.0.0:7000", "127.0.0.1:7000"),
+            ("[::]:7000", "[::1]:7000"),
+            ("127.0.0.1:7000", "127.0.0.1:7000"),
+            ("10.1.2.3:7000", "10.1.2.3:7000"),
+        ] {
+            assert_eq!(wake_addr(bound.parse().unwrap()), wake.parse().unwrap());
+        }
     }
 }

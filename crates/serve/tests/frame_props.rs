@@ -123,6 +123,40 @@ proptest! {
             prop_assert!(decode_request(&frame[..cut]).is_err());
         }
     }
+
+    #[test]
+    fn bits_past_dim_are_ignored(
+        // Every dim with a partial last word: 64·words + tail, tail in 1..64.
+        dim in (0usize..16, 1usize..64).prop_map(|(words, tail)| 64 * words + tail),
+        count in 1usize..4,
+        junk in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let qs = queries(dim, count, seed);
+        let clean = encode_request(0, 1, 2, DEADLINE_UNBOUNDED_US, &qs);
+        // Set junk bits past `dim` in every query's last word, then re-armour
+        // the frame so only the tail bits differ.
+        let mut dirty = clean.clone();
+        let row_bytes = dim.div_ceil(64) * 8;
+        let tail = !0u64 << (dim % 64);
+        for q in 0..count {
+            let at = REQUEST_HEADER_LEN + 8 + (q + 1) * row_bytes - 8;
+            let word = u64::from_le_bytes(dirty[at..at + 8].try_into().unwrap());
+            let word = word | (junk | 1 << 63) & tail;
+            dirty[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        }
+        let payload_crc = ham_core::resilience::snapshot::crc32(&dirty[REQUEST_HEADER_LEN..]);
+        dirty[24..28].copy_from_slice(&payload_crc.to_le_bytes());
+        refresh_header_crc(&mut dirty);
+        prop_assert_ne!(&dirty, &clean);
+
+        let (_, batch) = decode_request(&dirty).expect("tail bits are not a decode error");
+        prop_assert_eq!(&batch.queries, &decode_request(&clean).unwrap().1.queries);
+        for (decoded, sent) in batch.queries.iter().zip(&qs) {
+            let in_dim = sent.as_bitvec().iter().filter(|&b| b).count();
+            prop_assert_eq!(decoded.as_bitvec().count_ones(), in_dim);
+        }
+    }
 }
 
 /// The malformed-frame corpus: each entry is one specific way a frame

@@ -3,7 +3,7 @@
 //! wire-to-engine correctness, deadline propagation, tenant isolation,
 //! drain with zero leaked threads, and bit-identical warm restart.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ham_core::explore::{build, random_memory, DesignKind};
 use ham_core::resilience::{QueryBudget, ResilientOptions, PRIORITY_HIGH, PRIORITY_NORMAL};
@@ -242,6 +242,49 @@ fn drain_rejects_new_work_joins_every_thread_and_reports_it() {
     // Post-drain: the port no longer accepts (allow the OS a moment).
     std::thread::sleep(Duration::from_millis(50));
     assert!(HamClient::connect(addr, Duration::from_millis(200)).is_err());
+}
+
+#[test]
+fn drain_wakes_every_blocked_accept_loop_promptly() {
+    // Four accept loops blocked in `accept` with nothing to accept, on an
+    // unspecified address: the drain wakes them over loopback.
+    let config = ServeConfig {
+        addr: "0.0.0.0:0".parse().unwrap(),
+        accept_threads: 4,
+        ..test_config()
+    };
+    let server = Server::start(config, vec![spec(8, 4, 256, 58)]).unwrap();
+    let started = Instant::now();
+    let report = server.drain();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "drain took {took:?}");
+    assert_eq!(report.accept_loops_joined, 4);
+    assert_eq!(report.connection_threads_joined, 0);
+    assert_eq!(report.threads_spawned, 4, "{report:?}");
+}
+
+#[test]
+fn dropping_a_server_without_drain_stops_serving() {
+    let server = Server::start(test_config(), vec![spec(9, 4, 256, 59)]).unwrap();
+    let memory = random_memory(4, 256, 59);
+    let query = vec![memory.row(ClassId(0)).unwrap().clone()];
+    let addr = server.local_addr();
+    let mut open = HamClient::connect(addr, CLIENT_TIMEOUT).unwrap();
+    assert_eq!(
+        open.request(9, PRIORITY_NORMAL, None, &query)
+            .unwrap()
+            .status,
+        STATUS_OK
+    );
+
+    drop(server);
+    // The open connection was shut, and the listener is closed: a new
+    // client is refused, or at worst closed without an answer.
+    assert!(open.request(9, PRIORITY_NORMAL, None, &query).is_err());
+    if let Ok(mut late) = HamClient::connect(addr, Duration::from_millis(500)) {
+        let answer = late.request(9, PRIORITY_NORMAL, None, &query);
+        assert!(answer.is_err(), "a dropped server answered: {answer:?}");
+    }
 }
 
 #[test]
