@@ -32,12 +32,11 @@
 //!    the fused linear scan, with measured recall for the probe mode —
 //!    the exactness-preserving speedup (and the Auto fallback's "never
 //!    much slower than linear" floor) quoted in DESIGN.md §14;
-//! 9. the bit-sliced transpose: `C ∈ {1k, 10k, 100k}` × near-duplicate
-//!    cluster-major / adversarial-uniform rows × {exact indexed,
-//!    bit-sliced, auto} against the row-major direct scan, with the
-//!    per-mode scanned/pruned/group-pruned counters — the columnwise
-//!    group-bound speedup and the Auto row floor quoted in DESIGN.md
-//!    §17;
+//! 9. the exact plans `Auto` chooses among: `C ∈ {1k, 10k, 100k}` ×
+//!    near-duplicate cluster-major / adversarial-uniform rows ×
+//!    {indexed, cascade, auto} against the direct scan, with the
+//!    per-mode scanned/pruned counters and what `Auto` resolved to —
+//!    the plan table quoted in DESIGN.md §17;
 //! 10. query rematerialization on the langid workload: the encoder's
 //!     resident item-vector caches vs the fixed seed-only
 //!     [`Rematerializer`] view, amortized per stored class.
@@ -62,8 +61,7 @@ use ham_core::shard::{OnlineUpdater, VersionedMemory};
 use ham_workloads::{synth, LangidWorkload, Workload};
 use hdc::prelude::*;
 use hdc::{
-    active_backend, enabled_backends, BitSlicedRows, BucketIndex, IndexBuildOptions, ScanPlan,
-    ScanStrategy,
+    active_backend, enabled_backends, BucketIndex, IndexBuildOptions, ScanPlan, ScanStrategy,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -112,28 +110,23 @@ struct IndexScaling {
     comparison: Comparison,
 }
 
-/// One bit-sliced operating point: a row shape × class count × scan
-/// mode against the row-major direct scan.
+/// One exact-plan operating point: a row shape × class count × scan
+/// mode against the direct scan.
 #[derive(Debug, Serialize)]
-struct BitSlicedScaling {
+struct PlanScaling {
     /// `"neardup"` (32 tight cluster-major clusters around one base —
-    /// the shape the 64-row group bound was built for) or `"uniform"`
-    /// (independent rows: the group bound can never fire).
+    /// cascade-friendly, never pruning-friendly) or `"uniform"`
+    /// (independent rows: no pruner can fire).
     shape: &'static str,
-    /// `"indexed"`, `"bitsliced"`, or `"auto"`.
+    /// `"indexed"`, `"cascade"`, or `"auto"`.
     mode: &'static str,
-    /// What `ScanStrategy::Auto` resolves to on this shape with both
-    /// the bucket index and the transpose mirror attached.
+    /// What `ScanStrategy::Auto` resolves to on this shape with the
+    /// bucket index attached.
     auto_resolves_to: String,
-    /// Footprint of the dim-major mirror (an additive cost next to the
-    /// row-major store).
-    sliced_resident_bytes: usize,
     /// Mean per-query counters in this mode: rows reaching the distance
-    /// kernel, rows pruned by the bucket triangle bound, and rows
-    /// dropped 64 at a time by the columnwise group bound.
+    /// kernel and rows pruned by the bucket triangle bound.
     rows_scanned_per_query: f64,
     rows_pruned_per_query: f64,
-    rows_group_pruned_per_query: f64,
     comparison: Comparison,
 }
 
@@ -175,9 +168,8 @@ struct Snapshot {
     cascade: Vec<Comparison>,
     /// Bucket-index sweep: shape × C × mode vs the linear scan.
     index_scaling: Vec<IndexScaling>,
-    /// Bit-sliced transpose sweep: shape × C × mode vs the row-major
-    /// direct scan.
-    bitsliced_scaling: Vec<BitSlicedScaling>,
+    /// Exact-plan sweep: shape × C × mode vs the direct scan.
+    plan_scaling: Vec<PlanScaling>,
     /// Dense item-vector caches vs the seed-only rematerializer.
     rematerialization: Rematerialization,
 }
@@ -565,7 +557,7 @@ fn main() {
     let words = query.as_bitvec().as_words();
     let scalar = enabled_backends()[0];
     let plan = |backend, strategy, packed: &PackedRows| {
-        ScanPlan::new(backend, strategy, None, None, packed.len(), packed.dim())
+        ScanPlan::new(backend, strategy, None, packed.len(), packed.dim())
     };
     let scalar_direct = plan(scalar, ScanStrategy::Direct, packed);
     let mut backends = Vec::new();
@@ -699,9 +691,8 @@ fn main() {
             };
 
             let probes: Vec<&[u64]> = queries.iter().map(Vec::as_slice).collect();
-            let indexed =
-                |strategy| ScanPlan::new(backend, strategy, Some(&index), None, classes, dim);
-            let direct = ScanPlan::new(backend, ScanStrategy::Direct, None, None, classes, dim);
+            let indexed = |strategy| ScanPlan::new(backend, strategy, Some(&index), classes, dim);
+            let direct = ScanPlan::new(backend, ScanStrategy::Direct, None, classes, dim);
 
             // Probe-mode recall + per-mode counters over the query set.
             let mut probe_hits = 0usize;
@@ -773,15 +764,13 @@ fn main() {
         }
     }
 
-    // 9. The bit-sliced transpose: near-duplicate cluster-major rows
-    // (tight clusters around one base, members contiguous so 64-row
-    // groups are cluster-homogeneous — the shape the group bound was
-    // built for) and adversarial uniform rows, swept across C at
-    // D = 10,000 against the row-major direct scan. The exact indexed
-    // walk runs alongside so the numbers say which traversal Auto
-    // should pick where; every mode here is bit-identical to the
-    // direct scan by construction.
-    let mut bitsliced_scaling = Vec::new();
+    // 9. The exact plans Auto chooses among: near-duplicate
+    // cluster-major rows (tight clusters around one base) and
+    // adversarial uniform rows, swept across C at D = 10,000 against
+    // the direct scan. The indexed walk and the cascade run side by
+    // side, so the numbers say which traversal Auto should pick where;
+    // every mode here is bit-identical to the direct scan.
+    let mut plan_scaling = Vec::new();
     for &classes in sweep {
         for neardup_shape in [true, false] {
             let shape = if neardup_shape { "neardup" } else { "uniform" };
@@ -811,13 +800,10 @@ fn main() {
             for row in &rows {
                 packed.push(row.as_bitvec().as_words());
             }
-            let sliced = BitSlicedRows::from_packed(&packed);
             let index = BucketIndex::build(&packed, backend, IndexBuildOptions::default())
                 .expect("non-empty matrix builds");
-            let planned = |strategy| {
-                ScanPlan::new(backend, strategy, Some(&index), Some(&sliced), classes, dim)
-            };
-            let direct = ScanPlan::new(backend, ScanStrategy::Direct, None, None, classes, dim);
+            let planned = |strategy| ScanPlan::new(backend, strategy, Some(&index), classes, dim);
+            let direct = ScanPlan::new(backend, ScanStrategy::Direct, None, classes, dim);
             let auto_resolved = planned(ScanStrategy::Auto).resolved();
             let queries: Vec<Vec<u64>> = if neardup_shape {
                 let sources: Vec<(usize, Hypervector)> =
@@ -835,12 +821,12 @@ fn main() {
 
             for (mode, strategy) in [
                 ("indexed", ScanStrategy::Indexed),
-                ("bitsliced", ScanStrategy::BitSliced),
+                ("cascade", ScanStrategy::Cascade),
                 ("auto", ScanStrategy::Auto),
             ] {
                 let contender = planned(strategy);
                 let probes: Vec<&[u64]> = queries.iter().map(Vec::as_slice).collect();
-                check_plan("bitsliced_scaling", &packed, &contender, &probes);
+                check_plan("plan_scaling", &packed, &contender, &probes);
                 let mut counters = ScanCounters::default();
                 for words in &probes {
                     packed.min2(&contender, words, None, Some(&mut counters));
@@ -852,7 +838,7 @@ fn main() {
                     classes,
                     dim,
                     600,
-                    "rowmajor_direct",
+                    "direct",
                     || {
                         let words = probes[base_at % probes.len()];
                         base_at += 1;
@@ -866,17 +852,15 @@ fn main() {
                     },
                 );
                 println!(
-                    "bitsliced {shape} C={classes} {mode}: direct {:.0} ns vs {mode} {:.0} ns ({:.2}x, auto→{auto_resolved:?})",
+                    "plan {shape} C={classes} {mode}: direct {:.0} ns vs {mode} {:.0} ns ({:.2}x, auto→{auto_resolved:?})",
                     cmp.baseline.ns_per_op, cmp.contender.ns_per_op, cmp.speedup
                 );
-                bitsliced_scaling.push(BitSlicedScaling {
+                plan_scaling.push(PlanScaling {
                     shape,
                     mode,
                     auto_resolves_to: format!("{auto_resolved:?}"),
-                    sliced_resident_bytes: sliced.resident_bytes(),
                     rows_scanned_per_query: per_query(counters.rows_scanned),
                     rows_pruned_per_query: per_query(counters.rows_pruned),
-                    rows_group_pruned_per_query: per_query(counters.rows_group_pruned),
                     comparison: cmp,
                 });
             }
@@ -918,7 +902,7 @@ fn main() {
         backends,
         cascade,
         index_scaling,
-        bitsliced_scaling,
+        plan_scaling,
         rematerialization,
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serializes");

@@ -386,11 +386,11 @@ impl DegradationController {
     /// every chunk replaced after `since`
     /// ([`MemoryVersion::patch_since`]) are written into the searched
     /// memory and into each rung's private copy, the version's own
-    /// bucket index, bit-sliced mirror and scan strategy are attached,
-    /// and `policy` takes effect. The result is the controller
-    /// [`for_kind`](Self::for_kind) builds over `version.memory()`, at
-    /// the cost of the changed chunks — nothing is materialized and the
-    /// index and mirror are shared, never copied. Rows outside the
+    /// bucket index and scan strategy are attached, and `policy` takes
+    /// effect. The result is the controller [`for_kind`](Self::for_kind)
+    /// builds over `version.memory()`, at the cost of the changed chunks
+    /// — nothing is materialized and the index is shared, never copied.
+    /// Rows outside the
     /// changed chunks are kept as served.
     ///
     /// # Errors
@@ -414,14 +414,11 @@ impl DegradationController {
             });
         }
         let patch = version.patch_since(since);
-        // `apply_patch` detaches the index and mirror before it writes,
-        // so no shared structure is copied on the way.
+        // `apply_patch` detaches the index before it writes, so no
+        // shared structure is copied on the way.
         self.memory.apply_patch(&patch).map_err(HamError::Hdc)?;
         if let Some(index) = version.index_handle() {
             self.memory.attach_index(index).map_err(HamError::Hdc)?;
-        }
-        if let Some(sliced) = version.sliced_handle() {
-            self.memory.attach_sliced(sliced).map_err(HamError::Hdc)?;
         }
         self.memory.set_scan_strategy(version.scan_strategy());
         self.engine.apply_patch(&patch);

@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use hdc::prelude::*;
+use hdc::IndexBuildOptions;
 
 use crate::batch::{price_completed, BatchOptions};
 use crate::explore::DesignKind;
@@ -691,9 +692,9 @@ impl ResilientServer {
     }
 
     /// The golden state: the served memory with every row that differs
-    /// from its golden copy rewritten. Labels, scan strategy, bucket
-    /// index and bit-sliced mirror carry over, and the row rewrites keep
-    /// the index and mirror coherent, so a restored tenant keeps its
+    /// from its golden copy rewritten. Labels, scan strategy and bucket
+    /// index carry over (and [`restore`](Self::restore) rebuilds the
+    /// index over the restored rows), so a restored tenant keeps its
     /// pruned scan.
     fn golden_memory(&self) -> AssociativeMemory {
         let mut golden = self.controller.memory().clone();
@@ -783,16 +784,22 @@ impl ResilientServer {
             let memory = self.served_with_rows(&load.memory)?;
             Some((memory, load.corrupted.len()))
         });
-        match restored {
-            Some((memory, corrupted_on_disk)) => {
-                self.rebuild(memory, tightened);
-                actions.push(HealthAction::RestoredFromSnapshot { corrupted_on_disk });
-            }
-            None => {
-                self.rebuild(self.golden_memory(), tightened);
-                actions.push(HealthAction::RestoredFromGolden);
-            }
+        let (mut memory, action) = match restored {
+            Some((memory, corrupted_on_disk)) => (
+                memory,
+                HealthAction::RestoredFromSnapshot { corrupted_on_disk },
+            ),
+            None => (self.golden_memory(), HealthAction::RestoredFromGolden),
+        };
+        // The corrupt rows grew the radii of the buckets they were
+        // assigned to, and radii never shrink, so rewriting the rows
+        // leaves the index looser than the clean one. Rebuild it over
+        // the restored rows with the options every served index uses.
+        if memory.index().is_some() {
+            memory.build_index(IndexBuildOptions::default());
         }
+        self.rebuild(memory, tightened);
+        actions.push(action);
         self.monitor.mark_restored();
     }
 }
@@ -887,7 +894,6 @@ mod tests {
     use super::*;
     use crate::batch::run_batch;
     use crate::explore::{build, random_memory};
-    use hdc::IndexBuildOptions;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1298,10 +1304,10 @@ mod tests {
         }
     }
 
-    /// A bit-sliced tenant (the near-duplicate shape) keeps its scan
-    /// strategy, index and mirror through a quarantine restore, from the
-    /// golden rows and from a snapshot alike: the restored memory scans
-    /// exactly as the clean memory does.
+    /// An indexed tenant (separated clusters) keeps its scan strategy
+    /// and bucket index through a quarantine restore, from the golden
+    /// rows and from a snapshot alike: the restored memory scans, and
+    /// prunes, exactly as the clean memory does.
     #[test]
     fn quarantine_restore_keeps_the_pruned_scan() {
         let dim = Dimension::new(512).unwrap();
@@ -1313,8 +1319,7 @@ mod tests {
             clean.insert(format!("row-{i}"), row).unwrap();
         }
         clean.build_index(IndexBuildOptions::default()).unwrap();
-        clean.build_sliced();
-        clean.set_scan_strategy(ScanStrategy::BitSliced);
+        clean.set_scan_strategy(ScanStrategy::Indexed);
         let queries: Vec<Hypervector> = (0..8)
             .map(|c| centres[c].with_flipped_bits(4, &mut rng))
             .collect();
@@ -1325,10 +1330,10 @@ mod tests {
                 .collect()
         };
         let expected = counted(&clean);
-        assert!(expected.iter().all(|c| c.rows_group_pruned > 0));
+        assert!(expected.iter().all(|c| c.rows_pruned > 0), "{expected:?}");
 
         let path =
-            std::env::temp_dir().join(format!("hdham-serve-sliced-{}.ham", std::process::id()));
+            std::env::temp_dir().join(format!("hdham-serve-indexed-{}.ham", std::process::id()));
         for from_snapshot in [false, true] {
             let mut faulted = clean.clone();
             for class in (0..512).step_by(37) {
@@ -1361,8 +1366,11 @@ mod tests {
             );
             let restored = server.memory();
             assert!(restored.iter().eq(clean.iter()), "rows and labels restored");
-            assert_eq!(restored.resolved_strategy(), ResolvedScan::BitSliced);
-            assert!(restored.index().is_some() && restored.sliced().is_some());
+            assert_eq!(
+                restored.resolved_strategy(),
+                ResolvedScan::Indexed { nprobe: None }
+            );
+            assert!(restored.index().is_some());
             assert_eq!(counted(restored), expected, "snapshot={from_snapshot}");
         }
         let _ = std::fs::remove_file(&path);

@@ -111,8 +111,7 @@ impl MemoryChunk {
 
 /// [`RowSource`] view over a version's chunk list, presenting the
 /// chunked storage as one row space for [`BucketIndex`] row assignment
-/// and mirror rebuilds (each lookup is two shifts plus the chunk-local
-/// slice).
+/// (each lookup is two shifts plus the chunk-local slice).
 struct ChunkedRowsView<'a> {
     chunks: &'a [Arc<MemoryChunk>],
     rows: usize,
@@ -171,12 +170,6 @@ struct DeltaMemory {
     rows: usize,
     chunks: Vec<Arc<MemoryChunk>>,
     index: Option<Arc<BucketIndex>>,
-    /// Dim-major mirror of the rows ([`BitSlicedRows`]), carried under
-    /// the same copy-on-write discipline as the chunks: a delta publish
-    /// shares every untouched 64-row group `Arc` with its predecessor
-    /// and retransposes only the groups an op dirtied (a group spans
-    /// exactly `64 / CHUNK_ROWS` chunks).
-    sliced: Option<Arc<BitSlicedRows>>,
     strategy: ScanStrategy,
 }
 
@@ -203,21 +196,12 @@ impl DeltaMemory {
             rows: memory.len(),
             chunks,
             index: memory.index_handle(),
-            sliced: memory.sliced_handle(),
             strategy: memory.scan_strategy(),
         }
     }
 
     fn words_per_row(&self) -> usize {
         self.dim.get().div_ceil(64)
-    }
-
-    fn view(&self) -> ChunkedRowsView<'_> {
-        ChunkedRowsView {
-            chunks: &self.chunks,
-            rows: self.rows,
-            words_per_row: self.words_per_row(),
-        }
     }
 
     /// Rebuilds the full [`AssociativeMemory`] — the cold path behind
@@ -237,11 +221,6 @@ impl DeltaMemory {
             memory
                 .attach_index(Arc::clone(index))
                 .expect("delta index covers exactly the stored rows");
-        }
-        if let Some(sliced) = &self.sliced {
-            memory
-                .attach_sliced(Arc::clone(sliced))
-                .expect("delta mirror covers exactly the stored rows");
         }
         memory.set_scan_strategy(self.strategy);
         memory
@@ -293,10 +272,6 @@ impl DeltaMemory {
                 }
                 self.rows += 1;
                 self.assign_index_row(row);
-                if let Some(sliced) = self.sliced.as_mut() {
-                    let chunk = &self.chunks[row / CHUNK_ROWS];
-                    Arc::make_mut(sliced).push_row(chunk.packed.row_words(row % CHUNK_ROWS));
-                }
                 Ok(())
             }
             UpdateOp::Replace { class, hv } => {
@@ -312,11 +287,6 @@ impl DeltaMemory {
                 chunk.packed.replace(local, hv.as_bitvec().as_words());
                 chunk.rows[local] = hv.clone();
                 self.assign_index_row(class.0);
-                if let Some(sliced) = self.sliced.as_mut() {
-                    // Copy-on-write inside the mirror: `update_row`
-                    // clones only the touched 64-row group.
-                    Arc::make_mut(sliced).update_row(class.0, hv.as_bitvec().as_words());
-                }
                 Ok(())
             }
             UpdateOp::Retire { class } => {
@@ -338,7 +308,6 @@ impl DeltaMemory {
                     rows: 0,
                     chunks: Vec::with_capacity(self.chunks.len()),
                     index: None,
-                    sliced: None,
                     strategy: self.strategy,
                 };
                 let mut open = MemoryChunk::new(self.dim);
@@ -363,15 +332,6 @@ impl DeltaMemory {
                 }
                 if !open.is_empty() {
                     survivor.chunks.push(Arc::new(open));
-                }
-                // Retirement renumbers rows, so every mirror group past
-                // the gap shifts — rebuild the transpose wholesale,
-                // matching the chunk rebuild above.
-                if self.sliced.is_some() {
-                    survivor.sliced = Some(Arc::new(BitSlicedRows::from_source(
-                        &survivor.view(),
-                        survivor.dim.get(),
-                    )));
                 }
                 *self = survivor;
                 Ok(())
@@ -449,21 +409,10 @@ impl MemoryVersion {
         self.delta.index.as_deref()
     }
 
-    /// The version's bit-sliced dim-major mirror, if any, without
-    /// materializing.
-    pub fn sliced(&self) -> Option<&BitSlicedRows> {
-        self.delta.sliced.as_deref()
-    }
-
     /// Shared handle to the version's bucket index — what an engine
     /// advancing to this version attaches, so it never copies the index.
     pub fn index_handle(&self) -> Option<Arc<BucketIndex>> {
         self.delta.index.clone()
-    }
-
-    /// Shared handle to the version's bit-sliced mirror.
-    pub fn sliced_handle(&self) -> Option<Arc<BitSlicedRows>> {
-        self.delta.sliced.clone()
     }
 
     /// The version's configured scan strategy (before resolution).
@@ -512,7 +461,6 @@ impl MemoryVersion {
             active_backend(),
             self.delta.strategy,
             self.delta.index.as_deref(),
-            self.delta.sliced.as_deref(),
             self.delta.rows,
             self.delta.dim.get(),
         )

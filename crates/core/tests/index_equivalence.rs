@@ -103,7 +103,7 @@ proptest! {
         for backend in enabled_backends() {
             let index = BucketIndex::build(packed, backend, IndexBuildOptions::default())
                 .expect("non-empty matrix builds");
-            let plan = |strategy| ScanPlan::new(backend, strategy, Some(&index), None, rows, dim);
+            let plan = |strategy| ScanPlan::new(backend, strategy, Some(&index), rows, dim);
             let indexed_plan = plan(ScanStrategy::Indexed);
             let linear_plan = plan(ScanStrategy::Direct);
             for query in &queries {

@@ -14,8 +14,8 @@ use crate::distortion::{DistanceDistorter, SampleMask};
 use crate::error::HdcError;
 use crate::hypervector::{Dimension, Distance, Hypervector};
 use crate::kernel::{
-    active_backend, BitSlicedRows, BucketIndex, IndexBuildOptions, IndexStats, Min2, PackedRows,
-    ResolvedScan, ScanCounters, ScanPlan, ScanStrategy,
+    active_backend, BucketIndex, IndexBuildOptions, IndexStats, Min2, PackedRows, ResolvedScan,
+    ScanCounters, ScanPlan, ScanStrategy,
 };
 use crate::parallel::map_even;
 use crate::patch::RowPatch;
@@ -92,13 +92,6 @@ pub struct AssociativeMemory {
     /// `Arc::make_mut`, so a clone never mutates the index a published
     /// version is still scanning.
     index: Option<Arc<BucketIndex>>,
-    /// Optional dim-major mirror of `packed`
-    /// ([`build_sliced`](Self::build_sliced)) routing the
-    /// [`ScanStrategy::BitSliced`] family. Kept coherent by
-    /// `insert`/`replace_row` through `Arc::make_mut` under the same
-    /// COW discipline as the index: a published clone never sees a
-    /// half-updated mirror.
-    sliced: Option<Arc<BitSlicedRows>>,
     /// How searches traverse `packed`; [`ScanStrategy::Auto`] resolves
     /// against the index stats on every scan.
     strategy: ScanStrategy,
@@ -113,7 +106,6 @@ impl AssociativeMemory {
             rows: Vec::new(),
             labels: Vec::new(),
             index: None,
-            sliced: None,
             strategy: ScanStrategy::Auto,
         }
     }
@@ -156,9 +148,6 @@ impl AssociativeMemory {
         self.labels.push(label.into());
         if let Some(index) = self.index.as_mut() {
             Arc::make_mut(index).assign_row(&self.packed, active_backend(), id.0);
-        }
-        if let Some(sliced) = self.sliced.as_mut() {
-            Arc::make_mut(sliced).push_row(self.packed.row_words(id.0));
         }
         Ok(id)
     }
@@ -234,61 +223,18 @@ impl AssociativeMemory {
         self.index = None;
     }
 
-    /// Builds (or rebuilds) the dim-major bit-sliced mirror over the
-    /// current rows and attaches it, enabling the
-    /// [`ScanStrategy::BitSliced`] traversal (and letting
-    /// [`ScanStrategy::Auto`] choose it on cascade-friendly geometry at
-    /// scale). Exact search results are unchanged by construction.
-    pub fn build_sliced(&mut self) -> &BitSlicedRows {
-        self.sliced = Some(Arc::new(BitSlicedRows::from_packed(&self.packed)));
-        self.sliced.as_deref().expect("just attached")
-    }
-
-    /// Attaches an already-built mirror (the snapshot warm-restart path
-    /// rebuilds and re-attaches here).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] when the mirror does not
-    /// cover exactly this memory's rows (row count and width must both
-    /// match).
-    pub fn attach_sliced(&mut self, sliced: Arc<BitSlicedRows>) -> Result<(), HdcError> {
-        if sliced.len() != self.packed.len()
-            || sliced.words_per_row() != self.packed.words_per_row()
-        {
-            return Err(HdcError::DimensionMismatch {
-                left: self.packed.len(),
-                right: sliced.len(),
-            });
-        }
-        self.sliced = Some(sliced);
-        Ok(())
-    }
-
-    /// The attached bit-sliced mirror, if any.
-    pub fn sliced(&self) -> Option<&BitSlicedRows> {
-        self.sliced.as_deref()
-    }
-
-    /// Shared handle to the attached mirror.
-    pub fn sliced_handle(&self) -> Option<Arc<BitSlicedRows>> {
-        self.sliced.clone()
-    }
-
-    /// Detaches the mirror; the `BitSliced` strategy falls back to the
-    /// direct scan.
-    pub fn drop_sliced(&mut self) {
-        self.sliced = None;
-    }
+    /// Does nothing: no scan plan reads a second copy of the rows. Kept
+    /// only because perfbench calls it; delete with the next benchmark
+    /// change.
+    pub fn build_sliced(&mut self) {}
 
     /// The scan plan every search in this memory runs: the strategy
-    /// resolved against the attached index and mirror.
+    /// resolved against the attached index.
     fn plan(&self) -> ScanPlan<'_> {
         ScanPlan::new(
             active_backend(),
             self.strategy,
             self.index.as_deref(),
-            self.sliced.as_deref(),
             self.packed.len(),
             self.dim.get(),
         )
@@ -334,9 +280,6 @@ impl AssociativeMemory {
                 if let Some(index) = self.index.as_mut() {
                     Arc::make_mut(index).assign_row(&self.packed, active_backend(), class.0);
                 }
-                if let Some(sliced) = self.sliced.as_mut() {
-                    Arc::make_mut(sliced).update_row(class.0, self.packed.row_words(class.0));
-                }
                 Ok(())
             }
             None => Err(HdcError::UnknownClass {
@@ -347,12 +290,10 @@ impl AssociativeMemory {
     }
 
     /// Rewrites the stored rows and labels by `patch`. The bucket index
-    /// and the bit-sliced mirror are detached first — a patch may rewrite
-    /// any row, and detaching keeps the writes from copying either
-    /// structure — so re-attach ones that cover the patched rows
-    /// ([`attach_index`](Self::attach_index),
-    /// [`attach_sliced`](Self::attach_sliced)). The scan strategy is
-    /// kept.
+    /// is detached first — a patch may rewrite any row, and detaching
+    /// keeps the writes from copying the index — so re-attach one that
+    /// covers the patched rows ([`attach_index`](Self::attach_index)).
+    /// The scan strategy is kept.
     ///
     /// # Errors
     ///
@@ -371,7 +312,6 @@ impl AssociativeMemory {
             });
         }
         self.index = None;
-        self.sliced = None;
         patch.apply_to_packed(&mut self.packed);
         patch.apply_to_rows(&mut self.rows);
         patch.apply_to_labels(&mut self.labels);
@@ -983,12 +923,11 @@ mod tests {
     }
 
     #[test]
-    fn bitsliced_memory_searches_bit_identically_and_follows_writes() {
+    fn cascade_memory_searches_bit_identically_and_follows_writes() {
         let (mut am, rows) = memory_with(2_048, 100);
-        let plain = am.clone();
-        am.build_sliced();
-        am.set_scan_strategy(ScanStrategy::BitSliced);
-        assert_eq!(am.resolved_strategy(), ResolvedScan::BitSliced);
+        let plain = am.clone().with_scan_strategy(ScanStrategy::Direct);
+        am.set_scan_strategy(ScanStrategy::Cascade);
+        assert_eq!(am.resolved_strategy(), ResolvedScan::Cascade);
         let mut rng = StdRng::seed_from_u64(11);
         for row in rows.iter().step_by(7) {
             let q = row.with_flipped_bits(300, &mut rng);
@@ -998,40 +937,88 @@ mod tests {
                 plain.search_top_k(&q, 5).unwrap()
             );
         }
-        // Writes keep the mirror coherent: the new rows win their own
-        // patterns through the bit-sliced traversal.
+        // Writes reach the cascade's scan: the new rows win their own
+        // patterns.
         let late = Hypervector::random(dim(2_048), 777);
         am.insert("late", late.clone()).unwrap();
-        assert_eq!(am.sliced().unwrap().len(), 101);
         assert_eq!(am.search(&late).unwrap().class, ClassId(100));
         let swapped = Hypervector::random(dim(2_048), 888);
         am.replace_row(ClassId(42), swapped.clone()).unwrap();
         assert_eq!(am.search(&swapped).unwrap().class, ClassId(42));
-        // COW: a frozen clone keeps scanning the pre-mutation mirror.
+        // A frozen clone keeps scanning the pre-mutation rows.
         let frozen = am.clone();
-        let mut publishing = am.clone();
-        publishing
-            .insert("next", Hypervector::random(dim(2_048), 999))
-            .unwrap();
-        assert_eq!(frozen.sliced().unwrap().len(), 101);
-        assert_eq!(publishing.sliced().unwrap().len(), 102);
-        // Dropping the mirror falls the explicit strategy back to Direct.
-        publishing.drop_sliced();
-        assert_eq!(publishing.resolved_strategy(), ResolvedScan::Direct);
+        let next = Hypervector::random(dim(2_048), 999);
+        am.insert("next", next.clone()).unwrap();
+        assert_eq!(am.search(&next).unwrap().class, ClassId(101));
+        assert_ne!(frozen.search(&next).unwrap().class, ClassId(101));
+        assert_eq!(frozen.len(), 101);
     }
 
     #[test]
-    fn attach_sliced_validates_coverage() {
-        let (mut am, _) = memory_with(512, 10);
-        let (other, _) = memory_with(512, 9);
-        let mirror = Arc::new(crate::kernel::BitSlicedRows::from_packed(
-            other.packed_rows(),
-        ));
-        assert!(am.attach_sliced(mirror.clone()).is_err());
-        let (mut right, _) = memory_with(512, 9);
-        right.attach_sliced(mirror).unwrap();
-        assert!(right.sliced().is_some());
-        assert!(right.sliced_handle().is_some());
+    fn apply_patch_detaches_the_index_and_keeps_the_strategy() {
+        let (mut am, _) = memory_with(512, 20);
+        am.build_index(IndexBuildOptions::default()).unwrap();
+        am.set_scan_strategy(ScanStrategy::Indexed);
+        assert_eq!(
+            am.resolved_strategy(),
+            ResolvedScan::Indexed { nprobe: None }
+        );
+        // Rewrite row 3, append two rows, then cut back to 21 rows.
+        let labels: Vec<String> = vec!["r3".into(), "a".into(), "b".into()];
+        let written: Vec<Hypervector> = (0..3u64)
+            .map(|s| Hypervector::random(dim(512), 500 + s))
+            .collect();
+        let mut target = AssociativeMemory::new(dim(512));
+        for (class, label, hv) in am.iter() {
+            match class.0 {
+                3 => target.insert("r3", written[0].clone()).unwrap(),
+                _ => target.insert(label, hv.clone()).unwrap(),
+            };
+        }
+        target.insert("a", written[1].clone()).unwrap();
+        let mut patch = RowPatch::new(21);
+        patch.push_run(3, &labels[..1], &written[..1]);
+        patch.push_run(20, &labels[1..2], &written[1..2]);
+        am.apply_patch(&patch).unwrap();
+        assert!(am.index().is_none(), "a patch detaches the index");
+        assert_eq!(am.scan_strategy(), ScanStrategy::Indexed);
+        assert_eq!(am.resolved_strategy(), ResolvedScan::Direct);
+        assert_eq!(am.packed_rows(), target.packed_rows());
+        assert!(am
+            .iter()
+            .map(|(_, l, _)| l)
+            .eq(target.iter().map(|(_, l, _)| l)));
+        assert_eq!(am.search(&written[0]).unwrap().class, ClassId(3));
+        // Re-attaching an index over the patched rows restores the walk.
+        am.build_index(IndexBuildOptions::default()).unwrap();
+        assert_eq!(
+            am.resolved_strategy(),
+            ResolvedScan::Indexed { nprobe: None }
+        );
+        assert_eq!(am.search(&written[1]).unwrap().class, ClassId(20));
+        // A patch from another space changes nothing.
+        let foreign = vec![Hypervector::random(dim(256), 1)];
+        let mut bad = RowPatch::new(21);
+        bad.push_run(0, &labels[..1], &foreign);
+        assert!(am.apply_patch(&bad).is_err());
+        assert!(am.index().is_some());
+        assert_eq!(am.packed_rows(), target.packed_rows());
+    }
+
+    #[test]
+    fn build_sliced_changes_neither_the_plan_nor_the_answers() {
+        let (mut am, rows) = memory_with(1_024, 30);
+        am.build_index(IndexBuildOptions::default()).unwrap();
+        let before = am.clone();
+        am.build_sliced();
+        assert_eq!(am.resolved_strategy(), before.resolved_strategy());
+        assert_eq!(am.packed_rows(), before.packed_rows());
+        for row in &rows {
+            assert_eq!(
+                am.search_counted(row).unwrap(),
+                before.search_counted(row).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -19,7 +19,6 @@
 use std::arch::x86_64::*;
 
 use super::backend::DistanceBackend;
-use super::bitsliced::{GroupAccumulator, GROUP_ROWS};
 
 /// Whether the host can run this backend.
 pub(super) fn available() -> bool {
@@ -167,67 +166,6 @@ unsafe fn bounded_distance_masked_avx2(
     Some(total)
 }
 
-/// Bit-sliced column fold: the 64 mismatch planes of one word-column
-/// pass through the same 16-input carry-save tree as the scalar
-/// [`GroupAccumulator::admit_block`], but four planes at a time — each
-/// `__m256i` lane carries an independent CSA sub-state over 16 of the 64
-/// planes, landed with [`GroupAccumulator::admit_sub`]. The accumulator
-/// decomposition is canonical, so this reaches the exact state of the
-/// scalar fold.
-#[target_feature(enable = "avx2")]
-unsafe fn accumulate_column_avx2(
-    planes: &[u64; GROUP_ROWS],
-    query_word: u64,
-    mask_word: u64,
-    acc: &mut GroupAccumulator,
-) {
-    let base = planes.as_ptr();
-    let query = _mm256_set1_epi64x(query_word as i64);
-    let mask = _mm256_set1_epi64x(mask_word as i64);
-    let one = _mm256_set1_epi64x(1);
-    let zero = _mm256_setzero_si256();
-    // Mismatch vector for planes `4j .. 4j+4`: per lane,
-    // `(plane ^ broadcast(query bit)) & broadcast(mask bit)`.
-    let m = |j: usize| {
-        let p = 4 * j as i64;
-        let shifts = _mm256_setr_epi64x(p, p + 1, p + 2, p + 3);
-        let qb = _mm256_sub_epi64(
-            zero,
-            _mm256_and_si256(_mm256_srlv_epi64(query, shifts), one),
-        );
-        let mb = _mm256_sub_epi64(zero, _mm256_and_si256(_mm256_srlv_epi64(mask, shifts), one));
-        _mm256_and_si256(
-            _mm256_xor_si256(_mm256_loadu_si256(base.add(4 * j).cast()), qb),
-            mb,
-        )
-    };
-    let (two_a, o) = csa(zero, m(0), m(1));
-    let (two_b, o) = csa(o, m(2), m(3));
-    let (four_a, t) = csa(zero, two_a, two_b);
-    let (two_a, o) = csa(o, m(4), m(5));
-    let (two_b, o) = csa(o, m(6), m(7));
-    let (four_b, t) = csa(t, two_a, two_b);
-    let (eight_a, f) = csa(zero, four_a, four_b);
-    let (two_a, o) = csa(o, m(8), m(9));
-    let (two_b, o) = csa(o, m(10), m(11));
-    let (four_a, t) = csa(t, two_a, two_b);
-    let (two_a, o) = csa(o, m(12), m(13));
-    let (two_b, o) = csa(o, m(14), m(15));
-    let (four_b, t) = csa(t, two_a, two_b);
-    let (eight_b, f) = csa(f, four_a, four_b);
-    let (sixteen, e) = csa(zero, eight_a, eight_b);
-    let unpack = |v: __m256i| {
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v);
-        lanes
-    };
-    let (o, t, f, e, s) = (unpack(o), unpack(t), unpack(f), unpack(e), unpack(sixteen));
-    for lane in 0..4 {
-        acc.admit_sub(o[lane], t[lane], f[lane], e[lane]);
-        acc.ripple_sixteens(s[lane]);
-    }
-}
-
 /// The AVX2 nibble-LUT carry-save backend.
 #[derive(Debug)]
 pub struct Avx2;
@@ -254,18 +192,6 @@ impl DistanceBackend for Avx2 {
         debug_assert!(available(), "avx2 backend dispatched on a non-avx2 host");
         // SAFETY: as above.
         unsafe { bounded_distance_masked_avx2(a, b, mask, bound) }
-    }
-
-    fn accumulate_column(
-        &self,
-        planes: &[u64; GROUP_ROWS],
-        query_word: u64,
-        mask_word: u64,
-        acc: &mut GroupAccumulator,
-    ) {
-        debug_assert!(available(), "avx2 backend dispatched on a non-avx2 host");
-        // SAFETY: as above.
-        unsafe { accumulate_column_avx2(planes, query_word, mask_word, acc) }
     }
 }
 
@@ -330,45 +256,6 @@ mod tests {
                 Avx2.bounded_distance_masked(&a, &b, &m, usize::MAX),
                 Some(expected),
                 "len {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn column_fold_matches_the_scalar_fold_lane_for_lane() {
-        if !available() {
-            return;
-        }
-        for salt in 0..8u64 {
-            let mut planes = [0u64; GROUP_ROWS];
-            let words = pseudo_words(GROUP_ROWS, salt);
-            planes.copy_from_slice(&words);
-            let query_word = 0x5A5A_F00D_DEAD_BEEFu64.rotate_left(salt as u32);
-            let mask_word = if salt % 2 == 0 { !0 } else { words[0] };
-            let mut simd = GroupAccumulator::new();
-            let mut reference = GroupAccumulator::new();
-            // Fold the column several times so the counter planes grow
-            // past one level and the ripple paths get exercised.
-            for _ in 0..5 {
-                Avx2.accumulate_column(&planes, query_word, mask_word, &mut simd);
-                super::super::bitsliced::accumulate_column_scalar(
-                    &planes,
-                    query_word,
-                    mask_word,
-                    &mut reference,
-                );
-            }
-            for lane in 0..GROUP_ROWS {
-                assert_eq!(
-                    simd.lane_total(lane),
-                    reference.lane_total(lane),
-                    "salt {salt} lane {lane}"
-                );
-            }
-            assert_eq!(
-                simd.min_lower_bound(!0),
-                reference.min_lower_bound(!0),
-                "salt {salt}"
             );
         }
     }

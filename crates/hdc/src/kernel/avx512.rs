@@ -16,7 +16,6 @@
 use std::arch::x86_64::*;
 
 use super::backend::DistanceBackend;
-use super::bitsliced::{GroupAccumulator, GROUP_ROWS};
 
 /// Whether the host can run this backend.
 pub(super) fn available() -> bool {
@@ -112,68 +111,6 @@ unsafe fn bounded_distance_masked_avx512(
     Some(total)
 }
 
-/// Vector carry-save adder on 512-bit registers: one `VPTERNLOGQ` each
-/// for the majority (carry) and parity (sum) functions.
-#[inline(always)]
-unsafe fn csa512(a: __m512i, b: __m512i, c: __m512i) -> (__m512i, __m512i) {
-    (
-        _mm512_ternarylogic_epi64(a, b, c, 0xE8),
-        _mm512_ternarylogic_epi64(a, b, c, 0x96),
-    )
-}
-
-/// Bit-sliced column fold: the 64 mismatch planes of one word-column as
-/// 8 vectors of 8 planes, reduced by an in-register carry-save tree to
-/// per-lane weights 1/2/4 plus a weight-8 spill, landed with
-/// [`GroupAccumulator::admit_sub`] (spill in the weight-8 slot). The
-/// accumulator decomposition is canonical, so this reaches the exact
-/// state of the scalar fold.
-#[target_feature(enable = "avx512f,avx512vpopcntdq")]
-unsafe fn accumulate_column_avx512(
-    planes: &[u64; GROUP_ROWS],
-    query_word: u64,
-    mask_word: u64,
-    acc: &mut GroupAccumulator,
-) {
-    let base = planes.as_ptr();
-    let query = _mm512_set1_epi64(query_word as i64);
-    let mask = _mm512_set1_epi64(mask_word as i64);
-    let one = _mm512_set1_epi64(1);
-    let zero = _mm512_setzero_si512();
-    // Mismatch vector for planes `8j .. 8j+8`: per lane,
-    // `(plane ^ broadcast(query bit)) & broadcast(mask bit)` — the
-    // XOR+AND pair fuses into one `VPTERNLOGQ`.
-    let m = |j: usize| {
-        let p = 8 * j as i64;
-        let shifts = _mm512_setr_epi64(p, p + 1, p + 2, p + 3, p + 4, p + 5, p + 6, p + 7);
-        let qb = _mm512_sub_epi64(
-            zero,
-            _mm512_and_si512(_mm512_srlv_epi64(query, shifts), one),
-        );
-        let mb = _mm512_sub_epi64(zero, _mm512_and_si512(_mm512_srlv_epi64(mask, shifts), one));
-        _mm512_and_si512(
-            _mm512_xor_si512(_mm512_loadu_si512(base.add(8 * j).cast()), qb),
-            mb,
-        )
-    };
-    let (two_a, o) = csa512(zero, m(0), m(1));
-    let (two_b, o) = csa512(o, m(2), m(3));
-    let (four_a, t) = csa512(zero, two_a, two_b);
-    let (two_a, o) = csa512(o, m(4), m(5));
-    let (two_b, o) = csa512(o, m(6), m(7));
-    let (four_b, t) = csa512(t, two_a, two_b);
-    let (eight, f) = csa512(zero, four_a, four_b);
-    let unpack = |v: __m512i| {
-        let mut lanes = [0u64; 8];
-        _mm512_storeu_si512(lanes.as_mut_ptr().cast(), v);
-        lanes
-    };
-    let (o, t, f, e) = (unpack(o), unpack(t), unpack(f), unpack(eight));
-    for lane in 0..8 {
-        acc.admit_sub(o[lane], t[lane], f[lane], e[lane]);
-    }
-}
-
 /// The AVX-512 `VPOPCNTDQ` backend — the widest datapath on x86-64.
 #[derive(Debug)]
 pub struct Avx512;
@@ -201,18 +138,6 @@ impl DistanceBackend for Avx512 {
         debug_assert!(available(), "avx512 backend dispatched without VPOPCNTDQ");
         // SAFETY: as above.
         unsafe { bounded_distance_masked_avx512(a, b, mask, bound) }
-    }
-
-    fn accumulate_column(
-        &self,
-        planes: &[u64; GROUP_ROWS],
-        query_word: u64,
-        mask_word: u64,
-        acc: &mut GroupAccumulator,
-    ) {
-        debug_assert!(available(), "avx512 backend dispatched without VPOPCNTDQ");
-        // SAFETY: as above.
-        unsafe { accumulate_column_avx512(planes, query_word, mask_word, acc) }
     }
 }
 
@@ -277,45 +202,6 @@ mod tests {
                 Avx512.bounded_distance_masked(&a, &b, &m, usize::MAX),
                 Some(expected),
                 "len {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn column_fold_matches_the_scalar_fold_lane_for_lane() {
-        if !available() {
-            return;
-        }
-        for salt in 0..8u64 {
-            let mut planes = [0u64; GROUP_ROWS];
-            let words = pseudo_words(GROUP_ROWS, salt);
-            planes.copy_from_slice(&words);
-            let query_word = 0x5A5A_F00D_DEAD_BEEFu64.rotate_left(salt as u32);
-            let mask_word = if salt % 2 == 0 { !0 } else { words[0] };
-            let mut simd = GroupAccumulator::new();
-            let mut reference = GroupAccumulator::new();
-            // Fold the column several times so the counter planes grow
-            // past one level and the ripple paths get exercised.
-            for _ in 0..5 {
-                Avx512.accumulate_column(&planes, query_word, mask_word, &mut simd);
-                super::super::bitsliced::accumulate_column_scalar(
-                    &planes,
-                    query_word,
-                    mask_word,
-                    &mut reference,
-                );
-            }
-            for lane in 0..GROUP_ROWS {
-                assert_eq!(
-                    simd.lane_total(lane),
-                    reference.lane_total(lane),
-                    "salt {salt} lane {lane}"
-                );
-            }
-            assert_eq!(
-                simd.min_lower_bound(!0),
-                reference.min_lower_bound(!0),
-                "salt {salt}"
             );
         }
     }

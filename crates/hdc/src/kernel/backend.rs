@@ -58,27 +58,6 @@ pub trait DistanceBackend: std::fmt::Debug + Send + Sync {
         mask: &[u64],
         bound: usize,
     ) -> Option<usize>;
-
-    /// Folds one word-column of a bit-sliced row group into `acc`: for
-    /// each of the 64 row lanes, counts the mismatches between that
-    /// row's word (spread across `planes`) and `query_word`, restricted
-    /// to `mask_word`. Exactness is the whole contract — the bit-sliced
-    /// scan's group bound is only sound if every admitted column is
-    /// counted fully — so unlike the bounded entry points there is no
-    /// early-out latitude here. The default is the portable carry-save
-    /// fold; SIMD backends override it with wider column kernels that
-    /// reach the *same* accumulator state (the CSA + binary-counter
-    /// decomposition is unique, so any exact fold lands on identical
-    /// planes).
-    fn accumulate_column(
-        &self,
-        planes: &[u64; super::bitsliced::GROUP_ROWS],
-        query_word: u64,
-        mask_word: u64,
-        acc: &mut super::bitsliced::GroupAccumulator,
-    ) {
-        super::bitsliced::accumulate_column_scalar(planes, query_word, mask_word, acc);
-    }
 }
 
 /// The backend every kernel entry point dispatches through, selected on

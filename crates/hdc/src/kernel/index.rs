@@ -69,11 +69,8 @@ pub struct ScanCounters {
     ///
     /// [`Probe`]: super::ScanStrategy::Probe
     pub rows_pruned: u64,
-    /// Rows dropped wholesale by the bit-sliced columnwise group bound
-    /// ([`BitSlicedRows`]) — kept distinct from `rows_pruned` so
-    /// telemetry can tell columnwise pruning from bucket pruning.
-    ///
-    /// [`BitSlicedRows`]: super::bitsliced::BitSlicedRows
+    /// Always 0: no plan prunes rows in groups. Kept only because
+    /// perfbench calls it; delete with the next benchmark change.
     pub rows_group_pruned: u64,
 }
 
@@ -84,9 +81,6 @@ impl ScanCounters {
         self.buckets_probed = self.buckets_probed.saturating_add(other.buckets_probed);
         self.rows_scanned = self.rows_scanned.saturating_add(other.rows_scanned);
         self.rows_pruned = self.rows_pruned.saturating_add(other.rows_pruned);
-        self.rows_group_pruned = self
-            .rows_group_pruned
-            .saturating_add(other.rows_group_pruned);
     }
 }
 
@@ -1102,6 +1096,79 @@ mod tests {
             "uniform stats must fall back: {:?}",
             ui.stats()
         );
+    }
+
+    #[test]
+    fn absorb_sums_every_field_and_saturates() {
+        let one = ScanCounters {
+            buckets_probed: 2,
+            rows_scanned: 30,
+            rows_pruned: 70,
+            rows_group_pruned: 0,
+        };
+        let mut total = ScanCounters::default();
+        total.absorb(one);
+        total.absorb(one);
+        assert_eq!(
+            total,
+            ScanCounters {
+                buckets_probed: 4,
+                rows_scanned: 60,
+                rows_pruned: 140,
+                rows_group_pruned: 0,
+            }
+        );
+        // A long-lived aggregate pins at the top instead of wrapping.
+        let mut full = ScanCounters {
+            buckets_probed: u64::MAX - 1,
+            rows_scanned: u64::MAX,
+            rows_pruned: u64::MAX - 69,
+            rows_group_pruned: 0,
+        };
+        full.absorb(one);
+        assert_eq!(
+            (full.buckets_probed, full.rows_scanned, full.rows_pruned),
+            (u64::MAX, u64::MAX, u64::MAX)
+        );
+    }
+
+    #[test]
+    fn friendliness_rules_follow_their_thresholds() {
+        let dim = 1_024;
+        let stats = |buckets, mean_radius, mean_separation| IndexStats {
+            buckets,
+            rows: 512,
+            mean_radius,
+            max_radius: mean_radius,
+            mean_separation,
+        };
+        // Pruning needs two buckets separated by twice the radius plus
+        // the dim/16 = 64 margin.
+        assert!(stats(2, 100, 264).pruning_friendly(dim));
+        assert!(!stats(2, 100, 263).pruning_friendly(dim));
+        assert!(!stats(1, 0, 1_000).pruning_friendly(dim));
+        // Uniform rows: separation and diameter both near dim/2.
+        assert!(!stats(23, 480, 512).pruning_friendly(dim));
+        // The cascade takes tight radii (at most dim/32 = 32) that do
+        // not separate, and never a pruning-friendly shape.
+        assert!(stats(23, 32, 40).cascade_friendly(dim));
+        assert!(!stats(23, 33, 40).cascade_friendly(dim));
+        assert!(stats(1, 0, 0).cascade_friendly(dim));
+        assert!(!stats(23, 10, 500).cascade_friendly(dim));
+        assert!(stats(23, 10, 500).pruning_friendly(dim));
+        assert!(!stats(23, 480, 512).cascade_friendly(dim));
+    }
+
+    #[test]
+    #[should_panic(expected = "rows must be appended in order")]
+    fn assign_row_rejects_a_row_that_skips_ahead() {
+        let mut packed = clustered(128, 8, 2, 5);
+        let backend = active_backend();
+        let mut index = BucketIndex::build(&packed, backend, IndexBuildOptions::default()).unwrap();
+        // Two rows appended, but only the second handed to the index.
+        packed.push(pseudo_bits(128, 1).as_words());
+        packed.push(pseudo_bits(128, 2).as_words());
+        index.assign_row(&packed, backend, 9);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //!   per-row calls and sort still lose to the direct scan on uniform
 //!   random rows — see [`ScanStrategy::Auto`] for the measured policy;
 //! * [`ScanPlan`] — a [`ScanStrategy`] resolved once against the attached
-//!   [`BucketIndex`] and [`BitSlicedRows`] mirror. Every scan runs
+//!   [`BucketIndex`]. Every scan runs
 //!   through one: [`PackedRows::min2`] and [`PackedRows::top_k`] are the
 //!   only scan entry points, plus [`PackedRows::distances_into`] for the
 //!   APIs that need all `C` distances.
@@ -46,12 +46,12 @@
 //! all inputs, including dimensions that are not a multiple of 64 (the
 //! zeroed tail of the last word contributes no mismatches). The
 //! equivalence is enforced by the proptest suites in
-//! `tests/kernel_equivalence.rs` and `tests/backend_equivalence.rs`,
-//! the latter holding every enabled backend and the cascade bit-identical
-//! to the scalar full scan.
+//! `tests/kernel_equivalence.rs`, `tests/backend_equivalence.rs` and
+//! `tests/plan_equivalence.rs`, the latter two holding every enabled
+//! backend, the cascade and the indexed walk bit-identical to the
+//! scalar full scan.
 
 pub mod backend;
-pub mod bitsliced;
 pub mod index;
 pub mod weighted;
 
@@ -61,7 +61,6 @@ mod neon;
 mod scalar;
 
 pub use backend::{active_backend, active_backend_name, enabled_backends, DistanceBackend};
-pub use bitsliced::{BitSlicedRows, GroupAccumulator, GROUP_ROWS};
 pub use index::{BucketIndex, IndexBuildOptions, IndexStats, ScanCounters};
 
 use std::cell::RefCell;
@@ -129,28 +128,22 @@ pub struct Min2 {
 pub enum ScanStrategy {
     /// Let the library pick, from the stats of the attached
     /// [`BucketIndex`] when one is present (decision rule in DESIGN.md
-    /// §12 and §17, implemented by [`ScanPlan::new`]):
+    /// §12 and §14, implemented by [`ScanPlan::new`]):
     /// [`Indexed`](Self::Indexed) when the stored shape is
     /// [`pruning_friendly`](IndexStats::pruning_friendly) (bucket
     /// separation clearly exceeds bucket diameters, so the radius bound
-    /// actually fires); on [`cascade_friendly`](IndexStats::cascade_friendly)
-    /// shapes (radii tiny but buckets unseparated, the
-    /// planted-near-duplicate shape) [`BitSliced`](Self::BitSliced) when
-    /// a mirror of at least [`BITSLICED_MIN_ROWS`] rows is attached and
-    /// [`Cascade`](Self::Cascade) otherwise; and [`Direct`](Self::Direct)
-    /// everywhere else — on uniform random rows every pruner loses to
-    /// the plain fused scan. Without an index it is always the direct
-    /// scan.
+    /// actually fires); [`Cascade`](Self::Cascade) on
+    /// [`cascade_friendly`](IndexStats::cascade_friendly) shapes (radii
+    /// tiny but buckets unseparated, the planted-near-duplicate shape);
+    /// and [`Direct`](Self::Direct) everywhere else — on uniform random
+    /// rows every pruner loses to the plain fused scan. Without an index
+    /// it is always the direct scan.
     #[default]
     Auto,
     /// One bounded-distance pass per row in index order.
     Direct,
     /// Sampled prefilter + best-first complement rescore (exact).
     Cascade,
-    /// Columnwise dim-major scan with whole-group pruning through an
-    /// attached [`BitSlicedRows`] mirror (exact); falls back to
-    /// [`Direct`](Self::Direct) when no mirror is attached.
-    BitSliced,
     /// Exact bucket-pruned walk through an attached [`BucketIndex`];
     /// falls back to [`Direct`](Self::Direct) when no index is attached.
     Indexed,
@@ -168,7 +161,7 @@ pub enum ScanStrategy {
 
 /// The concrete traversal a [`ScanPlan`] runs — a [`ScanStrategy`]
 /// resolved against the presence (and stats) of an attached
-/// [`BucketIndex`] and [`BitSlicedRows`] mirror.
+/// [`BucketIndex`].
 ///
 /// Exposing the resolved form lets callers (telemetry, workload
 /// reports, regression tests) observe *which* engine `Auto` picked
@@ -179,9 +172,6 @@ pub enum ResolvedScan {
     Direct,
     /// Sampled prefilter + best-first complement rescore (exact).
     Cascade,
-    /// Columnwise group-pruned scan through the attached
-    /// [`BitSlicedRows`] mirror.
-    BitSliced,
     /// Bucket walk through the attached [`BucketIndex`].
     Indexed {
         /// `Some(n)` caps the walk at the `n` closest non-empty buckets
@@ -190,14 +180,14 @@ pub enum ResolvedScan {
     },
 }
 
-/// A scan resolved once: the distance backend, the traversal, and
-/// borrows of the index and mirror it may walk.
+/// A scan resolved once: the distance backend, the traversal, and a
+/// borrow of the index it may walk.
 ///
 /// [`ScanPlan::new`] is the one place the [`ScanStrategy::Auto`]
 /// decision rule lives, and the one place that checks an attached
-/// [`BucketIndex`] or [`BitSlicedRows`] mirror covers the matrix. A plan
-/// holding either may only scan a matrix of the shape it was built for;
-/// [`ScanPlan::direct`] holds neither and scans any matrix.
+/// [`BucketIndex`] covers the matrix. A plan holding one may only scan
+/// a matrix of the shape it was built for; [`ScanPlan::direct`] holds
+/// none and scans any matrix.
 ///
 /// # Examples
 ///
@@ -220,37 +210,27 @@ pub struct ScanPlan<'a> {
     backend: &'a dyn DistanceBackend,
     resolved: ResolvedScan,
     index: Option<&'a BucketIndex>,
-    sliced: Option<&'a BitSlicedRows>,
-    /// `(rows, words_per_row)` of the matrix the attached index or
-    /// mirror covers; `None` when neither is attached.
-    shape: Option<(usize, usize)>,
 }
 
 impl<'a> ScanPlan<'a> {
     /// Resolves `strategy` for a `rows × dim` matrix with an optional
-    /// attached `index` and bit-sliced `sliced` mirror.
+    /// attached `index`.
     ///
-    /// `Indexed`/`Probe` without an index and `BitSliced` without a
-    /// mirror fall back to the direct scan. `Auto` picks
-    /// [`ResolvedScan::Indexed`] when the index stats are
-    /// [`pruning_friendly`](IndexStats::pruning_friendly); on
-    /// [`cascade_friendly`](IndexStats::cascade_friendly) stats it picks
-    /// [`ResolvedScan::BitSliced`] when a mirror of at least
-    /// [`BITSLICED_MIN_ROWS`] rows is attached (the columnwise group
-    /// bound prunes whole near-duplicate clusters after a handful of
-    /// word-columns; below the row floor the per-group fixed costs do
-    /// not amortize) and [`ResolvedScan::Cascade`] otherwise; it picks
+    /// `Indexed`/`Probe` without an index fall back to the direct scan.
+    /// `Auto` picks [`ResolvedScan::Indexed`] when the index stats are
+    /// [`pruning_friendly`](IndexStats::pruning_friendly),
+    /// [`ResolvedScan::Cascade`] when they are
+    /// [`cascade_friendly`](IndexStats::cascade_friendly), and
     /// [`ResolvedScan::Direct`] in every other case.
     ///
     /// # Panics
     ///
-    /// Panics if `index` or `sliced` does not cover exactly `rows` rows
-    /// of `dim` bits.
+    /// Panics if `index` does not cover exactly `rows` rows of `dim`
+    /// bits.
     pub fn new(
         backend: &'a dyn DistanceBackend,
         strategy: ScanStrategy,
         index: Option<&'a BucketIndex>,
-        sliced: Option<&'a BitSlicedRows>,
         rows: usize,
         dim: usize,
     ) -> Self {
@@ -267,21 +247,9 @@ impl<'a> ScanPlan<'a> {
                 "index row width mismatch"
             );
         }
-        if let Some(sliced) = sliced {
-            assert_eq!(sliced.len(), rows, "bit-sliced mirror row mismatch");
-            assert_eq!(
-                sliced.words_per_row(),
-                words_per_row,
-                "bit-sliced mirror width mismatch"
-            );
-        }
         let resolved = match strategy {
             ScanStrategy::Direct => ResolvedScan::Direct,
             ScanStrategy::Cascade => ResolvedScan::Cascade,
-            ScanStrategy::BitSliced => match sliced {
-                Some(_) => ResolvedScan::BitSliced,
-                None => ResolvedScan::Direct,
-            },
             ScanStrategy::Indexed => match index {
                 Some(_) => ResolvedScan::Indexed { nprobe: None },
                 None => ResolvedScan::Direct,
@@ -296,10 +264,7 @@ impl<'a> ScanPlan<'a> {
                 Some(ix) if ix.stats().pruning_friendly(dim) => {
                     ResolvedScan::Indexed { nprobe: None }
                 }
-                Some(ix) if ix.stats().cascade_friendly(dim) => match sliced {
-                    Some(sliced) if sliced.len() >= BITSLICED_MIN_ROWS => ResolvedScan::BitSliced,
-                    _ => ResolvedScan::Cascade,
-                },
+                Some(ix) if ix.stats().cascade_friendly(dim) => ResolvedScan::Cascade,
                 _ => ResolvedScan::Direct,
             },
         };
@@ -307,8 +272,6 @@ impl<'a> ScanPlan<'a> {
             backend,
             resolved,
             index,
-            sliced,
-            shape: (index.is_some() || sliced.is_some()).then_some((rows, words_per_row)),
         }
     }
 
@@ -318,8 +281,6 @@ impl<'a> ScanPlan<'a> {
             backend: active_backend(),
             resolved: ResolvedScan::Direct,
             index: None,
-            sliced: None,
-            shape: None,
         }
     }
 
@@ -328,38 +289,17 @@ impl<'a> ScanPlan<'a> {
         self.resolved
     }
 
-    /// Asserts that `packed` is the matrix the attached index or mirror
-    /// covers.
+    /// Asserts that `packed` is the matrix the attached index covers.
     fn check(&self, packed: &PackedRows) {
-        if let Some(shape) = self.shape {
+        if let Some(index) = self.index {
             assert_eq!(
-                shape,
+                (index.rows(), index.centroids().words_per_row()),
                 (packed.len(), packed.words_per_row()),
                 "scan plan covers a different matrix"
             );
         }
     }
 }
-
-/// Row floor under which [`ScanStrategy::Auto`] will not pick the
-/// bit-sliced scan: with few rows the per-group accumulator and
-/// extraction overheads dominate whatever the group bound prunes
-/// (measured crossover in `BENCH_search.json` `bitsliced_scaling`).
-pub const BITSLICED_MIN_ROWS: usize = 4_096;
-
-/// Rows the bit-sliced planned scan samples row-major to seed the
-/// group-pruning bound before the columnwise pass. Without a seed the
-/// runner-up stays loose until the scan reaches the query's own
-/// cluster, so on average half the groups cannot prune; the exact
-/// distances of a sparse sample give a second-smallest that is ≥ the
-/// scan's final runner-up (a subset's second-smallest is ≥ the
-/// union's), so pruning with it stays bit-identical while firing from
-/// the very first group.
-const BITSLICED_PILOT_SAMPLES: usize = 256;
-
-/// Row floor for the pilot: below this the sample would be a large
-/// fraction of the rows and the seed cannot pay for itself.
-const BITSLICED_PILOT_MIN_ROWS: usize = 2_048;
 
 /// Sampled window target: `words_per_row / 4`, at least 16 words.
 const CASCADE_WINDOW_DENOM: usize = 4;
@@ -388,11 +328,10 @@ thread_local! {
 /// [`PackedRows`] is the canonical contiguous implementation; callers
 /// that keep rows in several non-contiguous allocations (e.g. the
 /// chunked delta storage behind ham-core's versioned memory) implement
-/// this instead, so index maintenance ([`BucketIndex::assign_row`]) and
-/// the bit-sliced transpose ([`BitSlicedRows::from_source`]) can read
-/// them without a copy. Rows must be
-/// packed exactly like [`PackedRows`] rows: `words_per_row` little-
-/// endian `u64` words with tail bits beyond the dimension zero.
+/// this instead, so index maintenance ([`BucketIndex::assign_row`]) can
+/// read them without a copy. Rows must be packed exactly like
+/// [`PackedRows`] rows: `words_per_row` little-endian `u64` words with
+/// tail bits beyond the dimension zero.
 pub trait RowSource {
     /// Number of stored rows, `C`.
     fn len(&self) -> usize;
@@ -623,7 +562,7 @@ impl PackedRows {
     /// # Panics
     ///
     /// Panics if `query` or `mask` has the wrong word count, or `plan`
-    /// holds an index or mirror built for a different matrix.
+    /// holds an index built for a different matrix.
     pub fn min2(
         &self,
         plan: &ScanPlan<'_>,
@@ -650,16 +589,6 @@ impl PackedRows {
                     _ => self.min2_direct(backend, query, mask),
                 })
             }
-            ResolvedScan::BitSliced => {
-                let sliced = plan.sliced.expect("resolved BitSliced implies a mirror");
-                sliced.scan_min2(
-                    backend,
-                    query,
-                    mask,
-                    self.pilot_seed(backend, query, mask),
-                    counters,
-                )
-            }
             ResolvedScan::Indexed { nprobe } => Some(
                 plan.index
                     .expect("resolved Indexed implies an index")
@@ -684,7 +613,7 @@ impl PackedRows {
     /// # Panics
     ///
     /// Panics if `query` has the wrong word count, or `plan` holds an
-    /// index or mirror built for a different matrix.
+    /// index built for a different matrix.
     pub fn top_k(
         &self,
         plan: &ScanPlan<'_>,
@@ -701,10 +630,6 @@ impl PackedRows {
                 .index
                 .expect("resolved Indexed implies an index")
                 .top_k_into(self, backend, query, k, nprobe, counters, ranked),
-            ResolvedScan::BitSliced => plan
-                .sliced
-                .expect("resolved BitSliced implies a mirror")
-                .top_k_into(backend, query, k, counters, ranked),
             ResolvedScan::Direct | ResolvedScan::Cascade => {
                 ranked.clear();
                 if k == 0 || self.is_empty() {
@@ -723,50 +648,6 @@ impl PackedRows {
                 ranked.truncate(k);
             }
         }
-    }
-
-    /// The seed bound of the bit-sliced scan: the second-smallest exact
-    /// distance of a sparse row-major pilot sample (see
-    /// [`BITSLICED_PILOT_SAMPLES`]), or `usize::MAX` below the pilot's
-    /// row floor. The sample's second-smallest is ≥ the final runner-up
-    /// (a subset's second-smallest is ≥ the union's), so the columnwise
-    /// pass prunes from the first group without its result changing by
-    /// a bit. Pilot rows are bound-seeding overhead, not part of the
-    /// traversal, so the counters still partition the rows into
-    /// scanned vs group-pruned.
-    fn pilot_seed(
-        &self,
-        backend: &dyn DistanceBackend,
-        query: &[u64],
-        mask: Option<&[u64]>,
-    ) -> usize {
-        if self.rows < BITSLICED_PILOT_MIN_ROWS {
-            return usize::MAX;
-        }
-        let stride = self.rows / BITSLICED_PILOT_SAMPLES;
-        let mut smallest = usize::MAX;
-        let mut second = usize::MAX;
-        let mut at = stride / 2;
-        while at < self.rows {
-            // Abandon a sample once it cannot tighten the seed: a
-            // dropped sample only loosens (never unsounds) the bound.
-            let cap = second.saturating_sub(1);
-            let row = self.row_words(at);
-            let distance = match mask {
-                Some(mask) => backend.bounded_distance_masked(row, query, mask, cap),
-                None => backend.bounded_distance(row, query, cap),
-            };
-            if let Some(distance) = distance {
-                if distance < smallest {
-                    second = smallest;
-                    smallest = distance;
-                } else if distance < second {
-                    second = distance;
-                }
-            }
-            at += stride;
-        }
-        second
     }
 
     /// Direct strategy: one bounded pass per row in index order.
@@ -1243,16 +1124,14 @@ mod tests {
                 ScanStrategy::Auto,
                 ScanStrategy::Direct,
                 ScanStrategy::Cascade,
-                // Without an index (or bit-sliced mirror) these resolve
-                // to the direct scan; the indexed equivalence lives in
-                // `index.rs` and `crates/core/tests/index_equivalence.rs`,
-                // the bit-sliced one in `tests/bitsliced_equivalence.rs`.
-                ScanStrategy::BitSliced,
+                // Without an index these resolve to the direct scan; the
+                // indexed equivalence lives in `index.rs` and
+                // `crates/core/tests/index_equivalence.rs`.
                 ScanStrategy::Indexed,
                 ScanStrategy::Probe { nprobe: 1 },
             ] {
                 let name = backend.name();
-                let plan = ScanPlan::new(backend, strategy, None, None, 160, d);
+                let plan = ScanPlan::new(backend, strategy, None, 160, d);
                 assert_eq!(
                     packed.min2(&plan, query.as_words(), None, None),
                     Some(expected),
@@ -1268,144 +1147,81 @@ mod tests {
     }
 
     #[test]
-    fn planned_sliced_routes_and_falls_back() {
-        let d = 900;
-        let rows: Vec<BitVec> = (0..150).map(|i| pseudo_bits(d, i * 7 + 3)).collect();
-        let packed = packed_from(&rows);
-        let sliced = BitSlicedRows::from_packed(&packed);
-        let query = pseudo_bits(d, 321);
-        let expected = reference_min2(&distances(&packed, query.as_words(), None));
-        // With the mirror attached, BitSliced resolves and agrees with
-        // the reference; counters land in scanned/group-pruned.
-        let plan = ScanPlan::new(
-            &scalar::Scalar,
-            ScanStrategy::BitSliced,
-            None,
-            Some(&sliced),
-            150,
-            d,
-        );
-        let mut counters = ScanCounters::default();
-        let got = packed.min2(&plan, query.as_words(), None, Some(&mut counters));
-        assert_eq!(got, Some(expected));
-        assert_eq!(
-            counters.rows_scanned + counters.rows_group_pruned,
-            150,
-            "{counters:?}"
-        );
-        // Resolution is observable, and without a mirror it falls back.
-        assert_eq!(plan.resolved(), ResolvedScan::BitSliced);
-        assert_eq!(
-            ScanPlan::new(&scalar::Scalar, ScanStrategy::BitSliced, None, None, 150, d).resolved(),
-            ResolvedScan::Direct
-        );
-        // Ranked form matches the row-major ranking.
-        let mut ranked = Vec::new();
-        packed.top_k(&plan, query.as_words(), 7, &mut ranked, None);
-        assert_eq!(ranked, ranking(&packed, query.as_words(), 7));
-    }
-
-    #[test]
-    fn auto_picks_bitsliced_only_with_mirror_rows_and_geometry() {
-        // A real cascade-friendly world at the row floor: tight planted
-        // clusters (radius ~1 bit) whose centers sit well inside the
-        // triangle bound's dim/16 margin. The Auto cascade branch must
-        // upgrade to BitSliced only when a mirror is attached AND the
-        // row floor is met.
+    fn auto_resolves_to_indexed_cascade_or_direct_by_geometry() {
         let d = 1_024;
-        let base = pseudo_bits(d, 1);
-        let mut rows: Vec<BitVec> = Vec::with_capacity(BITSLICED_MIN_ROWS);
-        for i in 0..BITSLICED_MIN_ROWS {
-            let cluster = i % 61;
-            let mut row = base.clone();
-            for f in 0..24 {
-                row.flip((cluster * 97 + f * 41) % d);
-            }
-            row.flip((i * 31) % d);
-            rows.push(row);
-        }
-        let auto = |rows: &[BitVec], mirrored: bool| {
+        let random_row =
+            |i: u64| BitVec::from_bits((0..d as u64).map(|b| splitmix64(i << 32 ^ b) & 1 == 1));
+        let auto = |rows: &[BitVec]| {
             let packed = packed_from(rows);
             let index =
                 BucketIndex::build(&packed, &scalar::Scalar, IndexBuildOptions::default()).unwrap();
-            let stats = index.stats();
-            assert!(
-                stats.cascade_friendly(d) && !stats.pruning_friendly(d),
-                "stats = {stats:?}"
-            );
-            let mirror = mirrored.then(|| BitSlicedRows::from_packed(&packed));
-            ScanPlan::new(
+            let plan = ScanPlan::new(
                 &scalar::Scalar,
                 ScanStrategy::Auto,
                 Some(&index),
-                mirror.as_ref(),
                 rows.len(),
                 d,
-            )
-            .resolved()
+            );
+            (plan.resolved(), index.stats())
         };
-        assert_eq!(auto(&rows, true), ResolvedScan::BitSliced);
-        assert_eq!(
-            auto(&rows, false),
-            ResolvedScan::Cascade,
-            "no mirror: the cascade keeps the cascade-friendly branch"
-        );
-        assert_eq!(
-            auto(&rows[..BITSLICED_MIN_ROWS - 1], true),
-            ResolvedScan::Cascade,
-            "row floor: small mirrors do not amortize the group costs"
-        );
-    }
-
-    #[test]
-    fn pilot_seed_keeps_the_runner_up_when_the_query_is_a_sample() {
-        // The query is the first pilot sample itself, so the sample's
-        // smallest distance is the winner's 0. Seeding with it would
-        // prune every group but the winner's and lose the true runner-up;
-        // the second-smallest sample keeps the answer exact.
-        let d = 1_024;
-        let rows: Vec<BitVec> = (0..BITSLICED_PILOT_MIN_ROWS as u64)
-            .map(|i| BitVec::from_bits((0..d as u64).map(|b| splitmix64(i << 32 ^ b) & 1 == 1)))
+        // Separated clusters: 16 independent random centers, members a
+        // few bits from theirs, so the bucket radius bound fires.
+        let separated: Vec<BitVec> = (0..512)
+            .map(|i| {
+                let mut row = random_row(i % 16);
+                row.flip((i as usize * 31) % d);
+                row
+            })
             .collect();
-        let packed = packed_from(&rows);
-        let sliced = BitSlicedRows::from_packed(&packed);
-        let sampled = BITSLICED_PILOT_MIN_ROWS / BITSLICED_PILOT_SAMPLES / 2;
-        let query = rows[sampled].as_words();
-        let plan = ScanPlan::new(
-            &scalar::Scalar,
-            ScanStrategy::BitSliced,
-            None,
-            Some(&sliced),
-            rows.len(),
-            d,
-        );
-        let all = distances(&packed, query, None);
-        let expected = reference_min2(&all);
-        assert_eq!(expected.best, sampled);
-        let runner_up = (0..all.len())
-            .filter(|&row| row != sampled)
-            .min_by_key(|&row| all[row])
-            .unwrap();
+        let (resolved, stats) = auto(&separated);
+        assert!(stats.pruning_friendly(d), "{stats:?}");
+        assert_eq!(resolved, ResolvedScan::Indexed { nprobe: None });
+        // Near-duplicates: tight planted clusters (radius ~1 bit) whose
+        // centers sit inside the triangle bound's dim/16 margin. The
+        // cascade serves them at every row count.
+        let base = random_row(1 << 20);
+        let neardup: Vec<BitVec> = (0..4_096)
+            .map(|i| {
+                let cluster = i % 61;
+                let mut row = base.clone();
+                for f in 0..24 {
+                    row.flip((cluster * 97 + f * 41) % d);
+                }
+                row.flip((i * 31) % d);
+                row
+            })
+            .collect();
+        for rows in [&neardup[..512], &neardup[..]] {
+            let (resolved, stats) = auto(rows);
+            assert!(stats.cascade_friendly(d), "{} rows: {stats:?}", rows.len());
+            assert_eq!(resolved, ResolvedScan::Cascade, "{} rows", rows.len());
+        }
+        // Uniform random rows: no pruner pays, so the direct scan.
+        let uniform: Vec<BitVec> = (0..512).map(|i| random_row(i + (1 << 21))).collect();
+        let (resolved, stats) = auto(&uniform);
         assert!(
-            runner_up / GROUP_ROWS != sampled / GROUP_ROWS && Some(16) <= expected.runner_up,
-            "the runner-up must sit in another group, past one counter step"
+            !stats.pruning_friendly(d) && !stats.cascade_friendly(d),
+            "{stats:?}"
         );
-        assert_eq!(packed.min2(&plan, query, None, None), Some(expected));
+        assert_eq!(resolved, ResolvedScan::Direct);
+        // Without an index, Auto is the direct scan on any shape.
+        assert_eq!(
+            ScanPlan::new(&scalar::Scalar, ScanStrategy::Auto, None, 4_096, d).resolved(),
+            ResolvedScan::Direct
+        );
     }
 
     #[test]
-    #[should_panic(expected = "bit-sliced mirror row mismatch")]
-    fn plans_reject_a_mirror_of_another_matrix() {
+    #[should_panic(expected = "index does not cover the scanned matrix")]
+    fn plans_reject_an_index_of_another_matrix() {
         let rows: Vec<BitVec> = (0..5).map(|i| pseudo_bits(200, i + 1)).collect();
-        let sliced = BitSlicedRows::from_packed(&packed_from(&rows[..4]));
-        ScanPlan::new(
+        let index = BucketIndex::build(
+            &packed_from(&rows[..4]),
             &scalar::Scalar,
-            ScanStrategy::BitSliced,
-            None,
-            Some(&sliced),
-            5,
-            200,
-        );
+            IndexBuildOptions::default(),
+        )
+        .unwrap();
+        ScanPlan::new(&scalar::Scalar, ScanStrategy::Indexed, Some(&index), 5, 200);
     }
 
     #[test]
@@ -1413,15 +1229,9 @@ mod tests {
     fn plans_only_scan_the_matrix_they_cover() {
         let rows: Vec<BitVec> = (0..5).map(|i| pseudo_bits(200, i + 1)).collect();
         let small = packed_from(&rows[..4]);
-        let sliced = BitSlicedRows::from_packed(&small);
-        let plan = ScanPlan::new(
-            &scalar::Scalar,
-            ScanStrategy::BitSliced,
-            None,
-            Some(&sliced),
-            4,
-            200,
-        );
+        let index =
+            BucketIndex::build(&small, &scalar::Scalar, IndexBuildOptions::default()).unwrap();
+        let plan = ScanPlan::new(&scalar::Scalar, ScanStrategy::Indexed, Some(&index), 4, 200);
         packed_from(&rows).min2(&plan, rows[0].as_words(), None, None);
     }
 
@@ -1433,7 +1243,7 @@ mod tests {
             let rows: Vec<BitVec> = (0..c).map(|i| pseudo_bits(d, i * 5 + 2)).collect();
             let packed = packed_from(&rows);
             let query = pseudo_bits(d, 888);
-            let plan = |strategy| ScanPlan::new(&scalar::Scalar, strategy, None, None, c, d);
+            let plan = |strategy| ScanPlan::new(&scalar::Scalar, strategy, None, c, d);
             let direct = packed.min2(&plan(ScanStrategy::Direct), query.as_words(), None, None);
             let cascade = packed.min2(&plan(ScanStrategy::Cascade), query.as_words(), None, None);
             assert_eq!(cascade, direct, "{c}x{d}");
@@ -1448,11 +1258,207 @@ mod tests {
         let row = pseudo_bits(d, 4);
         let rows: Vec<BitVec> = (0..130).map(|_| row.clone()).collect();
         let packed = packed_from(&rows);
-        let plan = ScanPlan::new(&scalar::Scalar, ScanStrategy::Cascade, None, None, 130, d);
+        let plan = ScanPlan::new(&scalar::Scalar, ScanStrategy::Cascade, None, 130, d);
         let hit = packed.min2(&plan, row.as_words(), None, None).unwrap();
         assert_eq!(hit.best, 0);
         assert_eq!(hit.best_distance, 0);
         assert_eq!(hit.runner_up, Some(0));
+    }
+
+    #[test]
+    fn cascade_window_stays_inside_the_row_and_is_deterministic() {
+        for dim in [
+            1usize, 64, 65, 1_023, 1_024, 1_025, 2_048, 4_096, 4_160, 8_192, 10_000,
+        ] {
+            let packed = PackedRows::new(dim);
+            let words = packed.words_per_row();
+            let (offset, len) = packed.cascade_window();
+            // A quarter of the row, at least 16 words, at most the row.
+            assert_eq!(len, (words / 4).max(16).min(words), "dim {dim}");
+            assert!(offset + len <= words, "dim {dim}: {offset}+{len} > {words}");
+            // The placement depends on the row width alone.
+            assert_eq!(PackedRows::new(dim).cascade_window(), (offset, len));
+            let mut grown = PackedRows::new(dim);
+            grown.push(&vec![0u64; words]);
+            assert_eq!(grown.cascade_window(), (offset, len));
+        }
+    }
+
+    #[test]
+    fn cascade_masked_scan_matches_direct_on_near_duplicates() {
+        // 4,096 bits: a 16-word window out of 64. Near-duplicates of the
+        // query make the sampled bounds tight, so pass 2 skips rows.
+        let d = 4_096;
+        let query = pseudo_bits(d, 31);
+        let mut rows: Vec<BitVec> = (0..200)
+            .map(|i| {
+                let mut row = query.clone();
+                for f in 0..(3 + i % 40) {
+                    row.flip((i * 131 + f * 977) % d);
+                }
+                row
+            })
+            .collect();
+        rows.extend((0..40).map(|i| pseudo_bits(d, i + 500)));
+        let packed = packed_from(&rows);
+        for salt in [40usize, 41, 42] {
+            let mask = pseudo_bits(d, salt);
+            let expected =
+                reference_min2(&distances(&packed, query.as_words(), Some(mask.as_words())));
+            for backend in enabled_backends() {
+                let plan = ScanPlan::new(backend, ScanStrategy::Cascade, None, rows.len(), d);
+                assert_eq!(
+                    packed.min2(&plan, query.as_words(), Some(mask.as_words()), None),
+                    Some(expected),
+                    "{} mask {salt}",
+                    backend.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn explicit_strategies_resolve_without_reading_the_index_stats() {
+        let d = 256;
+        let rows: Vec<BitVec> = (0..40).map(|i| pseudo_bits(d, i + 1)).collect();
+        let packed = packed_from(&rows);
+        let index =
+            BucketIndex::build(&packed, &scalar::Scalar, IndexBuildOptions::default()).unwrap();
+        let resolve = |strategy, index| {
+            ScanPlan::new(&scalar::Scalar, strategy, index, rows.len(), d).resolved()
+        };
+        for index in [None, Some(&index)] {
+            assert_eq!(resolve(ScanStrategy::Direct, index), ResolvedScan::Direct);
+            assert_eq!(resolve(ScanStrategy::Cascade, index), ResolvedScan::Cascade);
+        }
+        assert_eq!(
+            resolve(ScanStrategy::Indexed, Some(&index)),
+            ResolvedScan::Indexed { nprobe: None }
+        );
+        // Probe clamps to one bucket and keeps larger counts as given.
+        for (nprobe, kept) in [(0usize, 1usize), (1, 1), (3, 3), (1_000, 1_000)] {
+            assert_eq!(
+                resolve(ScanStrategy::Probe { nprobe }, Some(&index)),
+                ResolvedScan::Indexed { nprobe: Some(kept) }
+            );
+        }
+        // Without an index the bucket strategies are the direct scan.
+        assert_eq!(resolve(ScanStrategy::Indexed, None), ResolvedScan::Direct);
+        assert_eq!(
+            resolve(ScanStrategy::Probe { nprobe: 2 }, None),
+            ResolvedScan::Direct
+        );
+        assert_eq!(ScanPlan::direct().resolved(), ResolvedScan::Direct);
+    }
+
+    #[test]
+    #[should_panic(expected = "index row width mismatch")]
+    fn plans_reject_an_index_of_another_width() {
+        let rows: Vec<BitVec> = (0..4).map(|i| pseudo_bits(200, i + 1)).collect();
+        let index = BucketIndex::build(
+            &packed_from(&rows),
+            &scalar::Scalar,
+            IndexBuildOptions::default(),
+        )
+        .unwrap();
+        // Same row count, 300 bits = 5 words against the index's 4.
+        ScanPlan::new(&scalar::Scalar, ScanStrategy::Auto, Some(&index), 4, 300);
+    }
+
+    #[test]
+    #[should_panic(expected = "query word count mismatch")]
+    fn min2_rejects_a_query_of_another_width() {
+        let packed = packed_from(&[pseudo_bits(130, 1)]);
+        packed.min2(&ScanPlan::direct(), &[0u64; 2], None, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "mask word count mismatch")]
+    fn min2_rejects_a_mask_of_another_width() {
+        let row = pseudo_bits(130, 1);
+        let packed = packed_from(std::slice::from_ref(&row));
+        packed.min2(&ScanPlan::direct(), row.as_words(), Some(&[!0u64; 2]), None);
+    }
+
+    #[test]
+    fn truncate_keeps_the_leading_rows() {
+        let rows: Vec<BitVec> = (0..6).map(|i| pseudo_bits(130, i + 1)).collect();
+        let mut packed = packed_from(&rows);
+        packed.truncate(9);
+        assert_eq!(packed.len(), 6, "a longer length is a no-op");
+        packed.truncate(4);
+        assert_eq!(packed.len(), 4);
+        assert_eq!(packed.as_words().len(), 4 * 3);
+        assert_eq!(packed, packed_from(&rows[..4]));
+        // A truncated matrix scans and grows like a fresh one.
+        assert_eq!(
+            scan(&packed, rows[5].as_words(), None)
+                .unwrap()
+                .best_distance,
+            rows[..4]
+                .iter()
+                .map(|r| naive_hamming(r.as_words(), rows[5].as_words()))
+                .min()
+                .unwrap()
+        );
+        assert_eq!(packed.push(rows[5].as_words()), 4);
+        assert_eq!(scan(&packed, rows[5].as_words(), None).unwrap().best, 4);
+        packed.truncate(0);
+        assert!(packed.is_empty());
+        assert_eq!(scan(&packed, rows[0].as_words(), None), None);
+    }
+
+    #[test]
+    fn row_source_reads_what_packed_rows_store() {
+        fn via_source(source: &dyn RowSource) -> (usize, bool, usize, Vec<Vec<u64>>) {
+            (
+                source.len(),
+                source.is_empty(),
+                source.words_per_row(),
+                (0..source.len())
+                    .map(|r| source.row_words(r).to_vec())
+                    .collect(),
+            )
+        }
+        let rows: Vec<BitVec> = (0..3).map(|i| pseudo_bits(70, i + 1)).collect();
+        let packed = packed_from(&rows);
+        let expected: Vec<Vec<u64>> = rows.iter().map(|r| r.as_words().to_vec()).collect();
+        assert_eq!(via_source(&packed), (3, false, 2, expected));
+        assert_eq!(via_source(&PackedRows::new(70)), (0, true, 2, Vec::new()));
+    }
+
+    #[test]
+    fn linear_scans_count_every_row_they_score() {
+        let d = 600;
+        let rows: Vec<BitVec> = (0..13).map(|i| pseudo_bits(d, i + 1)).collect();
+        let packed = packed_from(&rows);
+        let query = pseudo_bits(d, 99);
+        let plan = ScanPlan::direct();
+        let mut counters = ScanCounters::default();
+        packed.min2(&plan, query.as_words(), None, Some(&mut counters));
+        packed.min2(
+            &plan,
+            query.as_words(),
+            Some(rows[0].as_words()),
+            Some(&mut counters),
+        );
+        let mut ranked = Vec::new();
+        packed.top_k(&plan, query.as_words(), 3, &mut ranked, Some(&mut counters));
+        // A ranking of depth 0 scores nothing.
+        packed.top_k(&plan, query.as_words(), 0, &mut ranked, Some(&mut counters));
+        assert_eq!(
+            counters,
+            ScanCounters {
+                rows_scanned: 3 * 13,
+                ..ScanCounters::default()
+            }
+        );
+        // An empty matrix scores nothing either.
+        let empty = PackedRows::new(d);
+        empty.min2(&plan, query.as_words(), None, Some(&mut counters));
+        empty.top_k(&plan, query.as_words(), 3, &mut ranked, Some(&mut counters));
+        assert_eq!(counters.rows_scanned, 3 * 13);
+        assert!(ranked.is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   (direct, sampled-prefilter cascade, auto) as the naive per-row
 //!   reference, on random class counts, dimensions with non-word-multiple
 //!   tails, and masks;
-//! * the memory — with an index and a mirror attached, every strategy
+//! * the memory — with an index attached, every strategy
 //!   answers after updates that can empty a bucket, and the exact ones
 //!   agree with the direct scan.
 
@@ -181,7 +181,7 @@ proptest! {
         let (mbest, mbest_distance, mrunner_up) = naive_min2(&masked);
         for backend in enabled_backends() {
             for strategy in STRATEGIES {
-                let plan = ScanPlan::new(backend, strategy, None, None, c, d);
+                let plan = ScanPlan::new(backend, strategy, None, c, d);
                 let hit = packed.min2(&plan, &query, None, None).unwrap();
                 prop_assert_eq!(hit.best, best, "{} {:?}", backend.name(), strategy);
                 prop_assert_eq!(hit.best_distance, best_distance);
@@ -197,7 +197,7 @@ proptest! {
 
 proptest! {
     /// Every strategy answers on every non-empty memory with an index
-    /// and a mirror attached, also after updates that move rows onto
+    /// attached, also after updates that move rows onto
     /// other rows' contents and so can empty a bucket whose centroid
     /// stays closest to a query. The exact strategies agree with the
     /// direct scan; the probe still finds stored rows.
@@ -218,7 +218,6 @@ proptest! {
             memory.insert(format!("row-{i}"), row.clone()).unwrap();
         }
         memory.build_index(IndexBuildOptions { buckets, ..IndexBuildOptions::default() });
-        memory.build_sliced();
         for (from, to) in moves {
             let moved = memory.row(ClassId(to % c)).unwrap().clone();
             memory.replace_row(ClassId(from % c), moved).unwrap();
@@ -232,7 +231,6 @@ proptest! {
             for strategy in [
                 ScanStrategy::Auto,
                 ScanStrategy::Cascade,
-                ScanStrategy::BitSliced,
                 ScanStrategy::Indexed,
                 ScanStrategy::Probe { nprobe: 1 },
                 ScanStrategy::Probe { nprobe: 2 },
@@ -283,7 +281,7 @@ fn large_auto_cascade_shape_matches_the_naive_scan() {
     let (best, best_distance, runner_up) = naive_min2(&naive);
     for backend in enabled_backends() {
         for strategy in STRATEGIES {
-            let plan = ScanPlan::new(backend, strategy, None, None, 160, d);
+            let plan = ScanPlan::new(backend, strategy, None, 160, d);
             let hit = packed.min2(&plan, query, None, None).unwrap();
             assert_eq!(
                 (hit.best, hit.best_distance, hit.runner_up),

@@ -9,9 +9,9 @@
 //!   and the next request that observes a newer epoch *advances* the
 //!   serving engine in place ([`ResilientServer::advance`]): only the
 //!   row chunks the new epoch replaced are copied into the engine's row
-//!   copies, and the version's own bucket index and bit-sliced mirror
-//!   are attached by `Arc`, so an epoch change costs the rows it changed,
-//!   not `C · D`, and never materializes the version;
+//!   copies, and the version's own bucket index is attached by `Arc`,
+//!   so an epoch change costs the rows it changed, not `C · D`, and
+//!   never materializes the version;
 //! * a [`ResilientServer`] engine (degradation ladder, scrubber, health
 //!   monitor) built over that memory once at provisioning — one
 //!   tenant's quarantine never touches another's engine;
@@ -411,16 +411,9 @@ impl TenantState {
         // identical either way.
         ensure_indexed(&mut memory, &IndexPolicy::default());
         // Snapshots persist rows and the bucket index only; the scan
-        // strategy and the bit-sliced dim-major mirror are
-        // provisioning-time state carried by the spec. A warm restart
-        // re-applies the spec's strategy and rebuilds the mirror from
-        // the restored rows (rebuild-on-load — no snapshot format
-        // change), so a tenant provisioned to serve the bit-sliced
-        // traversal still serves it after recovery.
+        // strategy is provisioning-time state carried by the spec, so a
+        // warm restart re-applies it.
         memory.set_scan_strategy(spec.memory.scan_strategy());
-        if spec.memory.sliced().is_some() && memory.sliced().is_none() {
-            memory.build_sliced();
-        }
         // Open (creating or tail-repairing) the tenant's log last, so
         // its torn-tail truncation never races the read-only replay
         // above. From here on, updates published through `updater()`
@@ -566,7 +559,7 @@ impl TenantState {
         let version = self.versioned.load();
         if version.epoch() != engine.epoch {
             // Copies only the chunks published after the engine's epoch
-            // and attaches the version's own index and mirror; the
+            // and attaches the version's own index; the
             // version is never materialized. A failed advance leaves
             // the epoch behind, and the next request retries it.
             let since = engine.epoch;

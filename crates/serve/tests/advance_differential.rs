@@ -1,16 +1,16 @@
 //! Differential test of the served engine's in-place epoch advance.
 //!
 //! A tenant's engine reaches a new epoch only by advancing: it copies
-//! the chunks the epoch replaced and attaches the version's own index
-//! and mirror. The reference here is the engine a fresh
+//! the chunks the epoch replaced and attaches the version's own index.
+//! The reference here is the engine a fresh
 //! [`TenantSpec::build_engine`] makes over the materialized version,
 //! rebuilt whenever the epoch changes and otherwise kept serving. Seeded
 //! random interleavings of re-thresholds, adds, retires and full
 //! publishes, with 0–3 publishes between reads, run over tenants with no
-//! index, with the bucket index and with the bit-sliced mirror, for all
-//! three design kinds. After every read the two engines must hold the
-//! same rows, labels, rung copies and golden rows, share the version's
-//! index and mirror, and return the same report.
+//! index and with the bucket index, for all three design kinds. After
+//! every read the two engines must hold the same rows, labels, rung
+//! copies and golden rows, share the version's index, and return the
+//! same report.
 
 use std::sync::Arc;
 
@@ -26,13 +26,11 @@ const DIM: usize = 256;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Shape {
-    /// Below the index policy's row floor: no index, no mirror.
+    /// Below the index policy's row floor: no index.
     Plain,
     /// Clustered rows past the floor: provisioning attaches the bucket
     /// index, and the updater keeps it coherent.
     Indexed,
-    /// A bit-sliced mirror with the `BitSliced` strategy forced.
-    Sliced,
 }
 
 /// Rows planted around a few centres, so the bucket index has clusters
@@ -55,11 +53,6 @@ fn spec(kind: DesignKind, shape: Shape, rng: &mut StdRng) -> TenantSpec {
     let memory = match shape {
         Shape::Plain => clustered_memory(floor / 2 + 7, rng),
         Shape::Indexed => clustered_memory(floor + 40, rng),
-        Shape::Sliced => {
-            let mut memory = clustered_memory(150, rng);
-            memory.build_sliced();
-            memory.with_scan_strategy(ScanStrategy::BitSliced)
-        }
     };
     TenantSpec::new(1, format!("{kind:?}-{shape:?}"), kind, memory)
 }
@@ -217,23 +210,14 @@ fn run(kind: DesignKind, shape: Shape, seed: u64) {
                 ptr_eq(engine.memory().index_handle(), version.index_handle()),
                 "{context}: the engine must share the version's index"
             );
-            assert!(
-                ptr_eq(engine.memory().sliced_handle(), version.sliced_handle()),
-                "{context}: the engine must share the version's mirror"
-            );
         });
         match shape {
-            Shape::Plain => assert!(version.index().is_none() && version.sliced().is_none()),
+            Shape::Plain => assert!(version.index().is_none()),
             Shape::Indexed => {
                 assert!(
                     version.rows() < IndexPolicy::default().min_rows || version.index().is_some()
                 )
             }
-            Shape::Sliced => assert_eq!(
-                version.resolved_strategy(),
-                ResolvedScan::BitSliced,
-                "{context}"
-            ),
         }
     }
     assert!(
@@ -244,30 +228,21 @@ fn run(kind: DesignKind, shape: Shape, seed: u64) {
 
 #[test]
 fn advance_matches_a_fresh_build_digital() {
-    for (i, shape) in [Shape::Plain, Shape::Indexed, Shape::Sliced]
-        .into_iter()
-        .enumerate()
-    {
+    for (i, shape) in [Shape::Plain, Shape::Indexed].into_iter().enumerate() {
         run(DesignKind::Digital, shape, 10 + i as u64);
     }
 }
 
 #[test]
 fn advance_matches_a_fresh_build_resistive() {
-    for (i, shape) in [Shape::Plain, Shape::Indexed, Shape::Sliced]
-        .into_iter()
-        .enumerate()
-    {
+    for (i, shape) in [Shape::Plain, Shape::Indexed].into_iter().enumerate() {
         run(DesignKind::Resistive, shape, 20 + i as u64);
     }
 }
 
 #[test]
 fn advance_matches_a_fresh_build_analog() {
-    for (i, shape) in [Shape::Plain, Shape::Indexed, Shape::Sliced]
-        .into_iter()
-        .enumerate()
-    {
+    for (i, shape) in [Shape::Plain, Shape::Indexed].into_iter().enumerate() {
         run(DesignKind::Analog, shape, 30 + i as u64);
     }
 }

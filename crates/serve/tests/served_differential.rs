@@ -1,8 +1,8 @@
 //! Differential test of the whole served path over loopback.
 //!
-//! A real [`Server`] hosts five tenants over the same rows, each pinned
-//! to one scan strategy: `Direct`, `Cascade`, `BitSliced` (mirror
-//! built), `Indexed` (index attached at provisioning) and `Auto`. A
+//! A real [`Server`] hosts four tenants over the same rows, each pinned
+//! to one scan strategy: `Direct`, `Cascade`, `Indexed` (index attached
+//! at provisioning) and `Auto`. A
 //! seeded interleaving of wire query batches and online updates
 //! (`rethreshold_row`, `add_class`, `retire_class` through
 //! [`TenantState::updater`]) drives every tenant identically, with one
@@ -11,7 +11,7 @@
 //! The oracle is a plain `Vec<Option<row>>`: a retire empties its slot,
 //! and the live rows, in order, are the memory. The reference engine is
 //! [`TenantSpec::build_engine`] over an [`AssociativeMemory`] rebuilt
-//! from the oracle — `Direct`, no index, no mirror — at every epoch
+//! from the oracle — `Direct`, no index — at every epoch
 //! change and at the restart. Every wire slot of every tenant must equal
 //! the reference's answer bit for bit, and every answer the reference
 //! settles on the exact rung must equal the oracle's linear scan.
@@ -41,14 +41,12 @@ const ROWS: usize = 280;
 const STEPS: usize = 24;
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The five pinned tenants: wire id, strategy, and whether the spec
-/// carries the bit-sliced mirror.
-const TENANTS: [(u16, ScanStrategy, bool); 5] = [
-    (1, ScanStrategy::Direct, false),
-    (2, ScanStrategy::Cascade, false),
-    (3, ScanStrategy::BitSliced, true),
-    (4, ScanStrategy::Indexed, false),
-    (5, ScanStrategy::Auto, true),
+/// The four pinned tenants: wire id and strategy.
+const TENANTS: [(u16, ScanStrategy); 4] = [
+    (1, ScanStrategy::Direct),
+    (2, ScanStrategy::Cascade),
+    (3, ScanStrategy::Indexed),
+    (4, ScanStrategy::Auto),
 ];
 
 type Oracle = Vec<Option<(String, Hypervector)>>;
@@ -94,16 +92,12 @@ fn initial_oracle(rng: &mut StdRng) -> Oracle {
 fn specs(oracle: &Oracle) -> Vec<TenantSpec> {
     TENANTS
         .iter()
-        .map(|&(tenant, strategy, mirrored)| {
-            let mut memory = memory_of(oracle);
-            if mirrored {
-                memory.build_sliced();
-            }
+        .map(|&(tenant, strategy)| {
             TenantSpec::new(
                 tenant,
                 format!("{strategy:?}"),
                 DesignKind::Digital,
-                memory.with_scan_strategy(strategy),
+                memory_of(oracle).with_scan_strategy(strategy),
             )
             .with_quota(QuotaPolicy::unlimited())
         })
@@ -121,7 +115,7 @@ fn config(dir: &Path) -> ServeConfig {
 }
 
 /// The reference engine over the oracle's rows: the direct scan, no
-/// index, no mirror.
+/// index.
 fn reference(oracle: &Oracle) -> ResilientServer {
     let memory = memory_of(oracle).with_scan_strategy(ScanStrategy::Direct);
     specs(oracle)[0]
@@ -168,7 +162,7 @@ fn update(server: &Server, oracle: &mut Oracle, rng: &mut StdRng, next_label: &m
     let (_, base) = oracle[at].clone().unwrap();
     let hv = base.with_flipped_bits(rng.gen_range(1..40), rng);
     let kind = rng.gen_range(0..10);
-    for &(tenant, _, _) in &TENANTS {
+    for &(tenant, _) in &TENANTS {
         let updater = server.tenants().get(tenant).unwrap().updater();
         match kind {
             0..=5 => {
@@ -209,13 +203,12 @@ fn queries(oracle: &Oracle, rng: &mut StdRng) -> Vec<Hypervector> {
 }
 
 fn assert_pins_hold(server: &Server, context: &str) {
-    for &(tenant, strategy, _) in &TENANTS {
+    for &(tenant, strategy) in &TENANTS {
         let version = server.tenants().get(tenant).unwrap().versioned().load();
         let resolved = version.resolved_strategy();
         let expected = match strategy {
             ScanStrategy::Direct => Some(ResolvedScan::Direct),
             ScanStrategy::Cascade => Some(ResolvedScan::Cascade),
-            ScanStrategy::BitSliced => Some(ResolvedScan::BitSliced),
             ScanStrategy::Indexed if version.index().is_some() => {
                 Some(ResolvedScan::Indexed { nprobe: None })
             }
@@ -256,7 +249,7 @@ fn run(seed: u64) {
             assert_eq!(report.snapshots_flushed, TENANTS.len(), "{context}");
             assert!(report.flush_failures.is_empty(), "{context}: {report:?}");
             let restarted = Server::start(config(&dir), boot_specs.clone()).unwrap();
-            for &(tenant, _, _) in &TENANTS {
+            for &(tenant, _) in &TENANTS {
                 assert!(
                     matches!(
                         restarted.tenants().get(tenant).unwrap().boot_source(),
@@ -297,7 +290,7 @@ fn run(seed: u64) {
                 );
             }
         }
-        for &(tenant, strategy, _) in &TENANTS {
+        for &(tenant, strategy) in &TENANTS {
             let response = client
                 .request(tenant, PRIORITY_NORMAL, None, &batch)
                 .unwrap();

@@ -176,8 +176,6 @@ pub struct WorkloadReport {
     pub rows_scanned: u64,
     /// Rows a bucket index proved prunable without a distance call.
     pub rows_pruned: u64,
-    /// Rows dropped wholesale by the bit-sliced columnwise group bound.
-    pub rows_group_pruned: u64,
     /// Index buckets whose radius bound was checked.
     pub buckets_probed: u64,
     /// The kernel backend that served the pass.
@@ -192,7 +190,6 @@ pub fn strategy_label(resolved: ResolvedScan) -> String {
     match resolved {
         ResolvedScan::Direct => "Direct".to_string(),
         ResolvedScan::Cascade => "Cascade".to_string(),
-        ResolvedScan::BitSliced => "BitSliced".to_string(),
         ResolvedScan::Indexed { nprobe: None } => "Indexed".to_string(),
         ResolvedScan::Indexed { nprobe: Some(n) } => format!("Probe({n})"),
     }
@@ -235,7 +232,6 @@ pub fn run_local<W: Workload + ?Sized>(workload: &W) -> WorkloadReport {
         },
         rows_scanned: counters.rows_scanned,
         rows_pruned: counters.rows_pruned,
-        rows_group_pruned: counters.rows_group_pruned,
         buckets_probed: counters.buckets_probed,
         backend: hdc::active_backend_name(),
         strategy: strategy_label(workload.resolved_strategy()),
@@ -272,7 +268,6 @@ mod tests {
     fn strategy_labels_are_stable() {
         assert_eq!(strategy_label(ResolvedScan::Direct), "Direct");
         assert_eq!(strategy_label(ResolvedScan::Cascade), "Cascade");
-        assert_eq!(strategy_label(ResolvedScan::BitSliced), "BitSliced");
         assert_eq!(
             strategy_label(ResolvedScan::Indexed { nprobe: None }),
             "Indexed"

@@ -116,7 +116,6 @@ pub fn run_served<W: Workload + ?Sized>(
         },
         rows_scanned: scan.rows_scanned,
         rows_pruned: scan.rows_pruned,
-        rows_group_pruned: scan.rows_group_pruned,
         buckets_probed: scan.buckets_probed,
         backend: report.kernel_backend,
         strategy: crate::strategy_label(workload.resolved_strategy()),

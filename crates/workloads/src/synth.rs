@@ -63,8 +63,7 @@ pub fn planted_cluster_rows(
 /// Two layouts, two purposes: [`planted_cluster_rows`] deals clusters
 /// round-robin (interleaved — the adversarial layout for any scheme
 /// that prunes contiguous row blocks), while this cluster-major deal
-/// keeps each cluster contiguous, the layout under which the bit-sliced
-/// scan's 64-row group bound can drop whole clusters at once.
+/// keeps each cluster contiguous in row order.
 ///
 /// # Panics
 ///

@@ -108,7 +108,6 @@ fn auto_pins_the_cascade_on_the_near_duplicate_geometry() {
             hdc::active_backend(),
             strategy,
             w.memory().index(),
-            None,
             w.memory().len(),
             dim,
         )
@@ -271,8 +270,8 @@ fn workloads_serve_over_the_real_wire() {
 
 /// The near-duplicate world perfbench serves (its `neardup_world`
 /// parameters at `rows × 8,192` bits, seed 1), provisioned the way a
-/// tenant is: the dim-major mirror built, the default index policy
-/// applied, and updates published through an index-maintaining updater.
+/// tenant is: the default index policy applied, and updates published
+/// through an index-maintaining updater.
 fn served_neardup(rows: usize) -> (Arc<VersionedMemory>, OnlineUpdater) {
     let dim = 8_192;
     let params = NearDupParams {
@@ -285,7 +284,6 @@ fn served_neardup(rows: usize) -> (Arc<VersionedMemory>, OnlineUpdater) {
         k: 1,
     };
     let mut memory = NearDupWorkload::build(params, 1).memory().clone();
-    memory.build_sliced();
     ensure_indexed(&mut memory, &IndexPolicy::default());
     let versioned = Arc::new(VersionedMemory::new(memory));
     let updater =
@@ -294,25 +292,25 @@ fn served_neardup(rows: usize) -> (Arc<VersionedMemory>, OnlineUpdater) {
 }
 
 /// How `Auto` resolves on perfbench's served shapes, across the updates
-/// its churn workload makes (one retire, then one random add). At the
-/// neardup size the bit-sliced scan holds. At the churn size the retire
-/// drops the mirror below `BITSLICED_MIN_ROWS`, so the cascade takes
-/// over; the random row then joins a bucket as a far outlier, lifting
-/// the mean radius past `dim / 32`, so the geometry stops reading
-/// cascade-friendly and the direct scan takes over. Every plan is exact,
-/// so these flips move time, never answers.
+/// its churn workload makes (one retire, then one random add). Both
+/// sizes provision cascade-friendly, so the cascade serves them, and a
+/// retire keeps it. At the churn size the random row then joins a
+/// bucket as a far outlier, lifting the mean radius past `dim / 32`, so
+/// the geometry stops reading cascade-friendly and the direct scan
+/// takes over. Every plan is exact, so these flips move time, never
+/// answers.
 #[test]
 fn auto_resolution_follows_the_served_shapes_across_updates() {
-    for (rows, after_retire, after_add) in [
-        (16_384, ResolvedScan::BitSliced, ResolvedScan::BitSliced),
-        (4_096, ResolvedScan::Cascade, ResolvedScan::Direct),
+    for (rows, after_add) in [
+        (16_384, ResolvedScan::Cascade),
+        (4_096, ResolvedScan::Direct),
     ] {
         let (versioned, updater) = served_neardup(rows);
         let resolved = || versioned.load().resolved_strategy();
         let mean_radius = || versioned.load().index().unwrap().stats().mean_radius;
         assert_eq!(
             resolved(),
-            ResolvedScan::BitSliced,
+            ResolvedScan::Cascade,
             "{rows} rows at provisioning"
         );
         assert!(
@@ -321,7 +319,11 @@ fn auto_resolution_follows_the_served_shapes_across_updates() {
             mean_radius()
         );
         updater.retire_class(ClassId(rows / 2)).unwrap();
-        assert_eq!(resolved(), after_retire, "{rows} rows after one retire");
+        assert_eq!(
+            resolved(),
+            ResolvedScan::Cascade,
+            "{rows} rows after one retire"
+        );
         let dim = versioned.load().dim();
         updater
             .add_class("random", Hypervector::random(dim, 0xADD))
