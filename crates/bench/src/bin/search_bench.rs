@@ -21,25 +21,22 @@
 //!    at `C = 1000` with {1, 1%, 10%, 100%} of the rows changed per
 //!    publish — the "publish cost ∝ rows changed" claim of DESIGN.md
 //!    §15;
-//! 6. the kernel backends: every enabled SIMD datapath × scan strategy
+//! 6. the kernel backends: every enabled SIMD datapath's direct scan
 //!    against the scalar fused early-abandoning scan at `C = 1000`,
 //!    `D = 10,000` (one query, uniform rows);
-//! 7. the sampled-prefilter cascade on its natural shape — planted
-//!    near-duplicate rows in an otherwise random array — vs the direct
-//!    scan on the same backend;
-//! 8. the two-level bucket index: `C ∈ {1k, 10k, 100k}` × clustered /
+//! 7. the two-level bucket index: `C ∈ {1k, 10k, 100k}` × clustered /
 //!    adversarial-uniform rows × {exact indexed, probe, auto} against
 //!    the fused linear scan, with measured recall for the probe mode —
 //!    the exactness-preserving speedup (and the Auto fallback's "never
 //!    much slower than linear" floor) quoted in DESIGN.md §14;
-//! 9. the exact plans `Auto` chooses among: `C ∈ {1k, 10k, 100k}` ×
+//! 8. the exact plans `Auto` chooses between: `C ∈ {1k, 10k, 100k}` ×
 //!    near-duplicate cluster-major / adversarial-uniform rows ×
-//!    {indexed, cascade, auto} against the direct scan, with the
-//!    per-mode scanned/pruned counters and what `Auto` resolved to —
-//!    the plan table quoted in DESIGN.md §17;
-//! 10. query rematerialization on the langid workload: the encoder's
-//!     resident item-vector caches vs the fixed seed-only
-//!     [`Rematerializer`] view, amortized per stored class.
+//!    {indexed, auto} against the direct scan, with the per-mode
+//!    scanned/pruned counters and what `Auto` resolved to — the plan
+//!    table quoted in DESIGN.md §17;
+//! 9. query rematerialization on the langid workload: the encoder's
+//!    resident item-vector caches vs the fixed seed-only
+//!    [`Rematerializer`] view, amortized per stored class.
 //!
 //! Every exact plan a section times is first checked against the direct
 //! scan on that section's queries — the same `Min2` and the same top-k
@@ -114,11 +111,11 @@ struct IndexScaling {
 /// mode against the direct scan.
 #[derive(Debug, Serialize)]
 struct PlanScaling {
-    /// `"neardup"` (32 tight cluster-major clusters around one base —
-    /// cascade-friendly, never pruning-friendly) or `"uniform"`
-    /// (independent rows: no pruner can fire).
+    /// `"neardup"` (32 tight cluster-major clusters around one base,
+    /// inside the separation margin but under the tight-radius ceiling)
+    /// or `"uniform"` (independent rows: pruning cannot fire).
     shape: &'static str,
-    /// `"indexed"`, `"cascade"`, or `"auto"`.
+    /// `"indexed"` or `"auto"`.
     mode: &'static str,
     /// What `ScanStrategy::Auto` resolves to on this shape with the
     /// bucket index attached.
@@ -162,10 +159,8 @@ struct Snapshot {
     /// Whole-memory COW publish vs chunk-granular delta publish as the
     /// number of rows changed per publish grows.
     delta_publish: Vec<Comparison>,
-    /// Backend × strategy sweep against the scalar fused scan.
+    /// Every backend's direct scan against the scalar fused scan.
     backends: Vec<Comparison>,
-    /// Direct vs cascade on the planted near-duplicate shape.
-    cascade: Vec<Comparison>,
     /// Bucket-index sweep: shape × C × mode vs the linear scan.
     index_scaling: Vec<IndexScaling>,
     /// Exact-plan sweep: shape × C × mode vs the direct scan.
@@ -547,8 +542,8 @@ fn main() {
         delta_publish.push(cmp);
     }
 
-    // 6. Kernel backends: every enabled datapath × strategy vs the scalar
-    // fused early-abandoning scan at C = 1000, D = 10,000. The baseline
+    // 6. Kernel backends: every enabled datapath vs the scalar fused
+    // early-abandoning scan at C = 1000, D = 10,000. The baseline
     // re-runs inside every comparison so each speedup is measured against
     // a fresh interleaved scalar slice, not a stale number.
     let memory = random_memory(1_000, 10_000, 19);
@@ -562,79 +557,28 @@ fn main() {
     let scalar_direct = plan(scalar, ScanStrategy::Direct, packed);
     let mut backends = Vec::new();
     for backend in enabled_backends() {
-        for (strategy, tag) in [
-            (ScanStrategy::Direct, "direct"),
-            (ScanStrategy::Cascade, "cascade"),
-        ] {
-            let contender = plan(backend, strategy, packed);
-            check_plan("backends", packed, &contender, &[words]);
-            let cmp = compare(
-                1_000,
-                10_000,
-                600,
-                "scalar_fused_early_abandon",
-                || packed.min2(&scalar_direct, words, None, None).unwrap(),
-                &format!("{}_{tag}", backend.name()),
-                || packed.min2(&contender, words, None, None).unwrap(),
-            );
-            println!(
-                "backend C=1000 D=10k: scalar {:.0} ns vs {}_{tag} {:.0} ns ({:.2}x)",
-                cmp.baseline.ns_per_op,
-                backend.name(),
-                cmp.contender.ns_per_op,
-                cmp.speedup
-            );
-            backends.push(cmp);
-        }
-    }
-
-    // 7. The cascade's natural shape: a query adjacent to a few stored
-    // rows with the rest of the array ~D/2 away. The runner-up collapses
-    // after the planted rows, so the sorted sampled pass prunes nearly
-    // every full-width rescore; the direct scan still has to walk each
-    // row to its first bound check.
-    let dim = Dimension::new(10_000).unwrap();
-    let base = Hypervector::random(dim, 31);
-    let mut clustered = PackedRows::with_capacity(10_000, 1_000);
-    for i in 0..1_000u64 {
-        let row = if i == 137 || i == 612 {
-            synth::noisy_copy(&base, 40 + i as usize % 7, 33 ^ i)
-        } else {
-            Hypervector::random(dim, 1_000 + i)
-        };
-        clustered.push(row.as_bitvec().as_words());
-    }
-    let probe = synth::noisy_copy(&base, 25, 34);
-    let probe_words = probe.as_bitvec().as_words();
-    let mut cascade = Vec::new();
-    let mut cascade_backends = vec![scalar];
-    if active_backend().name() != scalar.name() {
-        cascade_backends.push(active_backend());
-    }
-    for backend in cascade_backends {
-        let direct = plan(backend, ScanStrategy::Direct, &clustered);
-        let sampled = plan(backend, ScanStrategy::Cascade, &clustered);
-        check_plan("cascade", &clustered, &sampled, &[probe_words]);
+        let contender = plan(backend, ScanStrategy::Direct, packed);
+        check_plan("backends", packed, &contender, &[words]);
         let cmp = compare(
             1_000,
             10_000,
             600,
-            &format!("{}_direct_planted", backend.name()),
-            || clustered.min2(&direct, probe_words, None, None).unwrap(),
-            &format!("{}_cascade_planted", backend.name()),
-            || clustered.min2(&sampled, probe_words, None, None).unwrap(),
+            "scalar_fused_early_abandon",
+            || packed.min2(&scalar_direct, words, None, None).unwrap(),
+            &format!("{}_direct", backend.name()),
+            || packed.min2(&contender, words, None, None).unwrap(),
         );
         println!(
-            "cascade planted {}: direct {:.0} ns vs cascade {:.0} ns ({:.2}x)",
-            backend.name(),
+            "backend C=1000 D=10k: scalar {:.0} ns vs {}_direct {:.0} ns ({:.2}x)",
             cmp.baseline.ns_per_op,
+            backend.name(),
             cmp.contender.ns_per_op,
             cmp.speedup
         );
-        cascade.push(cmp);
+        backends.push(cmp);
     }
 
-    // 8. The bucket index: clustered rows (the shape the triangle bound
+    // 7. The bucket index: clustered rows (the shape the triangle bound
     // was built for) and adversarial uniform rows (where pruning can
     // never fire and Auto must fall back to the linear scan), swept
     // across C with D = 10,000. Exact and auto modes are bit-identical
@@ -764,20 +708,20 @@ fn main() {
         }
     }
 
-    // 9. The exact plans Auto chooses among: near-duplicate
+    // 8. The exact plans Auto chooses between: near-duplicate
     // cluster-major rows (tight clusters around one base) and
     // adversarial uniform rows, swept across C at D = 10,000 against
-    // the direct scan. The indexed walk and the cascade run side by
-    // side, so the numbers say which traversal Auto should pick where;
-    // every mode here is bit-identical to the direct scan.
+    // the direct scan. The indexed walk and Auto run side by side, so
+    // the numbers say whether Auto picked the faster traversal; every
+    // mode here is bit-identical to the direct scan.
     let mut plan_scaling = Vec::new();
     for &classes in sweep {
         for neardup_shape in [true, false] {
             let shape = if neardup_shape { "neardup" } else { "uniform" };
             // 32 anchors a few percent of D apart (noisy copies of one
             // base), members a small fraction of that separation from
-            // their anchor: tight nearest-bucket spacing keeps the
-            // shape cascade-friendly, never pruning-friendly.
+            // their anchor: centers sit inside the separation margin,
+            // but the radii are far under the tight-radius ceiling.
             let base = Hypervector::random(dimension, 0x51CE ^ classes as u64);
             let anchors: Vec<Hypervector> = (0..32u64)
                 .map(|i| synth::noisy_copy(&base, dim / 32, 0x6A00 ^ classes as u64 ^ i))
@@ -821,7 +765,6 @@ fn main() {
 
             for (mode, strategy) in [
                 ("indexed", ScanStrategy::Indexed),
-                ("cascade", ScanStrategy::Cascade),
                 ("auto", ScanStrategy::Auto),
             ] {
                 let contender = planned(strategy);
@@ -867,7 +810,7 @@ fn main() {
         }
     }
 
-    // 10. Query rematerialization at the langid paper scale: the item
+    // 9. Query rematerialization at the langid paper scale: the item
     // vectors the encoder caches densely (alphabet table + rotated
     // n-gram caches) all regenerate bit-identically from the fixed
     // ~16-byte seed view, so the dense bytes are a pure speed/space
@@ -900,7 +843,6 @@ fn main() {
         resilience,
         delta_publish,
         backends,
-        cascade,
         index_scaling,
         plan_scaling,
         rematerialization,

@@ -158,4 +158,61 @@ mod tests {
         assert_eq!(big.index().unwrap().dirty(), 0);
         assert_eq!(big.index().unwrap().rows(), 34);
     }
+
+    #[test]
+    fn dirtiness_exactly_at_the_threshold_is_tolerated() {
+        let policy = IndexPolicy {
+            min_rows: 16,
+            max_dirty_percent: 10,
+            ..IndexPolicy::default()
+        };
+        let mut big = memory(20);
+        ensure_indexed(&mut big, &policy).unwrap();
+        let dim = Dimension::new(512).unwrap();
+        // Two replacements on 20 rows: exactly 10%, not past it.
+        for (class, seed) in [(3usize, 900u64), (11, 901)] {
+            big.replace_row(hdc::ClassId(class), Hypervector::random(dim, seed))
+                .unwrap();
+        }
+        assert_eq!(big.index().unwrap().dirty(), 2);
+        assert!(!policy.wants_rebuild(&big));
+        let kept = big.index_handle().unwrap();
+        ensure_indexed(&mut big, &policy).unwrap();
+        assert!(std::sync::Arc::ptr_eq(&kept, &big.index_handle().unwrap()));
+        // A third tips it over.
+        big.replace_row(hdc::ClassId(5), Hypervector::random(dim, 902))
+            .unwrap();
+        assert!(policy.wants_rebuild(&big));
+    }
+
+    #[test]
+    fn an_index_of_another_row_count_is_rebuilt() {
+        let policy = IndexPolicy {
+            min_rows: 16,
+            ..IndexPolicy::default()
+        };
+        let mut big = memory(30);
+        ensure_indexed(&mut big, &policy).unwrap();
+        let index = big.index().unwrap();
+        assert!(!policy.wants_rebuild_parts(30, Some(index)));
+        assert!(policy.wants_rebuild_parts(31, Some(index)));
+        assert!(policy.wants_rebuild_parts(29, Some(index)));
+        assert!(policy.wants_rebuild_parts(30, None));
+        // Below the floor nothing is wanted, whatever the index.
+        assert!(!policy.wants_rebuild_parts(15, Some(index)));
+        assert!(!policy.wants_rebuild_parts(15, None));
+    }
+
+    #[test]
+    fn a_small_memory_keeps_the_index_it_has() {
+        let mut small = memory(12);
+        let built = small.build_index(IndexBuildOptions::default()).unwrap();
+        let policy = IndexPolicy::default();
+        assert!(small.len() < policy.min_rows);
+        assert_eq!(ensure_indexed(&mut small, &policy), Some(built));
+        assert!(
+            small.index().is_some(),
+            "ensure_indexed never drops an index"
+        );
+    }
 }

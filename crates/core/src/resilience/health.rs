@@ -521,4 +521,95 @@ mod tests {
         assert!(HealthState::Healthy < HealthState::Degraded);
         assert!(HealthState::Degraded < HealthState::Quarantined);
     }
+
+    #[test]
+    fn margins_bucket_by_powers_of_two() {
+        let mut m = HealthMonitor::new(HealthPolicy {
+            window: 1_000,
+            ..HealthPolicy::default()
+        });
+        for margin in [0usize, 1, 2, 3, 4, 7, 8, 63, 64, 1_000] {
+            m.observe_outcome(&outcome(
+                margin,
+                Confidence::Confident,
+                EngineStage::Primary,
+            ));
+        }
+        // [0], [1], [2-3], [4-7], [8-15], [16-31], [32-63], [64+].
+        assert_eq!(m.margin_histogram(), &[1, 1, 2, 2, 1, 0, 1, 2]);
+    }
+
+    #[test]
+    fn exact_escalations_alone_degrade_at_their_rate() {
+        let confident_exact = outcome(200, Confidence::Confident, EngineStage::Exact);
+        let good = good();
+        // Four escalations in ten (40% < 50%): still healthy.
+        let mut m = HealthMonitor::new(small_policy());
+        for i in 0..10 {
+            m.observe_outcome(if i < 4 { &confident_exact } else { &good });
+        }
+        assert_eq!(m.state(), HealthState::Healthy);
+        // Five in ten reaches the threshold.
+        for i in 0..10 {
+            m.observe_outcome(if i < 5 { &confident_exact } else { &good });
+        }
+        assert_eq!(m.state(), HealthState::Degraded);
+    }
+
+    #[test]
+    fn a_dirty_window_during_recovery_restarts_the_count() {
+        let mut m = HealthMonitor::new(small_policy());
+        m.observe_outcome(&rejected());
+        for _ in 0..9 {
+            m.observe_outcome(&good());
+        }
+        assert_eq!(m.state(), HealthState::Degraded);
+        // Clean, dirty, clean: the dirty window resets the streak.
+        let window = |m: &mut HealthMonitor, dirty: bool| {
+            for i in 0..10 {
+                m.observe_outcome(&if dirty && i == 0 { rejected() } else { good() });
+            }
+        };
+        window(&mut m, false);
+        window(&mut m, true);
+        window(&mut m, false);
+        assert_eq!(m.state(), HealthState::Degraded);
+        window(&mut m, false);
+        assert_eq!(m.state(), HealthState::Healthy);
+        assert_eq!(m.transitions().len(), 2);
+    }
+
+    #[test]
+    fn a_zero_window_evaluates_every_query() {
+        let mut m = HealthMonitor::new(HealthPolicy {
+            window: 0,
+            ..HealthPolicy::default()
+        });
+        assert_eq!(m.observe_outcome(&good()), None);
+        // One rejected query is a whole window at a 100% reject rate.
+        assert_eq!(
+            m.observe_outcome(&rejected()),
+            Some(HealthTransition {
+                from: HealthState::Healthy,
+                to: HealthState::Quarantined
+            })
+        );
+        assert_eq!(m.policy().window, 0);
+    }
+
+    #[test]
+    fn restoring_outside_quarantine_changes_nothing() {
+        let mut m = HealthMonitor::new(small_policy());
+        assert_eq!(m.occupancy_fractions(), [0.0; 3]);
+        assert_eq!(m.mark_restored(), None);
+        assert_eq!(m.state(), HealthState::Healthy);
+        m.observe_outcome(&rejected());
+        for _ in 0..9 {
+            m.observe_outcome(&good());
+        }
+        assert_eq!(m.state(), HealthState::Degraded);
+        assert_eq!(m.mark_restored(), None);
+        assert_eq!(m.state(), HealthState::Degraded);
+        assert_eq!(m.transitions().len(), 1);
+    }
 }

@@ -1603,4 +1603,153 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn crash_once_fires_once_at_the_nth_hit_of_its_point() {
+        let injector = CrashOnce::nth(CrashPoint::WalFsync, CrashAction::Panic, 2);
+        // Other points never fire, and do not use up the skips.
+        assert_eq!(injector.strike(CrashPoint::WalAppend), CrashAction::Proceed);
+        assert_eq!(injector.strike(CrashPoint::WalFsync), CrashAction::Proceed);
+        assert_eq!(injector.strike(CrashPoint::WalFsync), CrashAction::Proceed);
+        assert!(!injector.fired());
+        assert_eq!(injector.strike(CrashPoint::WalFsync), CrashAction::Panic);
+        assert!(injector.fired());
+        // Spent: every later hit proceeds.
+        assert_eq!(injector.strike(CrashPoint::WalFsync), CrashAction::Proceed);
+        let first = CrashOnce::new(CrashPoint::PublishPre, CrashAction::ShortWrite(3));
+        assert_eq!(
+            first.strike(CrashPoint::PublishPre),
+            CrashAction::ShortWrite(3)
+        );
+    }
+
+    #[test]
+    fn strike_panics_exactly_when_the_injector_demands_a_crash() {
+        strike(None, CrashPoint::PublishPost);
+        let quiet = CrashOnce::new(CrashPoint::WalRotate, CrashAction::Proceed);
+        strike(Some(&*quiet), CrashPoint::WalRotate);
+        assert!(quiet.fired(), "a Proceed strike still counts as fired");
+        // Outside the WAL's write path a torn write degrades to a panic.
+        for action in [
+            CrashAction::Panic,
+            CrashAction::ShortWrite(1),
+            CrashAction::WriteError(1),
+        ] {
+            let injector = CrashOnce::new(CrashPoint::PublishPre, action);
+            let caught = std::panic::catch_unwind(|| {
+                strike(Some(&*injector), CrashPoint::PublishPre);
+            })
+            .unwrap_err();
+            let message = caught
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert_eq!(message, "injected crash at PublishPre", "{action:?}");
+        }
+    }
+
+    #[test]
+    fn every_update_op_has_its_log_record() {
+        let hv = Hypervector::random(dim(), 5);
+        let words = hv.as_bitvec().as_words().to_vec();
+        assert_eq!(
+            WalRecord::from_op(&UpdateOp::Add {
+                label: "new".into(),
+                hv: hv.clone(),
+            }),
+            WalRecord::AddClass {
+                label: "new".into(),
+                words: words.clone(),
+            }
+        );
+        assert_eq!(
+            WalRecord::from_op(&UpdateOp::Replace {
+                class: ClassId(4),
+                hv,
+            }),
+            WalRecord::ReplaceRow { row: 4, words }
+        );
+        assert_eq!(
+            WalRecord::from_op(&UpdateOp::Retire { class: ClassId(2) }),
+            WalRecord::RetireClass { row: 2 }
+        );
+    }
+
+    #[test]
+    fn segments_list_in_lsn_order_and_foreign_files_are_ignored() {
+        let dir = temp_dir("listing");
+        // No directory yet: nothing to replay, no oldest segment.
+        assert_eq!(replay_floor(&dir).unwrap(), 0);
+        assert_eq!(oldest_segment_lsn(&dir).unwrap(), None);
+        let wal = Wal::open(
+            &dir,
+            dim(),
+            WalOptions {
+                segment_bytes: 1,
+                fsync: false,
+            },
+        )
+        .unwrap();
+        for seed in 0..4 {
+            wal.append(&[record(seed)]).unwrap();
+        }
+        assert_eq!(wal.dir(), dir.as_path());
+        fs::write(dir.join("notes.txt"), b"not a segment").unwrap();
+        fs::write(dir.join("wal-zz.seg"), b"bad lsn").unwrap();
+        fs::write(dir.join("wal-0000000000000001.tmp"), b"wrong suffix").unwrap();
+        let listed = list_segments(&dir).unwrap();
+        let lsns: Vec<u64> = listed.iter().map(|(lsn, _)| *lsn).collect();
+        assert!(lsns.windows(2).all(|w| w[0] < w[1]), "{lsns:?}");
+        assert_eq!(lsns.len(), wal.segment_count());
+        for (lsn, path) in &listed {
+            assert_eq!(path, &segment_path(&dir, *lsn));
+        }
+        assert_eq!(oldest_segment_lsn(&dir).unwrap(), Some(0));
+        assert_eq!(replay_floor(&dir).unwrap(), 0);
+        let mut memory = AssociativeMemory::new(dim());
+        assert_eq!(Wal::replay_into(&dir, &mut memory, 0).unwrap().replayed, 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_starts_at_the_requested_lsn() {
+        let dir = temp_dir("from-lsn");
+        let wal = Wal::open(&dir, dim(), WalOptions::default()).unwrap();
+        wal.append(&[record(0), record(1), record(2), record(3), record(4)])
+            .unwrap();
+        // A memory that already holds the first three records resumes
+        // from LSN 3 and gains exactly the last two.
+        let mut memory = AssociativeMemory::new(dim());
+        Wal::replay_into(&dir, &mut memory, 0).unwrap();
+        let full = memory.clone();
+        let mut partial = AssociativeMemory::new(dim());
+        for (_, label, hv) in full.iter().take(3) {
+            partial.insert(label, hv.clone()).unwrap();
+        }
+        let summary = Wal::replay_into(&dir, &mut partial, 3).unwrap();
+        assert_eq!(summary.replayed, 2);
+        assert_eq!(summary.last_lsn, Some(4));
+        assert_eq!(partial.len(), 5);
+        for ((_, a, x), (_, b, y)) in partial.iter().zip(full.iter()) {
+            assert_eq!((a, x), (b, y));
+        }
+        // Past the end there is nothing left to apply.
+        let summary = Wal::replay_into(&dir, &mut partial, 5).unwrap();
+        assert_eq!((summary.replayed, summary.last_lsn), (0, None));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_empty_append_logs_nothing() {
+        let dir = temp_dir("empty-append");
+        let wal = Wal::open(&dir, dim(), WalOptions::default()).unwrap();
+        assert_eq!(wal.append(&[record(1), record(2)]).unwrap(), 0..2);
+        assert_eq!(wal.append(&[]).unwrap(), 2..2);
+        assert_eq!(wal.next_lsn(), 2);
+        assert_eq!(wal.append(&[record(3)]).unwrap(), 2..3);
+        let mut memory = AssociativeMemory::new(dim());
+        let summary = Wal::replay_into(&dir, &mut memory, 0).unwrap();
+        assert_eq!((summary.replayed, summary.last_lsn), (3, Some(2)));
+        assert!(!summary.torn_tail);
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

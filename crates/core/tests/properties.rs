@@ -5,6 +5,7 @@ use ham_core::prelude::*;
 use ham_core::rham::RHam;
 use ham_core::switching;
 use hdc::prelude::*;
+use hdc::ScanStrategy;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -262,5 +263,97 @@ proptest! {
             prop_assert_eq!(repaired.hamming(row), Distance::ZERO);
         }
         prop_assert!(scrubber.scan(&faulted).unwrap().is_clean());
+    }
+
+    #[test]
+    fn health_telemetry_stays_consistent_over_any_stream(
+        window in 0usize..12,
+        events in prop::collection::vec(0u8..6, 0..200),
+    ) {
+        let mut monitor = HealthMonitor::new(HealthPolicy {
+            window,
+            ..HealthPolicy::default()
+        });
+        let mut outcomes = 0usize;
+        let mut reported = Vec::new();
+        for (i, event) in events.iter().enumerate() {
+            let (confidence, stage) = match event {
+                0 => (Confidence::Confident, EngineStage::Primary),
+                1 => (Confidence::Marginal, EngineStage::Exact),
+                2 => (Confidence::Rejected, EngineStage::Exact),
+                3 => (Confidence::Confident, EngineStage::Resample),
+                _ => (Confidence::Confident, EngineStage::Widened),
+            };
+            let transition = if *event == 5 && i % 2 == 0 {
+                monitor.observe_error(&HamError::WorkerPanicked { query: i })
+            } else {
+                outcomes += 1;
+                monitor.observe_outcome(&QueryOutcome {
+                    result: HamSearchResult {
+                        class: ClassId(0),
+                        measured_distance: Distance::new(i),
+                    },
+                    confidence,
+                    escalations: 0,
+                    final_engine: stage,
+                    margin: i * 7,
+                    scan: hdc::ScanCounters::default(),
+                })
+            };
+            reported.extend(transition);
+        }
+        // Every transition was reported once, in order, and each one
+        // leaves the state the previous one entered.
+        prop_assert_eq!(monitor.transitions(), &reported[..]);
+        for pair in reported.windows(2) {
+            prop_assert_eq!(pair[0].to, pair[1].from);
+        }
+        if let Some(last) = reported.last() {
+            prop_assert_eq!(last.to, monitor.state());
+        }
+        for t in &reported {
+            prop_assert_ne!(t.from, t.to);
+        }
+        // Only outcomes land in the margin histogram; every event counts
+        // towards occupancy.
+        prop_assert_eq!(monitor.margin_histogram().iter().sum::<usize>(), outcomes);
+        let occupancy: f64 = monitor.occupancy_fractions().iter().sum();
+        if events.is_empty() {
+            prop_assert_eq!(occupancy, 0.0);
+        } else {
+            prop_assert!((occupancy - 1.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn ensuring_an_index_is_idempotent_and_never_changes_an_answer(
+        rows in 1usize..80,
+        min_rows in 0usize..60,
+        seed in any::<u64>(),
+    ) {
+        let dim = Dimension::new(300).unwrap();
+        let mut memory = AssociativeMemory::new(dim);
+        for i in 0..rows as u64 {
+            memory.insert(format!("c{i}"), Hypervector::random(dim, seed ^ (i << 12))).unwrap();
+        }
+        let queries: Vec<Hypervector> =
+            (0..4u64).map(|q| Hypervector::random(dim, !seed ^ q)).collect();
+        let before: Vec<_> = queries.iter().map(|q| memory.search(q).unwrap()).collect();
+        let policy = IndexPolicy { min_rows, ..IndexPolicy::default() };
+        let stats = ensure_indexed(&mut memory, &policy);
+        prop_assert_eq!(stats.is_some(), rows >= min_rows);
+        prop_assert!(!policy.wants_rebuild(&memory));
+        let handle = memory.index_handle();
+        prop_assert_eq!(ensure_indexed(&mut memory, &policy), stats);
+        match (&handle, memory.index_handle()) {
+            (Some(a), Some(b)) => prop_assert!(std::sync::Arc::ptr_eq(a, &b)),
+            (None, None) => {}
+            _ => prop_assert!(false, "the second call changed the index"),
+        }
+        for strategy in [ScanStrategy::Auto, ScanStrategy::Indexed] {
+            memory.set_scan_strategy(strategy);
+            let after: Vec<_> = queries.iter().map(|q| memory.search(q).unwrap()).collect();
+            prop_assert_eq!(&after, &before);
+        }
     }
 }

@@ -612,6 +612,7 @@ impl AssociativeMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distortion::ErrorModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -886,12 +887,14 @@ mod tests {
         // (the COW epoch-publish contract).
         let frozen = am.clone();
         let mut publishing = am.clone();
-        publishing
-            .insert("next", Hypervector::random(dim(512), 99))
-            .unwrap();
+        let next = Hypervector::random(dim(512), 99);
+        publishing.insert("next", next.clone()).unwrap();
         assert_eq!(frozen.index().unwrap().rows(), 11);
         assert_eq!(publishing.index().unwrap().rows(), 12);
         assert_eq!(am.index().unwrap().rows(), 11);
+        // The frozen clone keeps scanning the pre-mutation rows.
+        assert_eq!(publishing.search(&next).unwrap().class, ClassId(11));
+        assert!(frozen.search(&next).unwrap().distance.as_usize() > 0);
     }
 
     #[test]
@@ -920,38 +923,6 @@ mod tests {
         assert!(!am.search_top_k(&rows[0], 2).unwrap().is_empty());
         // A stored row is found exactly through its own bucket.
         assert_eq!(am.search(&rows[2]).unwrap().class, ClassId(2));
-    }
-
-    #[test]
-    fn cascade_memory_searches_bit_identically_and_follows_writes() {
-        let (mut am, rows) = memory_with(2_048, 100);
-        let plain = am.clone().with_scan_strategy(ScanStrategy::Direct);
-        am.set_scan_strategy(ScanStrategy::Cascade);
-        assert_eq!(am.resolved_strategy(), ResolvedScan::Cascade);
-        let mut rng = StdRng::seed_from_u64(11);
-        for row in rows.iter().step_by(7) {
-            let q = row.with_flipped_bits(300, &mut rng);
-            assert_eq!(am.search(&q).unwrap(), plain.search(&q).unwrap());
-            assert_eq!(
-                am.search_top_k(&q, 5).unwrap(),
-                plain.search_top_k(&q, 5).unwrap()
-            );
-        }
-        // Writes reach the cascade's scan: the new rows win their own
-        // patterns.
-        let late = Hypervector::random(dim(2_048), 777);
-        am.insert("late", late.clone()).unwrap();
-        assert_eq!(am.search(&late).unwrap().class, ClassId(100));
-        let swapped = Hypervector::random(dim(2_048), 888);
-        am.replace_row(ClassId(42), swapped.clone()).unwrap();
-        assert_eq!(am.search(&swapped).unwrap().class, ClassId(42));
-        // A frozen clone keeps scanning the pre-mutation rows.
-        let frozen = am.clone();
-        let next = Hypervector::random(dim(2_048), 999);
-        am.insert("next", next.clone()).unwrap();
-        assert_eq!(am.search(&next).unwrap().class, ClassId(101));
-        assert_ne!(frozen.search(&next).unwrap().class, ClassId(101));
-        assert_eq!(frozen.len(), 101);
     }
 
     #[test]
@@ -1039,6 +1010,141 @@ mod tests {
         assert!(right.index().is_some());
         right.drop_index();
         assert!(right.index().is_none());
+    }
+    #[test]
+    fn drop_index_falls_back_to_the_direct_scan() {
+        let (mut am, rows) = memory_with(1_024, 30);
+        am.build_index(IndexBuildOptions::default()).unwrap();
+        am.set_scan_strategy(ScanStrategy::Indexed);
+        assert_eq!(
+            am.resolved_strategy(),
+            ResolvedScan::Indexed { nprobe: None }
+        );
+        let mut rng = StdRng::seed_from_u64(21);
+        let queries: Vec<Hypervector> = rows
+            .iter()
+            .map(|row| row.with_flipped_bits(200, &mut rng))
+            .collect();
+        let before: Vec<SearchResult> = queries.iter().map(|q| am.search(q).unwrap()).collect();
+        am.drop_index();
+        assert!(am.index().is_none());
+        assert!(am.index_handle().is_none());
+        // The strategy is kept; without an index it resolves to Direct.
+        assert_eq!(am.scan_strategy(), ScanStrategy::Indexed);
+        assert_eq!(am.resolved_strategy(), ResolvedScan::Direct);
+        let (_, counters) = am.search_counted(&queries[0]).unwrap();
+        assert_eq!(counters.rows_scanned, 30);
+        let after: Vec<SearchResult> = queries.iter().map(|q| am.search(q).unwrap()).collect();
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn undistorted_search_matches_the_exact_search() {
+        let (am, rows) = memory_with(2_000, 12);
+        let mut rng = StdRng::seed_from_u64(8);
+        for model in [
+            ErrorModel::None,
+            ErrorModel::UniformBits(0),
+            ErrorModel::ExcludedBits(0),
+        ] {
+            let mut distorter = DistanceDistorter::new(model, 5);
+            for row in rows.iter().step_by(3) {
+                let q = row.with_flipped_bits(500, &mut rng);
+                assert_eq!(
+                    am.search_distorted(&q, &mut distorter).unwrap(),
+                    am.search(&q).unwrap(),
+                    "{model:?}"
+                );
+            }
+        }
+        let empty = AssociativeMemory::new(dim(2_000));
+        let mut distorter = DistanceDistorter::new(ErrorModel::None, 5);
+        assert_eq!(
+            empty.search_distorted(&rows[0], &mut distorter),
+            Err(HdcError::EmptyMemory)
+        );
+    }
+
+    #[test]
+    fn iter_walks_classes_in_row_order() {
+        let (mut am, rows) = memory_with(256, 5);
+        let swapped = Hypervector::random(dim(256), 77);
+        am.replace_row(ClassId(3), swapped.clone()).unwrap();
+        let seen: Vec<(ClassId, String, Hypervector)> = am
+            .iter()
+            .map(|(class, label, hv)| (class, label.to_string(), hv.clone()))
+            .collect();
+        assert_eq!(seen.len(), 5);
+        for (i, (class, label, hv)) in seen.iter().enumerate() {
+            assert_eq!(*class, ClassId(i));
+            assert_eq!(label, &format!("c{i}"));
+            let expected = if i == 3 { &swapped } else { &rows[i] };
+            assert_eq!(hv, expected);
+            assert_eq!(
+                am.packed_rows().row_words(i),
+                expected.as_bitvec().as_words()
+            );
+        }
+    }
+
+    #[test]
+    fn counted_rankings_match_rankings_on_every_plan() {
+        let (mut am, rows) = memory_with(1_024, 40);
+        am.build_index(IndexBuildOptions::default()).unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        for strategy in [
+            ScanStrategy::Direct,
+            ScanStrategy::Indexed,
+            ScanStrategy::Auto,
+        ] {
+            am.set_scan_strategy(strategy);
+            for row in rows.iter().step_by(5) {
+                let q = row.with_flipped_bits(250, &mut rng);
+                for k in [0usize, 1, 7, 40, 41] {
+                    let (ranked, counters) = am.search_top_k_counted(&q, k).unwrap();
+                    assert_eq!(
+                        ranked,
+                        am.search_top_k(&q, k).unwrap(),
+                        "{strategy:?} k={k}"
+                    );
+                    if k > 0 {
+                        assert_eq!(counters.rows_scanned + counters.rows_pruned, 40);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masked_search_is_plan_independent() {
+        let (mut am, rows) = memory_with(2_048, 36);
+        let direct = am.clone().with_scan_strategy(ScanStrategy::Direct);
+        am.build_index(IndexBuildOptions::default()).unwrap();
+        am.set_scan_strategy(ScanStrategy::Indexed);
+        let mut rng = StdRng::seed_from_u64(12);
+        for (i, kept) in [2_048usize, 1_843, 1_024, 64].into_iter().enumerate() {
+            let mask = SampleMask::keep_random(dim(2_048), kept, i as u64).unwrap();
+            for row in rows.iter().step_by(4) {
+                let q = row.with_flipped_bits(400, &mut rng);
+                assert_eq!(
+                    am.search_sampled(&q, &mask).unwrap(),
+                    direct.search_sampled(&q, &mask).unwrap(),
+                    "kept {kept}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_memory_has_no_index_and_ranks_nothing() {
+        let mut am = AssociativeMemory::new(dim(300));
+        assert_eq!(am.build_index(IndexBuildOptions::default()), None);
+        assert!(am.index().is_none());
+        assert_eq!(am.resolved_strategy(), ResolvedScan::Direct);
+        let q = Hypervector::random(dim(300), 1);
+        assert_eq!(am.search_top_k(&q, 3), Err(HdcError::EmptyMemory));
+        assert_eq!(am.distances(&q), Err(HdcError::EmptyMemory));
+        assert_eq!(ClassId(7).to_string(), "class 7");
     }
 }
 

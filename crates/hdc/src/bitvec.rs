@@ -611,4 +611,67 @@ mod rotation_equivalence_tests {
             }
         }
     }
+
+    fn pattern(len: usize, salt: usize) -> BitVec {
+        BitVec::from_bits((0..len).map(|i| (i.wrapping_mul(2_654_435_761) ^ salt) % 5 < 2))
+    }
+
+    #[test]
+    fn from_words_clears_bits_past_len() {
+        for len in [1usize, 63, 64, 65, 128, 130] {
+            let words = vec![u64::MAX; len.div_ceil(64)];
+            let v = BitVec::from_words(words, len);
+            assert_eq!(v.count_ones(), len, "len {len}");
+            assert_eq!(v, BitVec::ones(len), "len {len}");
+        }
+        let v = BitVec::from_words(vec![u64::MAX, u64::MAX, u64::MAX], 130);
+        assert_eq!(v.as_words()[2], 0b11);
+    }
+
+    #[test]
+    #[should_panic(expected = "word count does not match 130 bits")]
+    fn from_words_rejects_a_wrong_word_count() {
+        BitVec::from_words(vec![0; 2], 130);
+    }
+
+    #[test]
+    fn rotations_compose_additively() {
+        for len in [1usize, 63, 64, 65, 127, 128, 129, 640, 1_001] {
+            let v = pattern(len, 3);
+            for (x, y) in [
+                (0usize, 5usize),
+                (1, 1),
+                (17, 64),
+                (len - 1, 2),
+                (3 * len, 1),
+            ] {
+                assert_eq!(
+                    v.rotate_right(x).rotate_right(y),
+                    v.rotate_right(x + y),
+                    "len {len}, {x}+{y}"
+                );
+                assert_eq!(v.rotate_right(x).rotate_left(x), v, "len {len}, {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn rotation_preserves_distance_and_distributes_over_xor() {
+        // The permutation ρ keeps every distance and commutes with
+        // binding (XOR): ρ(a ⊕ b) = ρ(a) ⊕ ρ(b).
+        for len in [70usize, 128, 129, 1_000] {
+            let a = pattern(len, 1);
+            let b = pattern(len, 0x55);
+            for by in [1usize, 64, len / 3] {
+                let (ra, rb) = (a.rotate_right(by), b.rotate_right(by));
+                assert_eq!(ra.hamming(&rb), a.hamming(&b), "len {len} by {by}");
+                assert_eq!(ra.count_ones(), a.count_ones());
+                let mut bound = a.clone();
+                bound.xor_assign(&b);
+                let mut rotated_bound = ra.clone();
+                rotated_bound.xor_assign(&rb);
+                assert_eq!(bound.rotate_right(by), rotated_bound, "len {len} by {by}");
+            }
+        }
+    }
 }

@@ -105,21 +105,24 @@ pub struct IndexStats {
 }
 
 impl IndexStats {
-    /// `true` when the radius bound can plausibly prune: buckets are
-    /// separated by clearly more than their diameters. The margin term
-    /// `dim / 16` keeps uniform random rows — where separation and
-    /// 2·radius both sit near `dim / 2` and pruning never fires — on
-    /// the linear-scan side of the rule (decision rule documented in
-    /// DESIGN.md §12).
+    /// `true` when the radius bound can plausibly prune, on either of
+    /// two shapes:
+    ///
+    /// * buckets separated by clearly more than their diameters. The
+    ///   margin term `dim / 16` keeps uniform random rows — where
+    ///   separation and 2·radius both sit near `dim / 2` and pruning
+    ///   never fires — on the linear-scan side of the rule;
+    /// * tight buckets (mean radius at most `dim / 32`), the planted
+    ///   near-duplicate shape. A query's own bucket collapses the
+    ///   runner-up to an intra-cluster gap, so `d(q, centroid) − radius`
+    ///   prunes the other buckets even when their centers sit inside
+    ///   the `dim / 16` margin.
+    ///
+    /// Decision rule in DESIGN.md §14.
     pub fn pruning_friendly(&self, dim: usize) -> bool {
-        self.buckets >= 2 && self.mean_separation >= 2 * self.mean_radius + dim / 16
-    }
-
-    /// `true` for the near-duplicate shape where the PR-5 cascade wins:
-    /// rows so tightly packed (tiny radii) that bucket pruning cannot
-    /// separate them, but a sampled prefilter orders them well.
-    pub fn cascade_friendly(&self, dim: usize) -> bool {
-        !self.pruning_friendly(dim) && self.mean_radius <= dim / 32
+        let separated =
+            self.buckets >= 2 && self.mean_separation >= 2 * self.mean_radius + dim / 16;
+        separated || self.mean_radius <= dim / 32
     }
 }
 
@@ -1142,21 +1145,20 @@ mod tests {
             max_radius: mean_radius,
             mean_separation,
         };
-        // Pruning needs two buckets separated by twice the radius plus
-        // the dim/16 = 64 margin.
+        // Separation arm: two buckets separated by twice the radius plus
+        // the dim/16 = 64 margin (radii above dim/32 = 32, so the other
+        // arm stays off).
         assert!(stats(2, 100, 264).pruning_friendly(dim));
         assert!(!stats(2, 100, 263).pruning_friendly(dim));
-        assert!(!stats(1, 0, 1_000).pruning_friendly(dim));
+        assert!(!stats(1, 100, 1_000).pruning_friendly(dim));
         // Uniform rows: separation and diameter both near dim/2.
         assert!(!stats(23, 480, 512).pruning_friendly(dim));
-        // The cascade takes tight radii (at most dim/32 = 32) that do
-        // not separate, and never a pruning-friendly shape.
-        assert!(stats(23, 32, 40).cascade_friendly(dim));
-        assert!(!stats(23, 33, 40).cascade_friendly(dim));
-        assert!(stats(1, 0, 0).cascade_friendly(dim));
-        assert!(!stats(23, 10, 500).cascade_friendly(dim));
+        // Tight arm: radii at most dim/32 = 32, separated or not, and
+        // at any bucket count.
+        assert!(stats(23, 32, 40).pruning_friendly(dim));
+        assert!(!stats(23, 33, 40).pruning_friendly(dim));
+        assert!(stats(1, 0, 0).pruning_friendly(dim));
         assert!(stats(23, 10, 500).pruning_friendly(dim));
-        assert!(!stats(23, 480, 512).cascade_friendly(dim));
     }
 
     #[test]
@@ -1177,5 +1179,99 @@ mod tests {
         assert!(
             BucketIndex::build(&packed, active_backend(), IndexBuildOptions::default()).is_none()
         );
+    }
+
+    #[test]
+    fn bucket_counts_follow_the_option_and_never_exceed_the_rows() {
+        let backend = active_backend();
+        for (rows, buckets, most) in [
+            (100usize, 0usize, 10usize), // ⌈√C⌉ at most
+            (100, 3, 3),
+            (20, 500, 20),
+            (1, 0, 1),
+        ] {
+            let packed = uniform(200, rows);
+            let options = IndexBuildOptions {
+                buckets,
+                ..IndexBuildOptions::default()
+            };
+            let index = BucketIndex::build(&packed, backend, options).unwrap();
+            assert!(
+                (1..=most).contains(&index.buckets()),
+                "{rows} rows, {buckets} asked: {}",
+                index.buckets()
+            );
+            let stats = index.stats();
+            assert_eq!(stats.buckets, index.buckets());
+            assert_eq!(stats.rows, rows);
+            assert_eq!(stats.max_radius, *index.radii().iter().max().unwrap());
+            assert_eq!(index.dirty(), 0);
+            if rows == 1 {
+                assert_eq!(index.radii(), &[0]);
+                assert_eq!(stats.mean_separation, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn identical_rows_collapse_into_one_tight_bucket() {
+        let row = pseudo_bits(333, 7);
+        let mut packed = PackedRows::with_capacity(333, 50);
+        for _ in 0..50 {
+            packed.push(row.as_words());
+        }
+        let index =
+            BucketIndex::build(&packed, active_backend(), IndexBuildOptions::default()).unwrap();
+        assert_eq!(index.buckets(), 1, "every row ties to the first bucket");
+        assert_eq!(index.radii(), &[0]);
+        assert_eq!(index.members(0).len(), 50);
+        assert!(index.stats().pruning_friendly(333));
+        let plan = ScanPlan::new(
+            active_backend(),
+            super::super::ScanStrategy::Indexed,
+            Some(&index),
+            50,
+            333,
+        );
+        let hit = packed.min2(&plan, row.as_words(), None, None).unwrap();
+        assert_eq!(
+            (hit.best, hit.best_distance, hit.runner_up),
+            (0, 0, Some(0))
+        );
+    }
+
+    #[test]
+    fn every_seed_and_bucket_count_builds_an_exact_index() {
+        let backend = active_backend();
+        let packed = clustered(256, 90, 6, 4);
+        for seed in [1u64, 2, 0xDEAD] {
+            for buckets in [0usize, 2, 9, 90] {
+                let options = IndexBuildOptions {
+                    buckets,
+                    seed,
+                    ..IndexBuildOptions::default()
+                };
+                let index = BucketIndex::build(&packed, backend, options).unwrap();
+                assert_eq!(
+                    index,
+                    BucketIndex::build(&packed, backend, options).unwrap()
+                );
+                let plan = ScanPlan::new(
+                    backend,
+                    super::super::ScanStrategy::Indexed,
+                    Some(&index),
+                    packed.len(),
+                    256,
+                );
+                for salt in 0..4u64 {
+                    let query = pseudo_bits(256, 0xAB ^ salt);
+                    assert_eq!(
+                        packed.min2(&plan, query.as_words(), None, None).unwrap(),
+                        linear(&packed, query.as_words(), None),
+                        "seed {seed} buckets {buckets}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -25,19 +25,9 @@
 //!   a row that can no longer be the winner or the runner-up cannot
 //!   change the [`SearchResult`](crate::am::SearchResult), so the
 //!   remaining words need not be counted;
-//! * the sampled-prefilter **cascade** ([`ScanStrategy::Cascade`]) — the
-//!   paper's §III-C structured-sampling knob reused as an *exact* pruner:
-//!   a first pass scores every row on a seeded contiguous window of
-//!   words (a sound lower bound on the full distance), rows are then
-//!   rescored best-first on the complement words only, and a row is
-//!   skipped outright once its sampled bound exceeds the running
-//!   runner-up. The sampled distance is *reused* as part of the full
-//!   distance, so no popcount work is repeated; the cascade collapses
-//!   the scan to near-window cost when memories cluster, but its extra
-//!   per-row calls and sort still lose to the direct scan on uniform
-//!   random rows — see [`ScanStrategy::Auto`] for the measured policy;
 //! * [`ScanPlan`] — a [`ScanStrategy`] resolved once against the attached
-//!   [`BucketIndex`]. Every scan runs
+//!   [`BucketIndex`]: the direct scan, or the bucket-pruned indexed walk
+//!   (see [`ScanStrategy::Auto`] for the rule between them). Every scan runs
 //!   through one: [`PackedRows::min2`] and [`PackedRows::top_k`] are the
 //!   only scan entry points, plus [`PackedRows::distances_into`] for the
 //!   APIs that need all `C` distances.
@@ -48,8 +38,7 @@
 //! equivalence is enforced by the proptest suites in
 //! `tests/kernel_equivalence.rs`, `tests/backend_equivalence.rs` and
 //! `tests/plan_equivalence.rs`, the latter two holding every enabled
-//! backend, the cascade and the indexed walk bit-identical to the
-//! scalar full scan.
+//! backend and the indexed walk bit-identical to the scalar full scan.
 
 pub mod backend;
 pub mod index;
@@ -62,8 +51,6 @@ mod scalar;
 
 pub use backend::{active_backend, active_backend_name, enabled_backends, DistanceBackend};
 pub use index::{BucketIndex, IndexBuildOptions, IndexStats, ScanCounters};
-
-use std::cell::RefCell;
 
 /// Number of mismatching bits between two equal-length word slices,
 /// computed by the [`active_backend`].
@@ -128,22 +115,18 @@ pub struct Min2 {
 pub enum ScanStrategy {
     /// Let the library pick, from the stats of the attached
     /// [`BucketIndex`] when one is present (decision rule in DESIGN.md
-    /// §12 and §14, implemented by [`ScanPlan::new`]):
+    /// §14, implemented by [`ScanPlan::new`]):
     /// [`Indexed`](Self::Indexed) when the stored shape is
-    /// [`pruning_friendly`](IndexStats::pruning_friendly) (bucket
-    /// separation clearly exceeds bucket diameters, so the radius bound
-    /// actually fires); [`Cascade`](Self::Cascade) on
-    /// [`cascade_friendly`](IndexStats::cascade_friendly) shapes (radii
-    /// tiny but buckets unseparated, the planted-near-duplicate shape);
-    /// and [`Direct`](Self::Direct) everywhere else — on uniform random
-    /// rows every pruner loses to the plain fused scan. Without an index
-    /// it is always the direct scan.
+    /// [`pruning_friendly`](IndexStats::pruning_friendly) (buckets
+    /// separated by clearly more than their diameters, or radii tiny, as
+    /// on planted near-duplicates), and [`Direct`](Self::Direct)
+    /// everywhere else — on uniform random rows the bucket walk loses to
+    /// the plain fused scan. Without an index it is always the direct
+    /// scan.
     #[default]
     Auto,
     /// One bounded-distance pass per row in index order.
     Direct,
-    /// Sampled prefilter + best-first complement rescore (exact).
-    Cascade,
     /// Exact bucket-pruned walk through an attached [`BucketIndex`];
     /// falls back to [`Direct`](Self::Direct) when no index is attached.
     Indexed,
@@ -170,8 +153,6 @@ pub enum ScanStrategy {
 pub enum ResolvedScan {
     /// One bounded-distance pass per row in index order.
     Direct,
-    /// Sampled prefilter + best-first complement rescore (exact).
-    Cascade,
     /// Bucket walk through the attached [`BucketIndex`].
     Indexed {
         /// `Some(n)` caps the walk at the `n` closest non-empty buckets
@@ -218,9 +199,7 @@ impl<'a> ScanPlan<'a> {
     ///
     /// `Indexed`/`Probe` without an index fall back to the direct scan.
     /// `Auto` picks [`ResolvedScan::Indexed`] when the index stats are
-    /// [`pruning_friendly`](IndexStats::pruning_friendly),
-    /// [`ResolvedScan::Cascade`] when they are
-    /// [`cascade_friendly`](IndexStats::cascade_friendly), and
+    /// [`pruning_friendly`](IndexStats::pruning_friendly), and
     /// [`ResolvedScan::Direct`] in every other case.
     ///
     /// # Panics
@@ -249,7 +228,6 @@ impl<'a> ScanPlan<'a> {
         }
         let resolved = match strategy {
             ScanStrategy::Direct => ResolvedScan::Direct,
-            ScanStrategy::Cascade => ResolvedScan::Cascade,
             ScanStrategy::Indexed => match index {
                 Some(_) => ResolvedScan::Indexed { nprobe: None },
                 None => ResolvedScan::Direct,
@@ -264,7 +242,6 @@ impl<'a> ScanPlan<'a> {
                 Some(ix) if ix.stats().pruning_friendly(dim) => {
                     ResolvedScan::Indexed { nprobe: None }
                 }
-                Some(ix) if ix.stats().cascade_friendly(dim) => ResolvedScan::Cascade,
                 _ => ResolvedScan::Direct,
             },
         };
@@ -301,26 +278,12 @@ impl<'a> ScanPlan<'a> {
     }
 }
 
-/// Sampled window target: `words_per_row / 4`, at least 16 words.
-const CASCADE_WINDOW_DENOM: usize = 4;
-const CASCADE_WINDOW_MIN_WORDS: usize = 16;
-
-/// Seed for the structured-sample window placement (arbitrary constant;
-/// fixed so results are reproducible across runs and processes).
-const CASCADE_SEED: u64 = 0x4841_4D5F_5341_4D50;
-
-/// `splitmix64` — a tiny stateless mixer for the window placement.
+/// `splitmix64` — a tiny stateless mixer for the index's seeded choices.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-thread_local! {
-    /// Per-thread `(sampled distance, row)` scratch for the cascade, so a
-    /// scan allocates nothing after the first call on a thread.
-    static CASCADE_SCRATCH: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Read-only access to a matrix of packed rows, by row index.
@@ -580,14 +543,11 @@ impl PackedRows {
         }
         let backend = plan.backend;
         match plan.resolved {
-            ResolvedScan::Direct | ResolvedScan::Cascade => {
+            ResolvedScan::Direct => {
                 if let Some(counters) = counters {
                     counters.rows_scanned += self.rows as u64;
                 }
-                Some(match plan.resolved {
-                    ResolvedScan::Cascade => self.min2_cascade(backend, query, mask),
-                    _ => self.min2_direct(backend, query, mask),
-                })
+                Some(self.min2_direct(backend, query, mask))
             }
             ResolvedScan::Indexed { nprobe } => Some(
                 plan.index
@@ -601,8 +561,7 @@ impl PackedRows {
     /// `(distance, row)` order — the **one** tie-break rule behind
     /// [`AssociativeMemory::search_top_k`] — run the way `plan`
     /// resolved. Identical for every plan except
-    /// [`ResolvedScan::Indexed`] with `Some(nprobe)`; the cascade has no
-    /// ranked form and runs the direct ranking, which is exact.
+    /// [`ResolvedScan::Indexed`] with `Some(nprobe)`.
     ///
     /// The buffer is cleared first and holds `min(k, rows)` pairs on
     /// return, so a hot loop ranks thousands of queries without a `Vec`
@@ -630,7 +589,7 @@ impl PackedRows {
                 .index
                 .expect("resolved Indexed implies an index")
                 .top_k_into(self, backend, query, k, nprobe, counters, ranked),
-            ResolvedScan::Direct | ResolvedScan::Cascade => {
+            ResolvedScan::Direct => {
                 ranked.clear();
                 if k == 0 || self.is_empty() {
                     return;
@@ -683,179 +642,6 @@ impl PackedRows {
             best_distance,
             runner_up: (runner_up != usize::MAX).then_some(runner_up),
         }
-    }
-
-    /// The seeded structured-sample window `[offset, offset + len)`, in
-    /// words. Deterministic per row width, so every scan of a matrix
-    /// samples the same columns.
-    fn cascade_window(&self) -> (usize, usize) {
-        let len = (self.words_per_row / CASCADE_WINDOW_DENOM)
-            .max(CASCADE_WINDOW_MIN_WORDS)
-            .min(self.words_per_row);
-        let span = self.words_per_row - len;
-        let offset = match span {
-            0 => 0,
-            _ => {
-                (splitmix64(CASCADE_SEED ^ self.words_per_row as u64) % (span as u64 + 1)) as usize
-            }
-        };
-        (offset, len)
-    }
-
-    /// Cascade strategy: exact two-pass scan.
-    ///
-    /// Pass 1 scores every row on the sampled window — a *sound lower
-    /// bound* on its full distance, because the complement words can only
-    /// add mismatches. Pass 2 first rescores the two rows with the
-    /// smallest `(sampled, row)` pairs in full, seeding the runner-up
-    /// with a tight upper bound, then sweeps the remaining rows in pass-1
-    /// order: a row whose sampled bound alone exceeds the running
-    /// runner-up is skipped with a single compare, anything else
-    /// rescores **only the complement words** with the budget
-    /// `runner_up − sampled`.
-    ///
-    /// No ordering of the sampled pairs is ever built: earlier revisions
-    /// sorted (then heapified) them to walk ascending, but on the very
-    /// geometry the cascade targets a full `sort_unstable` of 512 pairs
-    /// costs more than the whole direct scan it is supposed to beat
-    /// (measured ~7.4µs vs ~6.7µs at 4,096 bits). Seeding from the
-    /// sampled minimum collapses the runner-up to near its final value
-    /// before the sweep starts, so the sweep gets the same skip power as
-    /// the sorted walk at `O(rows)` compare cost.
-    ///
-    /// Exactness: a row is skipped only when a lower bound on its full
-    /// distance strictly exceeds the runner-up at that moment, which
-    /// never increases — so a skipped row's distance strictly exceeds the
-    /// *final* runner-up and can influence neither reported field. Best
-    /// and runner-up are tracked by `(distance, row)`, making the result
-    /// independent of traversal order and therefore bit-identical to
-    /// [`min2_direct`](Self::min2_direct).
-    fn min2_cascade(
-        &self,
-        backend: &dyn DistanceBackend,
-        query: &[u64],
-        mask: Option<&[u64]>,
-    ) -> Min2 {
-        let (off, len) = self.cascade_window();
-        let end = off + len;
-        // Full distance of the row via its complement words, or `None`
-        // when provably above `sampled + budget` (the row then cannot
-        // matter to min2 given the runner-up the budget came from).
-        let rescore = |index: usize, sampled: usize, budget: usize| -> Option<usize> {
-            let row = self.row_words(index);
-            let prefix = match mask {
-                None => backend.bounded_distance(&row[..off], &query[..off], budget),
-                Some(mask) => backend.bounded_distance_masked(
-                    &row[..off],
-                    &query[..off],
-                    &mask[..off],
-                    budget,
-                ),
-            }?;
-            if prefix > budget {
-                return None;
-            }
-            let suffix_budget = match budget {
-                usize::MAX => usize::MAX,
-                b => b - prefix,
-            };
-            let suffix = match mask {
-                None => backend.bounded_distance(&row[end..], &query[end..], suffix_budget),
-                Some(mask) => backend.bounded_distance_masked(
-                    &row[end..],
-                    &query[end..],
-                    &mask[end..],
-                    suffix_budget,
-                ),
-            }?;
-            Some(sampled + prefix + suffix)
-        };
-        // The shared min2 update: `(distance, row)` lexicographic, so the
-        // result is independent of visit order.
-        fn note(
-            index: usize,
-            distance: usize,
-            best: &mut usize,
-            best_distance: &mut usize,
-            runner_up: &mut usize,
-        ) {
-            if (distance, index) < (*best_distance, *best) {
-                *runner_up = (*runner_up).min(*best_distance);
-                *best = index;
-                *best_distance = distance;
-            } else if distance < *runner_up {
-                *runner_up = distance;
-            }
-        }
-        CASCADE_SCRATCH.with(|cell| {
-            let order = &mut *cell.borrow_mut();
-            order.clear();
-            for (index, row) in self.iter_rows().enumerate() {
-                let sampled = match mask {
-                    None => backend.bounded_distance(&row[off..end], &query[off..end], usize::MAX),
-                    Some(mask) => backend.bounded_distance_masked(
-                        &row[off..end],
-                        &query[off..end],
-                        &mask[off..end],
-                        usize::MAX,
-                    ),
-                }
-                .expect("unbounded distance never abandons");
-                order.push((sampled, index));
-            }
-            // Seeds: the two smallest (sampled, row) pairs — the rows the
-            // sorted walk would have visited first.
-            let mut seed1 = (usize::MAX, usize::MAX);
-            let mut seed2 = (usize::MAX, usize::MAX);
-            for &pair in order.iter() {
-                if pair < seed1 {
-                    seed2 = seed1;
-                    seed1 = pair;
-                } else if pair < seed2 {
-                    seed2 = pair;
-                }
-            }
-            let mut best = 0usize;
-            let mut best_distance = usize::MAX;
-            let mut runner_up = usize::MAX;
-            for (sampled, index) in [seed1, seed2] {
-                if index == usize::MAX {
-                    continue;
-                }
-                let distance =
-                    rescore(index, sampled, usize::MAX).expect("unbudgeted rescore never abandons");
-                note(
-                    index,
-                    distance,
-                    &mut best,
-                    &mut best_distance,
-                    &mut runner_up,
-                );
-            }
-            for &(sampled, index) in order.iter() {
-                if index == seed1.1 || index == seed2.1 || sampled > runner_up {
-                    continue;
-                }
-                let budget = match runner_up {
-                    usize::MAX => usize::MAX,
-                    r => r - sampled,
-                };
-                if let Some(distance) = rescore(index, sampled, budget) {
-                    note(
-                        index,
-                        distance,
-                        &mut best,
-                        &mut best_distance,
-                        &mut runner_up,
-                    );
-                }
-            }
-            Min2 {
-                best,
-                best_distance,
-                runner_up: (runner_up != usize::MAX).then_some(runner_up),
-            }
-        })
     }
 }
 
@@ -1104,9 +890,8 @@ mod tests {
 
     #[test]
     fn every_backend_and_strategy_agree_on_every_scan() {
-        // 160 rows × 2500 bits crosses both Auto thresholds; a planted
-        // near-duplicate pair makes cascade pruning and early abandonment
-        // actually fire.
+        // 160 rows × 2500 bits; a planted near-duplicate pair makes early
+        // abandonment actually fire.
         let d = 2_500;
         let query = pseudo_bits(d, 7);
         let mut near = query.clone();
@@ -1123,7 +908,6 @@ mod tests {
             for strategy in [
                 ScanStrategy::Auto,
                 ScanStrategy::Direct,
-                ScanStrategy::Cascade,
                 // Without an index these resolve to the direct scan; the
                 // indexed equivalence lives in `index.rs` and
                 // `crates/core/tests/index_equivalence.rs`.
@@ -1147,7 +931,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_to_indexed_cascade_or_direct_by_geometry() {
+    fn auto_resolves_to_indexed_or_direct_by_geometry() {
         let d = 1_024;
         let random_row =
             |i: u64| BitVec::from_bits((0..d as u64).map(|b| splitmix64(i << 32 ^ b) & 1 == 1));
@@ -1177,8 +961,9 @@ mod tests {
         assert!(stats.pruning_friendly(d), "{stats:?}");
         assert_eq!(resolved, ResolvedScan::Indexed { nprobe: None });
         // Near-duplicates: tight planted clusters (radius ~1 bit) whose
-        // centers sit inside the triangle bound's dim/16 margin. The
-        // cascade serves them at every row count.
+        // centers sit inside the triangle bound's dim/16 margin. Their
+        // tiny radii alone make the shape pruning-friendly, so the
+        // indexed walk serves them at every row count.
         let base = random_row(1 << 20);
         let neardup: Vec<BitVec> = (0..4_096)
             .map(|i| {
@@ -1193,16 +978,24 @@ mod tests {
             .collect();
         for rows in [&neardup[..512], &neardup[..]] {
             let (resolved, stats) = auto(rows);
-            assert!(stats.cascade_friendly(d), "{} rows: {stats:?}", rows.len());
-            assert_eq!(resolved, ResolvedScan::Cascade, "{} rows", rows.len());
+            assert!(
+                stats.mean_radius <= d / 32,
+                "{} rows: {stats:?}",
+                rows.len()
+            );
+            assert!(stats.pruning_friendly(d), "{} rows: {stats:?}", rows.len());
+            assert_eq!(
+                resolved,
+                ResolvedScan::Indexed { nprobe: None },
+                "{} rows",
+                rows.len()
+            );
         }
-        // Uniform random rows: no pruner pays, so the direct scan.
+        // Uniform random rows: the bucket walk does not pay, so the
+        // direct scan.
         let uniform: Vec<BitVec> = (0..512).map(|i| random_row(i + (1 << 21))).collect();
         let (resolved, stats) = auto(&uniform);
-        assert!(
-            !stats.pruning_friendly(d) && !stats.cascade_friendly(d),
-            "{stats:?}"
-        );
+        assert!(!stats.pruning_friendly(d), "{stats:?}");
         assert_eq!(resolved, ResolvedScan::Direct);
         // Without an index, Auto is the direct scan on any shape.
         assert_eq!(
@@ -1236,88 +1029,6 @@ mod tests {
     }
 
     #[test]
-    fn cascade_matches_direct_on_small_shapes() {
-        // Shapes below the Auto thresholds, forced through the cascade:
-        // the window clamps to the whole row and results must not change.
-        for (c, d) in [(1usize, 70usize), (3, 64), (17, 300), (40, 1_100)] {
-            let rows: Vec<BitVec> = (0..c).map(|i| pseudo_bits(d, i * 5 + 2)).collect();
-            let packed = packed_from(&rows);
-            let query = pseudo_bits(d, 888);
-            let plan = |strategy| ScanPlan::new(&scalar::Scalar, strategy, None, c, d);
-            let direct = packed.min2(&plan(ScanStrategy::Direct), query.as_words(), None, None);
-            let cascade = packed.min2(&plan(ScanStrategy::Cascade), query.as_words(), None, None);
-            assert_eq!(cascade, direct, "{c}x{d}");
-        }
-    }
-
-    #[test]
-    fn cascade_ties_resolve_to_lowest_index_like_direct() {
-        // Identical rows give identical sampled distances; the cascade's
-        // (distance, row) tracking must still pick the lowest index.
-        let d = 3_000;
-        let row = pseudo_bits(d, 4);
-        let rows: Vec<BitVec> = (0..130).map(|_| row.clone()).collect();
-        let packed = packed_from(&rows);
-        let plan = ScanPlan::new(&scalar::Scalar, ScanStrategy::Cascade, None, 130, d);
-        let hit = packed.min2(&plan, row.as_words(), None, None).unwrap();
-        assert_eq!(hit.best, 0);
-        assert_eq!(hit.best_distance, 0);
-        assert_eq!(hit.runner_up, Some(0));
-    }
-
-    #[test]
-    fn cascade_window_stays_inside_the_row_and_is_deterministic() {
-        for dim in [
-            1usize, 64, 65, 1_023, 1_024, 1_025, 2_048, 4_096, 4_160, 8_192, 10_000,
-        ] {
-            let packed = PackedRows::new(dim);
-            let words = packed.words_per_row();
-            let (offset, len) = packed.cascade_window();
-            // A quarter of the row, at least 16 words, at most the row.
-            assert_eq!(len, (words / 4).max(16).min(words), "dim {dim}");
-            assert!(offset + len <= words, "dim {dim}: {offset}+{len} > {words}");
-            // The placement depends on the row width alone.
-            assert_eq!(PackedRows::new(dim).cascade_window(), (offset, len));
-            let mut grown = PackedRows::new(dim);
-            grown.push(&vec![0u64; words]);
-            assert_eq!(grown.cascade_window(), (offset, len));
-        }
-    }
-
-    #[test]
-    fn cascade_masked_scan_matches_direct_on_near_duplicates() {
-        // 4,096 bits: a 16-word window out of 64. Near-duplicates of the
-        // query make the sampled bounds tight, so pass 2 skips rows.
-        let d = 4_096;
-        let query = pseudo_bits(d, 31);
-        let mut rows: Vec<BitVec> = (0..200)
-            .map(|i| {
-                let mut row = query.clone();
-                for f in 0..(3 + i % 40) {
-                    row.flip((i * 131 + f * 977) % d);
-                }
-                row
-            })
-            .collect();
-        rows.extend((0..40).map(|i| pseudo_bits(d, i + 500)));
-        let packed = packed_from(&rows);
-        for salt in [40usize, 41, 42] {
-            let mask = pseudo_bits(d, salt);
-            let expected =
-                reference_min2(&distances(&packed, query.as_words(), Some(mask.as_words())));
-            for backend in enabled_backends() {
-                let plan = ScanPlan::new(backend, ScanStrategy::Cascade, None, rows.len(), d);
-                assert_eq!(
-                    packed.min2(&plan, query.as_words(), Some(mask.as_words()), None),
-                    Some(expected),
-                    "{} mask {salt}",
-                    backend.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn explicit_strategies_resolve_without_reading_the_index_stats() {
         let d = 256;
         let rows: Vec<BitVec> = (0..40).map(|i| pseudo_bits(d, i + 1)).collect();
@@ -1329,7 +1040,6 @@ mod tests {
         };
         for index in [None, Some(&index)] {
             assert_eq!(resolve(ScanStrategy::Direct, index), ResolvedScan::Direct);
-            assert_eq!(resolve(ScanStrategy::Cascade, index), ResolvedScan::Cascade);
         }
         assert_eq!(
             resolve(ScanStrategy::Indexed, Some(&index)),
@@ -1499,6 +1209,111 @@ mod tests {
             packed.top_k(&ScanPlan::direct(), query.as_words(), k, &mut buffer, None);
             assert_eq!(buffer, ranking(&packed, query.as_words(), k), "k={k}");
             assert_eq!(buffer.len(), k.min(11), "k={k}");
+        }
+    }
+
+    /// An index built over `packed` and the exact indexed-walk plan
+    /// through it.
+    fn indexed_plan<'a>(
+        backend: &'a dyn DistanceBackend,
+        packed: &PackedRows,
+        index: &'a BucketIndex,
+    ) -> ScanPlan<'a> {
+        let plan = ScanPlan::new(
+            backend,
+            ScanStrategy::Indexed,
+            Some(index),
+            packed.len(),
+            packed.dim(),
+        );
+        assert_eq!(plan.resolved(), ResolvedScan::Indexed { nprobe: None });
+        plan
+    }
+
+    #[test]
+    fn indexed_matches_direct_on_small_shapes() {
+        // One to 40 rows, one word to 18: the bucket walk over an index
+        // of one or a few buckets must not change a result.
+        for (c, d) in [(1usize, 70usize), (3, 64), (17, 300), (40, 1_100)] {
+            let rows: Vec<BitVec> = (0..c).map(|i| pseudo_bits(d, i * 5 + 2)).collect();
+            let packed = packed_from(&rows);
+            let index =
+                BucketIndex::build(&packed, &scalar::Scalar, IndexBuildOptions::default()).unwrap();
+            let plan = indexed_plan(&scalar::Scalar, &packed, &index);
+            let query = pseudo_bits(d, 888);
+            assert_eq!(
+                packed.min2(&plan, query.as_words(), None, None),
+                scan(&packed, query.as_words(), None),
+                "{c}x{d}"
+            );
+            let mut ranked = Vec::new();
+            packed.top_k(&plan, query.as_words(), c, &mut ranked, None);
+            assert_eq!(ranked, ranking(&packed, query.as_words(), c), "{c}x{d}");
+        }
+    }
+
+    #[test]
+    fn indexed_ties_resolve_to_lowest_index_like_direct() {
+        // Identical rows land in one bucket at distance 0; the walk's
+        // (distance, row) tracking must still pick the lowest index.
+        let d = 3_000;
+        let row = pseudo_bits(d, 4);
+        let rows: Vec<BitVec> = (0..130).map(|_| row.clone()).collect();
+        let packed = packed_from(&rows);
+        let index =
+            BucketIndex::build(&packed, &scalar::Scalar, IndexBuildOptions::default()).unwrap();
+        let plan = indexed_plan(&scalar::Scalar, &packed, &index);
+        let hit = packed.min2(&plan, row.as_words(), None, None).unwrap();
+        assert_eq!(hit.best, 0);
+        assert_eq!(hit.best_distance, 0);
+        assert_eq!(hit.runner_up, Some(0));
+        let mut ranked = Vec::new();
+        packed.top_k(&plan, row.as_words(), 3, &mut ranked, None);
+        assert_eq!(ranked, vec![(0, 0), (1, 0), (2, 0)]);
+    }
+
+    #[test]
+    fn indexed_masked_scan_matches_direct_on_near_duplicates() {
+        // Near-duplicates of the query (3 to 42 bits off) plus uniform
+        // decoys: the near rows collapse the runner-up, so the walk
+        // prunes the decoys' buckets under every mask.
+        let d = 4_096;
+        let query = pseudo_bits(d, 31);
+        let mut rows: Vec<BitVec> = (0..200)
+            .map(|i| {
+                let mut row = query.clone();
+                for f in 0..(3 + i % 40) {
+                    row.flip((i * 131 + f * 977) % d);
+                }
+                row
+            })
+            .collect();
+        rows.extend((0..40).map(|i| pseudo_bits(d, i + 500)));
+        let packed = packed_from(&rows);
+        for backend in enabled_backends() {
+            let index = BucketIndex::build(&packed, backend, IndexBuildOptions::default()).unwrap();
+            let plan = indexed_plan(backend, &packed, &index);
+            for salt in [40usize, 41, 42] {
+                let mask = pseudo_bits(d, salt);
+                let expected =
+                    reference_min2(&distances(&packed, query.as_words(), Some(mask.as_words())));
+                let mut counters = ScanCounters::default();
+                assert_eq!(
+                    packed.min2(
+                        &plan,
+                        query.as_words(),
+                        Some(mask.as_words()),
+                        Some(&mut counters)
+                    ),
+                    Some(expected),
+                    "{} mask {salt}",
+                    backend.name()
+                );
+                assert_eq!(
+                    counters.rows_scanned + counters.rows_pruned,
+                    rows.len() as u64
+                );
+            }
         }
     }
 }

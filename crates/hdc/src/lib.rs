@@ -46,7 +46,7 @@
 //!   storage, runtime-dispatched SIMD distance backends (AVX-512
 //!   `VPOPCNTDQ`, AVX2, NEON, portable scalar — forceable via
 //!   `HAM_KERNEL_BACKEND`), fused, early-abandoning Hamming scan
-//!   kernels with an exact sampled-prefilter cascade, and a two-level
+//!   kernels, and a two-level
 //!   bundled-centroid bucket index whose triangle-inequality pruning
 //!   keeps results bit-identical to the linear scan.
 //! * [`am`] — exact software associative memory (the functional reference

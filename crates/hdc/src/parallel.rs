@@ -259,4 +259,46 @@ mod tests {
         // The surviving worker drained every other unit.
         assert_eq!(ran.load(Ordering::Relaxed), 39);
     }
+
+    #[test]
+    fn map_even_returns_input_order_for_any_worker_count() {
+        for n in [0usize, 1, 7, 100] {
+            for threads in [0usize, 1, 3, 64] {
+                let out = map_even(n, threads, |i| i * 3 + 1);
+                assert_eq!(
+                    out,
+                    (0..n).map(|i| i * 3 + 1).collect::<Vec<_>>(),
+                    "{n}/{threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn map_even_hands_out_contiguous_slices() {
+        // Twelve items on three workers: three units of four, each run
+        // start to end by one thread.
+        let owners = map_even(12, 3, |_| std::thread::current().id());
+        for unit in owners.chunks(4) {
+            assert!(unit.iter().all(|id| *id == unit[0]), "{owners:?}");
+        }
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_yields_its_value() {
+        let mutex = Mutex::new(vec![1, 2]);
+        let caught = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let mut guard = mutex.lock().unwrap();
+                    guard.push(3);
+                    panic!("poison the lock");
+                })
+                .join()
+        });
+        assert!(caught.is_err());
+        assert!(mutex.is_poisoned());
+        assert!(mutex.lock().is_err());
+        assert_eq!(*lock_unpoisoned(&mutex), vec![1, 2, 3]);
+    }
 }

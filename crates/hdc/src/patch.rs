@@ -221,4 +221,85 @@ mod tests {
         patch.push_run(2, &names[2..6], &target[2..6]);
         patch.push_run(4, &names[4..8], &target[4..8]);
     }
+
+    #[test]
+    #[should_panic(expected = "one label per row")]
+    fn runs_need_one_label_per_row() {
+        let target = rows(4);
+        let names = labels(4);
+        let mut patch = RowPatch::new(4);
+        patch.push_run(0, &names[..2], &target[..3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "runs stay within the target")]
+    fn runs_past_the_target_length_are_rejected() {
+        let target = rows(6);
+        let names = labels(6);
+        let mut patch = RowPatch::new(5);
+        patch.push_run(2, &names[2..6], &target[2..6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "run starts past the rows")]
+    fn a_patch_for_a_longer_row_space_is_refused() {
+        let target = rows(8);
+        let names = labels(8);
+        let mut patch = RowPatch::new(8);
+        patch.push_run(6, &names[6..8], &target[6..8]);
+        // Only four rows stored: row 6 would leave a gap at 4 and 5.
+        let mut stored = target[..4].to_vec();
+        patch.apply_to_rows(&mut stored);
+    }
+
+    #[test]
+    fn adjacent_runs_write_like_one_run() {
+        let target = rows(12);
+        let names = labels(12);
+        let mut split = RowPatch::new(12);
+        split.push_run(3, &names[3..7], &target[3..7]);
+        split.push_run(7, &names[7..12], &target[7..12]);
+        let mut whole = RowPatch::new(12);
+        whole.push_run(3, &names[3..12], &target[3..12]);
+        assert_eq!(split.rows_written(), whole.rows_written());
+        assert!(split.written().eq(whole.written()));
+        let stale: Vec<Hypervector> = target[..3]
+            .iter()
+            .cloned()
+            .chain((3..9).map(|i| Hypervector::random(target[0].dim(), 500 + i)))
+            .collect();
+        let (mut a, mut b) = (stale.clone(), stale);
+        split.apply_to_rows(&mut a);
+        whole.apply_to_rows(&mut b);
+        assert_eq!(a, target);
+        assert_eq!(b, target);
+    }
+
+    #[test]
+    fn an_empty_patch_only_truncates() {
+        let stored = rows(9);
+        let patch = RowPatch::new(5);
+        assert_eq!(patch.rows_written(), 0);
+        assert_eq!(patch.written().count(), 0);
+
+        let mut vec_rows = stored.clone();
+        patch.apply_to_rows(&mut vec_rows);
+        assert_eq!(vec_rows, stored[..5]);
+        let mut vec_labels = labels(9);
+        patch.apply_to_labels(&mut vec_labels);
+        assert_eq!(vec_labels, labels(5));
+        let mut packed = PackedRows::new(130);
+        for hv in &stored {
+            packed.push(hv.as_bitvec().as_words());
+        }
+        patch.apply_to_packed(&mut packed);
+        assert_eq!(packed.len(), 5);
+        assert_eq!(packed.row_words(4), stored[4].as_bitvec().as_words());
+
+        // A target longer than the stored rows cuts nothing and, with
+        // no runs, writes nothing.
+        let mut short = stored[..3].to_vec();
+        RowPatch::new(7).apply_to_rows(&mut short);
+        assert_eq!(short, stored[..3]);
+    }
 }

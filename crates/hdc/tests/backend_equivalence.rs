@@ -9,7 +9,7 @@
 //!   bound, and never abandons at `bound == usize::MAX`;
 //! * the scan — `PackedRows::min2` must report the same winner, winner
 //!   distance, and runner-up for **every** enabled backend × strategy
-//!   (direct, sampled-prefilter cascade, auto) as the naive per-row
+//!   (direct, indexed, auto) as the naive per-row
 //!   reference, on random class counts, dimensions with non-word-multiple
 //!   tails, and masks;
 //! * the memory — with an index attached, every strategy
@@ -18,7 +18,9 @@
 
 use hdc::kernel::PackedRows;
 use hdc::prelude::*;
-use hdc::{enabled_backends, DistanceBackend, IndexBuildOptions, ScanPlan, ScanStrategy};
+use hdc::{
+    enabled_backends, BucketIndex, DistanceBackend, IndexBuildOptions, ScanPlan, ScanStrategy,
+};
 use proptest::prelude::*;
 
 /// The seed's naive word-wise zip kernel — the reference implementation.
@@ -102,7 +104,7 @@ fn packed_memory(c: usize, d: usize, seed: u64, near: bool) -> (PackedRows, Vec<
 
 const STRATEGIES: [ScanStrategy; 3] = [
     ScanStrategy::Direct,
-    ScanStrategy::Cascade,
+    ScanStrategy::Indexed,
     ScanStrategy::Auto,
 ];
 
@@ -160,8 +162,8 @@ proptest! {
         }
     }
 
-    /// Every backend × strategy scan reports exactly what the naive
-    /// reference reports, masked and unmasked.
+    /// Every backend × strategy scan, with an index attached, reports
+    /// exactly what the naive reference reports, masked and unmasked.
     #[test]
     fn every_backend_and_strategy_match_the_naive_scan(
         c in 1usize..40,
@@ -180,8 +182,9 @@ proptest! {
         let (best, best_distance, runner_up) = naive_min2(&plain);
         let (mbest, mbest_distance, mrunner_up) = naive_min2(&masked);
         for backend in enabled_backends() {
+            let index = BucketIndex::build(&packed, backend, IndexBuildOptions::default()).unwrap();
             for strategy in STRATEGIES {
-                let plan = ScanPlan::new(backend, strategy, None, c, d);
+                let plan = ScanPlan::new(backend, strategy, Some(&index), c, d);
                 let hit = packed.min2(&plan, &query, None, None).unwrap();
                 prop_assert_eq!(hit.best, best, "{} {:?}", backend.name(), strategy);
                 prop_assert_eq!(hit.best_distance, best_distance);
@@ -230,7 +233,6 @@ proptest! {
             let expected_top = direct.search_top_k(query, 3).unwrap();
             for strategy in [
                 ScanStrategy::Auto,
-                ScanStrategy::Cascade,
                 ScanStrategy::Indexed,
                 ScanStrategy::Probe { nprobe: 1 },
                 ScanStrategy::Probe { nprobe: 2 },
@@ -251,12 +253,13 @@ proptest! {
     }
 }
 
-/// The cascade's auto threshold is 128 rows × 32 words; drive a shape
-/// past it (with planted near-duplicates so pruning actually fires) and
-/// hold every backend × strategy to the naive reference. Deterministic —
-/// proptest shrinking on a 160×2500 memory would be slow for no gain.
+/// A 160 × 2,500 shape with planted near-duplicates, so early
+/// abandonment and bucket pruning actually fire: every backend ×
+/// strategy, with an index attached, matches the naive reference.
+/// Deterministic — proptest shrinking on a 160×2500 memory would be
+/// slow for no gain.
 #[test]
-fn large_auto_cascade_shape_matches_the_naive_scan() {
+fn large_planted_shape_matches_the_naive_scan_on_every_plan() {
     let d = 2_500usize;
     let dim = Dimension::new(d).unwrap();
     let base = Hypervector::random(dim, 77);
@@ -280,8 +283,9 @@ fn large_auto_cascade_shape_matches_the_naive_scan() {
         .collect();
     let (best, best_distance, runner_up) = naive_min2(&naive);
     for backend in enabled_backends() {
+        let index = BucketIndex::build(&packed, backend, IndexBuildOptions::default()).unwrap();
         for strategy in STRATEGIES {
-            let plan = ScanPlan::new(backend, strategy, None, 160, d);
+            let plan = ScanPlan::new(backend, strategy, Some(&index), 160, d);
             let hit = packed.min2(&plan, query, None, None).unwrap();
             assert_eq!(
                 (hit.best, hit.best_distance, hit.runner_up),

@@ -225,4 +225,58 @@ proptest! {
             queries.iter().map(|q| am.search(q).unwrap()).collect();
         prop_assert_eq!(am.search_batch(&queries, threads).unwrap(), serial);
     }
+
+    #[test]
+    fn direct_top_k_equals_the_naive_ranking(
+        c in 1usize..40,
+        d in dims(),
+        k in 0usize..45,
+        seed in any::<u64>(),
+        near in any::<bool>(),
+    ) {
+        let (rows, query) = memory_and_query(c, d, seed, near);
+        let packed = packed_from(&rows);
+        let words = query.as_bitvec().as_words();
+        let mut naive: Vec<(usize, usize)> = rows
+            .iter()
+            .enumerate()
+            .map(|(r, row)| (r, naive_hamming(row.as_bitvec().as_words(), words)))
+            .collect();
+        naive.sort_by_key(|&(r, distance)| (distance, r));
+        naive.truncate(k);
+        let mut ranked = vec![(usize::MAX, usize::MAX); 3];
+        packed.top_k(&ScanPlan::direct(), words, k, &mut ranked, None);
+        prop_assert_eq!(ranked, naive);
+    }
+
+    #[test]
+    fn scans_stay_exact_after_rows_are_replaced_and_truncated(
+        c in 2usize..40,
+        d in dims(),
+        seed in any::<u64>(),
+        keep in 1usize..40,
+    ) {
+        let (mut rows, query) = memory_and_query(c, d, seed, true);
+        let mut packed = packed_from(&rows);
+        // Overwrite every third row with a fresh one, then cut the tail.
+        let dim = Dimension::new(d).unwrap();
+        for r in (0..c).step_by(3) {
+            rows[r] = Hypervector::random(dim, !seed ^ r as u64);
+            packed.replace(r, rows[r].as_bitvec().as_words());
+        }
+        let keep = keep.min(c);
+        rows.truncate(keep);
+        packed.truncate(keep);
+        prop_assert_eq!(packed.len(), keep);
+        let words = query.as_bitvec().as_words();
+        let naive: Vec<usize> = rows
+            .iter()
+            .map(|r| naive_hamming(r.as_bitvec().as_words(), words))
+            .collect();
+        let hit = packed.min2(&ScanPlan::direct(), words, None, None).unwrap();
+        prop_assert_eq!((hit.best, hit.best_distance, hit.runner_up), naive_min2(&naive));
+        let mut distances = Vec::new();
+        packed.distances_into(words, None, &mut distances);
+        prop_assert_eq!(distances, naive);
+    }
 }

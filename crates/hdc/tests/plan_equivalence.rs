@@ -1,18 +1,17 @@
 //! Property-based proof that the exact scan plans `Auto` chooses from —
-//! the sampled-prefilter cascade and the bucket-pruned indexed walk —
-//! stay bit-identical to the naive row-major reference on the shapes
-//! they are chosen for, on every enabled backend:
+//! the direct scan and the bucket-pruned indexed walk — stay
+//! bit-identical to the naive row-major reference on the shapes they
+//! are chosen for, on every enabled backend:
 //!
 //! * near-duplicate memories (planted clusters a few bits wide) with
 //!   near and far queries, plain and masked;
-//! * dimensions around the cascade's sampled window (at least 16 words,
-//!   a quarter of the row above 64 words) and ragged tail words;
+//! * dimensions below, at and above one word, with ragged tail words;
 //! * top-k rankings under the shared `(distance, row)` tie-break;
 //! * online updates: a bucket index kept up to date row by row
 //!   ([`BucketIndex::assign_row`]) answers like one rebuilt from
 //!   scratch;
-//! * adversarial windows: rows that tie on, or are misranked by, the
-//!   sampled window.
+//! * adversarial rows: near-duplicates that differ from the query in
+//!   one word each, and decoys that copy a long stretch of the query.
 
 use hdc::kernel::PackedRows;
 use hdc::prelude::*;
@@ -65,9 +64,8 @@ fn naive_top_k(packed: &PackedRows, query: &[u64], k: usize) -> Vec<(usize, usiz
     ranked
 }
 
-/// Dimensions around the cascade window: below 16 words (the window is
-/// the whole row), exactly 16, between 16 and 64 (a 16-word window),
-/// and above 64 (a quarter of the row), with ragged tails.
+/// Dimensions from one bit to 129 words, word-aligned and with ragged
+/// tails.
 fn dims() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(1usize),
@@ -153,25 +151,6 @@ fn assert_min2_exact(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The cascade reports exactly what the naive reference reports on
-    /// near-duplicate memories, plain and masked, on every backend.
-    #[test]
-    fn cascade_min2_matches_the_naive_scan(
-        c in 1usize..300,
-        d in dims(),
-        clusters in 1usize..12,
-        seed in any::<u64>(),
-        near in any::<bool>(),
-    ) {
-        let (packed, query) = neardup_memory(c, d, clusters, seed, near);
-        let mask = words(d, seed ^ 0x5A5A);
-        for backend in enabled_backends() {
-            let plan = ScanPlan::new(backend, ScanStrategy::Cascade, None, c, d);
-            prop_assert_eq!(plan.resolved(), ResolvedScan::Cascade);
-            assert_min2_exact(&packed, &plan, &query, &mask, backend.name());
-        }
-    }
-
     /// The exact indexed walk reports exactly what the naive reference
     /// reports at any bucket count, plain and masked, and its counters
     /// partition the rows into scanned and pruned.
@@ -220,7 +199,6 @@ proptest! {
             let index = BucketIndex::build(&packed, backend, IndexBuildOptions::default()).unwrap();
             for strategy in [
                 ScanStrategy::Direct,
-                ScanStrategy::Cascade,
                 ScanStrategy::Indexed,
                 ScanStrategy::Auto,
             ] {
@@ -287,14 +265,39 @@ proptest! {
     }
 }
 
-/// The cascade's worst case for its first pass: every row differs from
-/// the query in one word only, the word rotating with the row, so
-/// whatever window the cascade samples, most rows score 0 on it and the
-/// sampled bounds tie; the seed rows then carry no information. The
-/// winner (row 97, 1 bit) and the runner-up (row 3, 2 bits) must still
-/// come out exact. Deterministic — the shape is constructed.
+/// The indexed walk over an index built on `packed`, at a forced bucket
+/// count (0 = the default `⌈√C⌉`), checked against the naive reference.
+fn assert_indexed_exact(packed: &PackedRows, query: &[u64], mask: &[u64], buckets: usize) {
+    for backend in enabled_backends() {
+        let options = IndexBuildOptions {
+            buckets,
+            ..IndexBuildOptions::default()
+        };
+        let index = BucketIndex::build(packed, backend, options).unwrap();
+        let plan = ScanPlan::new(
+            backend,
+            ScanStrategy::Indexed,
+            Some(&index),
+            packed.len(),
+            packed.dim(),
+        );
+        assert_eq!(plan.resolved(), ResolvedScan::Indexed { nprobe: None });
+        let what = format!("{} buckets={buckets}", backend.name());
+        assert_min2_exact(packed, &plan, query, mask, &what);
+        let mut ranked = Vec::new();
+        packed.top_k(&plan, query, 5, &mut ranked, None);
+        assert_eq!(ranked, naive_top_k(packed, query, 5), "{what}");
+    }
+}
+
+/// Every row differs from the query in one word only, the word
+/// rotating with the row, so all rows sit in one tight cloud around
+/// the query and the buckets split it arbitrarily: the triangle bound
+/// separates almost nothing. The winner (row 97, 1 bit) and the
+/// runner-up (row 3, 2 bits) must still come out exact. Deterministic —
+/// the shape is constructed.
 #[test]
-fn cascade_stays_exact_when_rows_tie_on_the_window() {
+fn indexed_stays_exact_when_every_row_differs_in_one_word() {
     for d in [1_024usize, 2_500, 4_096, 8_200] {
         let dim = Dimension::new(d).unwrap();
         let query = Hypervector::random(dim, d as u64);
@@ -316,37 +319,26 @@ fn cascade_stays_exact_when_rows_tie_on_the_window() {
         let distances: Vec<usize> = (0..c)
             .map(|r| naive_hamming(packed.row_words(r), &query))
             .collect();
-        let expected = naive_min2(&distances);
-        assert_eq!(expected, (97, 1, Some(2)), "d={d}");
-        for backend in enabled_backends() {
-            let plan = ScanPlan::new(backend, ScanStrategy::Cascade, None, c, d);
-            let hit = packed.min2(&plan, &query, None, None).unwrap();
-            assert_eq!(
-                (hit.best, hit.best_distance, hit.runner_up),
-                expected,
-                "{} d={d}",
-                backend.name()
-            );
+        assert_eq!(naive_min2(&distances), (97, 1, Some(2)), "d={d}");
+        let mask = words(d, 0x77);
+        for buckets in [0usize, 1, 40] {
+            assert_indexed_exact(&packed, &query, &mask, buckets);
         }
     }
 }
 
-/// A misleading window: the rows closest on the sampled words are far
-/// on the complement, and the true winner looks mediocre in the
-/// window. The cascade seeds its bound from the window's favourites and
-/// must not skip the row that beats them in full. Deterministic.
+/// Decoys copy the query on one 32-word stretch and are random
+/// elsewhere, so they share a partial signature the bucket centroids
+/// can latch onto, while the winner is 40 bits off in its first word
+/// only. The walk must not prune the winner's bucket behind the
+/// decoys'. Deterministic.
 #[test]
-fn cascade_stays_exact_when_the_window_misranks_the_winner() {
+fn indexed_stays_exact_when_decoys_copy_a_stretch_of_the_query() {
     let d = 8_192usize;
     let dim = Dimension::new(d).unwrap();
     let query = Hypervector::random(dim, 0x51DE);
     let query_words = query.as_bitvec().as_words().to_vec();
     let mut rng = StdRng::seed_from_u64(0x51DF);
-    // Decoys copy the query on one 32-word stretch and are random
-    // elsewhere: one whose stretch covers the sampled window (a quarter
-    // of the 128 words) scores 0 there and about half the bits in full.
-    // The winner is 40 bits off in its first word only, so a window
-    // that covers word 0 ranks it behind those decoys.
     let mut packed = PackedRows::with_capacity(d, 200);
     let mut winner = query_words.clone();
     winner[0] ^= (1u64 << 40) - 1;
@@ -377,9 +369,8 @@ fn cascade_stays_exact_when_the_window_misranks_the_winner() {
     assert_eq!(expected.0, 137);
     assert_eq!(expected.1, 40);
     let mask = words(d, 0x3A5A);
-    for backend in enabled_backends() {
-        let plan = ScanPlan::new(backend, ScanStrategy::Cascade, None, 200, d);
-        assert_min2_exact(&packed, &plan, &query_words, &mask, backend.name());
+    for buckets in [0usize, 4, 67] {
+        assert_indexed_exact(&packed, &query_words, &mask, buckets);
     }
 }
 
@@ -429,8 +420,8 @@ fn index_pruning_fires_and_stays_exact_on_clustered_rows() {
 }
 
 /// `Auto` stays exact whichever plan it resolves to: separated
-/// clusters (Indexed), near-duplicates (Cascade) and uniform rows
-/// (Direct), plain and masked, on every backend.
+/// clusters and near-duplicates (Indexed) and uniform rows (Direct),
+/// plain and masked, on every backend.
 #[test]
 fn auto_stays_exact_on_every_geometry_it_resolves() {
     let d = 1_024usize;
@@ -459,7 +450,7 @@ fn auto_stays_exact_on_every_geometry_it_resolves() {
     let mask = words(d, 0x3A5A);
     for (rows, resolved) in [
         (&separated, ResolvedScan::Indexed { nprobe: None }),
-        (&neardup, ResolvedScan::Cascade),
+        (&neardup, ResolvedScan::Indexed { nprobe: None }),
         (&uniform, ResolvedScan::Direct),
     ] {
         let mut packed = PackedRows::with_capacity(d, rows.len());

@@ -1,9 +1,13 @@
 //! Property-based tests of the HD algebra invariants.
 
 use hdc::distortion::ErrorModel;
+use hdc::kernel::PackedRows;
 use hdc::ops::{bind, bundle, permute, permute_inverse};
 use hdc::prelude::*;
+use hdc::{IndexBuildOptions, RowPatch, ScanStrategy};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn dim(d: usize) -> Dimension {
     Dimension::new(d).unwrap()
@@ -221,5 +225,154 @@ proptest! {
         let via_tokens = tok_enc.encode(tokens.iter().map(String::as_str));
         let via_chars = char_enc.encode_text(&text);
         prop_assert_eq!(via_tokens, via_chars);
+    }
+
+    #[test]
+    fn row_patches_bring_every_copy_to_the_same_state(
+        d in dims(),
+        stored in 0usize..40,
+        target in 0usize..40,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows: Vec<Hypervector> = (0..target as u64)
+            .map(|i| Hypervector::random(d, seed ^ (i << 20)))
+            .collect();
+        let labels: Vec<String> = (0..target).map(|i| format!("t{i}")).collect();
+        // Rows past the stored ones must be written; the others are
+        // written when stale, and left alone when they already match.
+        let dirty: Vec<bool> = (0..target).map(|i| i >= stored || rng.gen_bool(0.4)).collect();
+        let stale_rows: Vec<Hypervector> = (0..stored)
+            .map(|i| match i < target && !dirty[i] {
+                true => rows[i].clone(),
+                false => Hypervector::random(d, !seed ^ i as u64),
+            })
+            .collect();
+        let stale_labels: Vec<String> = (0..stored)
+            .map(|i| match i < target && !dirty[i] {
+                true => labels[i].clone(),
+                false => format!("stale{i}"),
+            })
+            .collect();
+        // Runs: the dirty stretches, some split at random points.
+        let mut patch = RowPatch::new(target);
+        let mut i = 0;
+        while i < target {
+            if !dirty[i] {
+                i += 1;
+                continue;
+            }
+            let mut end = i + 1;
+            while end < target && dirty[end] && !rng.gen_bool(0.2) {
+                end += 1;
+            }
+            patch.push_run(i, &labels[i..end], &rows[i..end]);
+            i = end;
+        }
+        prop_assert_eq!(patch.rows_written(), dirty.iter().filter(|&&x| x).count());
+
+        let mut vec_rows = stale_rows.clone();
+        patch.apply_to_rows(&mut vec_rows);
+        prop_assert_eq!(&vec_rows, &rows);
+        let mut vec_labels = stale_labels.clone();
+        patch.apply_to_labels(&mut vec_labels);
+        prop_assert_eq!(&vec_labels, &labels);
+        let mut packed = PackedRows::new(d.get());
+        for hv in &stale_rows {
+            packed.push(hv.as_bitvec().as_words());
+        }
+        patch.apply_to_packed(&mut packed);
+        prop_assert_eq!(packed.len(), target);
+        for (r, hv) in rows.iter().enumerate() {
+            prop_assert_eq!(packed.row_words(r), hv.as_bitvec().as_words());
+        }
+        // A memory patched in place serves like one built from scratch.
+        let mut memory = AssociativeMemory::new(d);
+        for (label, hv) in stale_labels.iter().zip(&stale_rows) {
+            memory.insert(label.clone(), hv.clone()).unwrap();
+        }
+        memory.apply_patch(&patch).unwrap();
+        let mut fresh = AssociativeMemory::new(d);
+        for (label, hv) in labels.iter().zip(&rows) {
+            fresh.insert(label.clone(), hv.clone()).unwrap();
+        }
+        prop_assert!(memory.iter().eq(fresh.iter()));
+        if target > 0 {
+            let q = Hypervector::random(d, seed.rotate_left(7));
+            prop_assert_eq!(memory.search(&q).unwrap(), fresh.search(&q).unwrap());
+        }
+    }
+
+    #[test]
+    fn rankings_are_sorted_and_prefix_consistent(
+        d in dims(),
+        c in 1usize..40,
+        k in 0usize..45,
+        seed in any::<u64>(),
+    ) {
+        // Every fifth row repeats row 0, so rankings hold exact ties.
+        let rows: Vec<Hypervector> = (0..c as u64)
+            .map(|i| Hypervector::random(d, seed ^ (((i % 5 != 0) as u64 * (i + 1)) << 24)))
+            .collect();
+        let mut am = AssociativeMemory::new(d);
+        for (i, hv) in rows.iter().enumerate() {
+            am.insert(format!("c{i}"), hv.clone()).unwrap();
+        }
+        let q = Hypervector::random(d, seed.wrapping_add(1));
+        let full = am.search_top_k(&q, c).unwrap();
+        let distances = am.distances(&q).unwrap();
+        prop_assert_eq!(full.len(), c);
+        for pair in full.windows(2) {
+            prop_assert!((pair[0].1, pair[0].0) < (pair[1].1, pair[1].0));
+        }
+        for (class, distance) in &full {
+            prop_assert_eq!(*distance, distances[class.0]);
+        }
+        let top = am.search_top_k(&q, k).unwrap();
+        prop_assert_eq!(&top[..], &full[..k.min(c)]);
+        // Top-1 and top-2 are the search's winner and runner-up.
+        let hit = am.search(&q).unwrap();
+        prop_assert_eq!((hit.class, hit.distance), full[0]);
+        prop_assert_eq!(hit.runner_up, full.get(1).map(|&(_, distance)| distance));
+    }
+
+    #[test]
+    fn indexed_memories_follow_every_write(
+        d in dims(),
+        c in 1usize..30,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut indexed = AssociativeMemory::new(d);
+        for i in 0..c as u64 {
+            indexed.insert(format!("c{i}"), Hypervector::random(d, seed ^ (i << 16))).unwrap();
+        }
+        indexed.build_index(IndexBuildOptions::default()).unwrap();
+        indexed.set_scan_strategy(ScanStrategy::Indexed);
+        let mut direct = indexed.clone().with_scan_strategy(ScanStrategy::Direct);
+        direct.drop_index();
+        for step in 0..12u64 {
+            let hv = Hypervector::random(d, seed.rotate_left(13) ^ step);
+            if rng.gen_bool(0.5) {
+                indexed.insert(format!("late{step}"), hv.clone()).unwrap();
+                direct.insert(format!("late{step}"), hv.clone()).unwrap();
+            } else {
+                let class = ClassId(rng.gen_range(0..indexed.len()));
+                indexed.replace_row(class, hv.clone()).unwrap();
+                direct.replace_row(class, hv.clone()).unwrap();
+            }
+            prop_assert_eq!(indexed.index().unwrap().rows(), indexed.len());
+            // The written row wins its own pattern, and every answer
+            // matches the direct scan of the same rows.
+            let hit = indexed.search(&hv).unwrap();
+            prop_assert_eq!(hit.distance, Distance::ZERO);
+            prop_assert_eq!(&hit, &direct.search(&hv).unwrap());
+            let q = Hypervector::random(d, !seed ^ step);
+            prop_assert_eq!(indexed.search(&q).unwrap(), direct.search(&q).unwrap());
+            prop_assert_eq!(
+                indexed.search_top_k(&q, 3).unwrap(),
+                direct.search_top_k(&q, 3).unwrap()
+            );
+        }
     }
 }

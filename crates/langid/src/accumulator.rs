@@ -107,4 +107,49 @@ mod tests {
             assert_eq!(hv, &acc.binarize(c));
         }
     }
+
+    #[test]
+    fn a_two_vote_majority_is_the_and_of_its_votes() {
+        // Where the votes agree the counter is ±2 and keeps their bit;
+        // where they disagree it is 0, and ties read out as 0.
+        let dim = Dimension::new(300).unwrap();
+        let a = Hypervector::random(dim, 7);
+        let b = Hypervector::random(dim, 8);
+        let mut acc = Accumulators::new(1, 300);
+        acc.add(0, &a, 1);
+        acc.add(0, &b, 1);
+        let mut and = a.as_bitvec().clone();
+        and.and_assign(b.as_bitvec());
+        assert_eq!(acc.binarize(0).as_bitvec(), &and);
+    }
+
+    #[test]
+    fn votes_weigh_by_their_sign_and_classes_stay_apart() {
+        let dim = Dimension::new(200).unwrap();
+        let a = Hypervector::random(dim, 1);
+        let b = Hypervector::random(dim, 2);
+        let mut acc = Accumulators::new(2, 200);
+        acc.add(0, &a, 3);
+        acc.add(0, &b, 2);
+        assert_eq!(acc.binarize(0), a, "three votes outweigh two");
+        acc.add(0, &b, 2);
+        assert_eq!(acc.binarize(0), b, "four votes outweigh three");
+        // Class 1 saw none of it.
+        assert_eq!(acc.binarize(1).count_ones(), 0);
+        acc.add(1, &a, 1);
+        assert_eq!(acc.binarize(1), a);
+        assert_eq!(acc.binarize(0), b);
+    }
+
+    #[test]
+    fn ragged_dimensions_read_only_their_components() {
+        // 130 components span three words; the third holds two bits.
+        let dim = Dimension::new(130).unwrap();
+        let hv = Hypervector::random(dim, 3);
+        let mut acc = Accumulators::new(1, 130);
+        acc.add(0, &hv, 1);
+        let out = acc.binarize(0);
+        assert_eq!(out, hv);
+        assert_eq!(out.as_bitvec().as_words()[2] >> 2, 0, "no bits past dim");
+    }
 }

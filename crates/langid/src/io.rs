@@ -232,6 +232,7 @@ pub fn load_model(path: &Path) -> io::Result<LanguageClassifier> {
 mod tests {
     use super::*;
     use crate::corpus::CorpusSpec;
+    use crate::synth::LANGUAGE_COUNT;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -352,6 +353,77 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let corpus = load_corpus(&dir).unwrap();
         assert!(corpus.is_empty());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Rewrites a saved model's body with `edit` and reseals it with a
+    /// fresh checksum, so only the structural check can reject it.
+    fn reseal(path: &Path, edit: impl FnOnce(&mut Vec<u8>)) {
+        let mut bytes = fs::read(path).unwrap();
+        bytes.truncate(bytes.len() - 4);
+        edit(&mut bytes);
+        let checksum = crc32(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn checksummed_but_inconsistent_models_are_rejected() {
+        let dir = temp_dir("inconsistent");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.ham");
+        let spec = CorpusSpec::new(17).train_chars(1_000).test_sentences(1);
+        let config = ClassifierConfig::new(128).unwrap();
+        let classifier = LanguageClassifier::train(&config, &spec.training_set()).unwrap();
+        let message = |path: &Path| load_model(path).unwrap_err().to_string();
+
+        // One word short of the last record.
+        save_model(&classifier, &path).unwrap();
+        reseal(&path, |body| body.truncate(body.len() - 8));
+        assert!(message(&path).contains("length inconsistent"));
+
+        // The first record names a language that does not exist.
+        save_model(&classifier, &path).unwrap();
+        reseal(&path, |body| {
+            body[40..48].copy_from_slice(&(LANGUAGE_COUNT as u64 + 5).to_le_bytes())
+        });
+        assert!(message(&path).contains("unknown language index"));
+
+        // A zero dimension in the header.
+        save_model(&classifier, &path).unwrap();
+        reseal(&path, |body| {
+            body[8..16].copy_from_slice(&0u64.to_le_bytes())
+        });
+        assert_eq!(
+            load_model(&path).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+
+        // The untouched model still loads.
+        save_model(&classifier, &path).unwrap();
+        assert_eq!(load_model(&path).unwrap().memory().len(), 21);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn saving_creates_parents_and_leaves_no_temp_file() {
+        let dir = temp_dir("nested");
+        let path = dir.join("a").join("b").join("model.ham");
+        let spec = CorpusSpec::new(19).train_chars(800).test_sentences(1);
+        let config = ClassifierConfig::new(64).unwrap();
+        let classifier = LanguageClassifier::train(&config, &spec.training_set()).unwrap();
+        save_model(&classifier, &path).unwrap();
+        let names: Vec<String> = fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, vec!["model.ham".to_string()]);
+        // Saving again replaces the file in place.
+        save_model(&classifier, &path).unwrap();
+        assert_eq!(
+            load_model(&path).unwrap().languages(),
+            classifier.languages()
+        );
         fs::remove_dir_all(&dir).ok();
     }
 }

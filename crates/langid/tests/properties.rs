@@ -82,4 +82,33 @@ proptest! {
             prop_assert_eq!(m.recall(lang).is_some(), has_samples);
         }
     }
+
+    #[test]
+    fn accumulator_readout_is_the_per_bit_majority(
+        dim in 1usize..300,
+        signs in prop::collection::vec(prop_oneof![Just(1i32), Just(-1i32), Just(2i32)], 1..9),
+        seed in any::<u64>(),
+    ) {
+        let d = hdc::Dimension::new(dim).unwrap();
+        let votes: Vec<hdc::Hypervector> = (0..signs.len() as u64)
+            .map(|i| hdc::Hypervector::random(d, seed ^ (i << 32)))
+            .collect();
+        let mut acc = Accumulators::new(2, dim);
+        for (hv, &sign) in votes.iter().zip(&signs) {
+            acc.add(1, hv, sign);
+        }
+        let out = acc.binarize(1);
+        for bit in 0..dim {
+            // A set bit votes +sign, a clear bit −sign; ties read as 0.
+            let tally: i32 = votes
+                .iter()
+                .zip(&signs)
+                .map(|(hv, &sign)| if hv.as_bitvec().get(bit) { sign } else { -sign })
+                .sum();
+            prop_assert_eq!(out.as_bitvec().get(bit), tally > 0, "bit {}", bit);
+        }
+        // The untouched class reads out as all zeros.
+        prop_assert_eq!(acc.binarize(0).as_bitvec().count_ones(), 0);
+        prop_assert_eq!(acc.binarize_all(), vec![acc.binarize(0), out]);
+    }
 }

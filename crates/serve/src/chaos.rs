@@ -314,3 +314,86 @@ fn refresh_header_crc(frame: &mut [u8]) {
     let crc = crc32(&frame[..REQUEST_HEADER_LEN - 4]);
     frame[REQUEST_HEADER_LEN - 4..REQUEST_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::FrameError;
+
+    #[test]
+    fn chaos_rng_is_splitmix64() {
+        // The published SplitMix64 sequence from state 0.
+        let mut rng = ChaosRng::new(0);
+        assert_eq!(rng.next_u64(), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(rng.next_u64(), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(rng.next_u64(), 0x06C4_5D18_8009_454F);
+        // Same seed, same stream; another seed, another stream.
+        let draw = |seed| {
+            let mut rng = ChaosRng::new(seed);
+            (0..8).map(|_| rng.next_u64()).collect::<Vec<_>>()
+        };
+        assert_eq!(draw(77), draw(77));
+        assert_ne!(draw(77), draw(78));
+    }
+
+    #[test]
+    fn below_stays_under_its_bound_and_covers_it() {
+        let mut rng = ChaosRng::new(5);
+        let mut seen = [false; 7];
+        for _ in 0..500 {
+            let v = rng.below(7);
+            assert!(v < 7);
+            seen[v as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "{seen:?}");
+        assert_eq!(ChaosRng::new(9).below(1), 0);
+    }
+
+    #[test]
+    fn exactly_the_answerable_faults_expect_a_reject() {
+        // Every fault listed once.
+        for (i, a) in ChaosFault::ALL.iter().enumerate() {
+            assert!(!ChaosFault::ALL[i + 1..].contains(a), "{a:?} listed twice");
+        }
+        // A fault expects a reject exactly when the decode error it
+        // provokes carries a wire status.
+        let provoked = |fault| match fault {
+            ChaosFault::WrongVersion => Some(FrameError::UnsupportedVersion { got: 0 }),
+            ChaosFault::OversizedLength => Some(FrameError::Oversized { len: 2, cap: 1 }),
+            ChaosFault::BadPayloadCrc => Some(FrameError::PayloadCrcMismatch {
+                claimed: 0,
+                computed: 1,
+            }),
+            ChaosFault::BadMagic => Some(FrameError::BadMagic { got: *b"JUNK" }),
+            ChaosFault::BadHeaderCrc => Some(FrameError::HeaderCrcMismatch {
+                claimed: 0,
+                computed: 1,
+            }),
+            ChaosFault::TruncatedHeader | ChaosFault::TruncatedPayload => {
+                Some(FrameError::Truncated {
+                    expected: REQUEST_HEADER_LEN,
+                    got: 1,
+                })
+            }
+            // Garbage may happen to parse as anything; the stream faults
+            // provoke no decode error at all.
+            ChaosFault::GarbageHeader | ChaosFault::SlowLoris | ChaosFault::HalfOpen => None,
+        };
+        for fault in ChaosFault::ALL {
+            if let Some(err) = provoked(fault) {
+                assert_eq!(
+                    fault.expects_reject(),
+                    err.reject_status().is_some(),
+                    "{fault:?}"
+                );
+            } else {
+                assert!(!fault.expects_reject(), "{fault:?}");
+            }
+        }
+        let rejecting = ChaosFault::ALL
+            .iter()
+            .filter(|fault| fault.expects_reject())
+            .count();
+        assert_eq!(rejecting, 3);
+    }
+}

@@ -117,3 +117,128 @@ impl HamClient {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{
+        encode_response, read_request_header, read_request_payload, SlotResult, STATUS_OK,
+    };
+    use std::io::Read;
+    use std::net::TcpListener;
+    use std::thread;
+
+    const TIMEOUT: Duration = Duration::from_secs(10);
+
+    /// A one-connection fake server on a loopback port: `answer` reads
+    /// what the client sent and writes what it likes back.
+    fn fake_server<T: Send + 'static>(
+        answer: impl FnOnce(&mut TcpStream) -> T + Send + 'static,
+    ) -> (SocketAddr, thread::JoinHandle<T>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+            answer(&mut stream)
+        });
+        (addr, handle)
+    }
+
+    fn queries(dim: usize, n: usize) -> Vec<Hypervector> {
+        (0..n)
+            .map(|i| Hypervector::random(Dimension::new(dim).unwrap(), i as u64))
+            .collect()
+    }
+
+    #[test]
+    fn bad_batches_are_refused_before_anything_is_sent() {
+        let (addr, server) = fake_server(|stream| {
+            let mut received = Vec::new();
+            stream.read_to_end(&mut received).unwrap();
+            received
+        });
+        let mut client = HamClient::connect(addr, TIMEOUT).unwrap();
+        assert_eq!(
+            client.request(1, 0, None, &[]).unwrap_err(),
+            ClientError::EmptyBatch
+        );
+        let mut mixed = queries(64, 2);
+        mixed.extend(queries(65, 1));
+        assert_eq!(
+            client.request(1, 0, None, &mixed).unwrap_err(),
+            ClientError::MixedDimensions
+        );
+        drop(client);
+        assert!(
+            server.join().unwrap().is_empty(),
+            "nothing reached the wire"
+        );
+    }
+
+    #[test]
+    fn request_ids_count_up_and_deadlines_saturate_below_unbounded() {
+        let (addr, server) = fake_server(|stream| {
+            let mut seen = Vec::new();
+            for _ in 0..3 {
+                let header = read_request_header(stream, 1 << 20).unwrap().unwrap();
+                let batch = read_request_payload(stream, &header).unwrap();
+                seen.push((header.request_id, header.deadline_us, batch.queries.len()));
+                let slots = vec![SlotResult::Shed; batch.queries.len()];
+                let frame = encode_response(STATUS_OK, header.tenant, header.request_id, &slots);
+                write_frame(stream, &frame).unwrap();
+            }
+            seen
+        });
+        let mut client = HamClient::connect(addr, TIMEOUT).unwrap();
+        let batch = queries(100, 2);
+        for (deadline, id) in [
+            (None, 1u64),
+            (Some(Duration::from_millis(3)), 2),
+            (Some(Duration::from_secs(10_000)), 3),
+        ] {
+            let response = client.request(4, 0, deadline, &batch).unwrap();
+            assert_eq!((response.tenant, response.request_id), (4, id));
+            assert_eq!(response.slots, vec![SlotResult::Shed; 2]);
+        }
+        assert_eq!(
+            server.join().unwrap(),
+            vec![
+                (1, DEADLINE_UNBOUNDED_US, 2),
+                (2, 3_000, 2),
+                (3, DEADLINE_UNBOUNDED_US - 1, 2),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_server_that_hangs_up_is_reported_as_closed() {
+        let (addr, server) = fake_server(|stream| {
+            let header = read_request_header(stream, 1 << 20).unwrap().unwrap();
+            read_request_payload(stream, &header).unwrap();
+        });
+        let mut client = HamClient::connect(addr, TIMEOUT).unwrap();
+        let result = client.request(1, 0, None, &queries(64, 1));
+        server.join().unwrap();
+        assert_eq!(result.unwrap_err(), ClientError::ServerClosed);
+    }
+
+    #[test]
+    fn errors_convert_from_their_sources_and_display() {
+        let io: ClientError = io::Error::from(io::ErrorKind::ConnectionRefused).into();
+        assert_eq!(io, ClientError::Io(io::ErrorKind::ConnectionRefused));
+        let frame: ClientError = FrameError::UnsupportedVersion { got: 3 }.into();
+        assert_eq!(
+            frame.to_string(),
+            "frame error: unsupported wire version 3 (this build speaks 1)"
+        );
+        assert_eq!(
+            ClientError::ServerClosed.to_string(),
+            "server closed the connection"
+        );
+        assert!(ClientError::EmptyBatch.to_string().contains("empty batch"));
+        assert!(ClientError::MixedDimensions
+            .to_string()
+            .contains("dimensionality"));
+    }
+}

@@ -733,4 +733,354 @@ mod tests {
             QueryBudget::per_batch(Duration::from_millis(2))
         );
     }
+
+    /// A response frame around an arbitrary payload, with both CRCs
+    /// valid, so only the field under test can fail.
+    fn response_frame(status: u8, payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(RESPONSE_HEADER_LEN + payload.len());
+        frame.extend_from_slice(&RESPONSE_MAGIC);
+        frame.push(WIRE_VERSION);
+        frame.push(status);
+        frame.extend_from_slice(&4u16.to_le_bytes());
+        frame.extend_from_slice(&5u64.to_le_bytes());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        let header_crc = crc32(&frame[..RESPONSE_HEADER_LEN - 4]);
+        frame.extend_from_slice(&header_crc.to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    fn refresh_response_header_crc(frame: &mut [u8]) {
+        let crc = crc32(&frame[..RESPONSE_HEADER_LEN - 4]);
+        frame[RESPONSE_HEADER_LEN - 4..RESPONSE_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    fn decode_response(frame: &[u8]) -> Result<Option<Response>, FrameError> {
+        read_response(&mut Cursor::new(frame), 1 << 20)
+    }
+
+    #[test]
+    fn response_decoder_rejects_a_request_frame_by_its_magic() {
+        let request = encode_request(0, 1, 2, 3, &sample_queries(64, 1));
+        assert_eq!(
+            decode_response(&request),
+            Err(FrameError::BadMagic { got: REQUEST_MAGIC })
+        );
+        // And the request decoder rejects a response frame alike.
+        let response = encode_response(STATUS_OK, 1, 2, &[SlotResult::Shed]);
+        assert_eq!(
+            read_request_header(&mut Cursor::new(response), 1 << 20),
+            Err(FrameError::BadMagic {
+                got: RESPONSE_MAGIC
+            })
+        );
+    }
+
+    #[test]
+    fn response_header_crc_is_checked_before_the_version() {
+        let valid = encode_response(STATUS_OK, 1, 2, &[SlotResult::Failed]);
+        // A flipped header byte without a CRC refresh: checksum error.
+        let mut frame = valid.clone();
+        frame[4] = WIRE_VERSION + 1;
+        assert!(matches!(
+            decode_response(&frame),
+            Err(FrameError::HeaderCrcMismatch { .. })
+        ));
+        // The same byte with a refreshed CRC: the version check fires.
+        refresh_response_header_crc(&mut frame);
+        let err = decode_response(&frame).unwrap_err();
+        assert_eq!(
+            err,
+            FrameError::UnsupportedVersion {
+                got: WIRE_VERSION + 1
+            }
+        );
+        assert!(err.is_fatal());
+        assert_eq!(err.reject_status(), Some(STATUS_WRONG_VERSION));
+    }
+
+    #[test]
+    fn response_payload_cap_is_inclusive() {
+        let slots = [SlotResult::TimedOut; 3];
+        let frame = encode_response(STATUS_OK, 1, 2, &slots);
+        let payload = (frame.len() - RESPONSE_HEADER_LEN) as u32;
+        assert_eq!(payload as usize, 4 + 3 * SLOT_LEN);
+        let at_cap = read_response(&mut Cursor::new(&frame), payload)
+            .unwrap()
+            .unwrap();
+        assert_eq!(at_cap.slots, slots);
+        assert_eq!(
+            read_response(&mut Cursor::new(&frame), payload - 1),
+            Err(FrameError::Oversized {
+                len: payload,
+                cap: payload - 1
+            })
+        );
+    }
+
+    #[test]
+    fn request_payload_cap_is_inclusive() {
+        let frame = encode_request(0, 1, 2, 3, &sample_queries(130, 2));
+        let payload = (frame.len() - REQUEST_HEADER_LEN) as u32;
+        // dim and count, then two rows of three words.
+        assert_eq!(payload, 8 + 2 * 3 * 8);
+        let header = read_request_header(&mut Cursor::new(&frame), payload)
+            .unwrap()
+            .unwrap();
+        assert_eq!(header.payload_len, payload);
+        let err = read_request_header(&mut Cursor::new(&frame), payload - 1).unwrap_err();
+        assert_eq!(
+            err,
+            FrameError::Oversized {
+                len: payload,
+                cap: payload - 1
+            }
+        );
+        assert!(err.is_fatal());
+        assert_eq!(err.reject_status(), Some(STATUS_OVERSIZED));
+    }
+
+    #[test]
+    fn response_payload_corruption_is_a_crc_mismatch() {
+        let mut frame = encode_response(STATUS_OK, 1, 2, &[SlotResult::Shed]);
+        let last = frame.len() - 1;
+        frame[last] ^= 0x80;
+        let err = decode_response(&frame).unwrap_err();
+        assert!(matches!(err, FrameError::PayloadCrcMismatch { .. }));
+        assert!(!err.is_fatal());
+        // Cut inside the payload: the stream ended mid-frame.
+        let whole = encode_response(STATUS_OK, 1, 2, &[SlotResult::Shed]);
+        let cut = &whole[..whole.len() - 2];
+        assert_eq!(
+            decode_response(cut),
+            Err(FrameError::Truncated {
+                expected: 4 + SLOT_LEN,
+                got: 4 + SLOT_LEN - 2
+            })
+        );
+    }
+
+    #[test]
+    fn ok_responses_must_carry_well_formed_slots() {
+        let malformed = |payload: &[u8]| match decode_response(&response_frame(STATUS_OK, payload))
+        {
+            Err(FrameError::MalformedPayload { reason }) => reason,
+            other => panic!("expected a malformed payload, got {other:?}"),
+        };
+        // No slot count at all.
+        assert!(malformed(&[1, 0]).contains("slot count"));
+        // A count of two with bytes for one slot.
+        let mut payload = 2u32.to_le_bytes().to_vec();
+        payload.extend_from_slice(&[STATUS_SHED; SLOT_LEN]);
+        assert!(malformed(&payload).contains("disagrees"));
+        // One slot whose status byte names no slot outcome.
+        let mut payload = 1u32.to_le_bytes().to_vec();
+        payload.push(STATUS_DRAINING);
+        payload.extend_from_slice(&[0u8; SLOT_LEN - 1]);
+        assert_eq!(malformed(&payload), "unknown slot status");
+        // The same frames under a reject status carry no slots, so the
+        // payload is not parsed.
+        let reject = decode_response(&response_frame(STATUS_DRAINING, &payload))
+            .unwrap()
+            .unwrap();
+        assert_eq!(reject.status, STATUS_DRAINING);
+        assert!(reject.slots.is_empty());
+        assert_eq!((reject.tenant, reject.request_id), (4, 5));
+    }
+
+    #[test]
+    fn an_empty_batch_round_trips() {
+        let frame = encode_request(2, 8, 9, 10, &[]);
+        assert_eq!(frame.len(), REQUEST_HEADER_LEN + 8);
+        let mut cursor = Cursor::new(frame);
+        let header = read_request_header(&mut cursor, 64).unwrap().unwrap();
+        let batch = read_request_payload(&mut cursor, &header).unwrap();
+        assert_eq!(batch.dim, 1);
+        assert!(batch.queries.is_empty());
+        let response = encode_response(STATUS_OK, 8, 9, &[]);
+        let decoded = decode_response(&response).unwrap().unwrap();
+        assert!(decoded.slots.is_empty());
+        assert_eq!(decoded.status, STATUS_OK);
+    }
+
+    #[test]
+    fn back_to_back_frames_decode_in_order_then_close_cleanly() {
+        let first = sample_queries(200, 2);
+        let second = sample_queries(70, 3);
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &encode_request(1, 1, 100, 5, &first)).unwrap();
+        write_frame(&mut stream, &encode_request(2, 1, 101, 6, &second)).unwrap();
+        let mut cursor = Cursor::new(stream);
+        for (id, queries) in [(100u64, &first), (101, &second)] {
+            let header = read_request_header(&mut cursor, 1 << 20).unwrap().unwrap();
+            assert_eq!(header.request_id, id);
+            let batch = read_request_payload(&mut cursor, &header).unwrap();
+            assert_eq!(&batch.queries, queries);
+        }
+        assert_eq!(read_request_header(&mut cursor, 1 << 20), Ok(None));
+
+        let mut responses = Vec::new();
+        responses.extend(encode_response(STATUS_SHED, 1, 100, &[]));
+        responses.extend(encode_response(STATUS_OK, 1, 101, &[SlotResult::Failed]));
+        let mut cursor = Cursor::new(responses);
+        let a = read_response(&mut cursor, 1 << 20).unwrap().unwrap();
+        let b = read_response(&mut cursor, 1 << 20).unwrap().unwrap();
+        assert_eq!((a.request_id, a.status), (100, STATUS_SHED));
+        assert_eq!((b.request_id, b.slots), (101, vec![SlotResult::Failed]));
+        assert_eq!(read_response(&mut cursor, 1 << 20), Ok(None));
+    }
+
+    #[test]
+    fn truncated_request_payload_is_fatal() {
+        let frame = encode_request(0, 1, 2, 3, &sample_queries(128, 1));
+        let mut cursor = Cursor::new(&frame[..frame.len() - 5]);
+        let header = read_request_header(&mut cursor, 1 << 20).unwrap().unwrap();
+        let err = read_request_payload(&mut cursor, &header).unwrap_err();
+        assert_eq!(
+            err,
+            FrameError::Truncated {
+                expected: 8 + 16,
+                got: 8 + 16 - 5
+            }
+        );
+        assert!(err.is_fatal());
+        assert_eq!(err.reject_status(), None);
+    }
+
+    /// A writer that refuses every write.
+    struct Refusing;
+
+    impl Write for Refusing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::new(io::ErrorKind::BrokenPipe, "closed"))
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn io_failures_keep_their_kind_and_are_fatal() {
+        let err = write_frame(&mut Refusing, b"frame").unwrap_err();
+        assert_eq!(err, FrameError::Io(io::ErrorKind::BrokenPipe));
+        assert!(err.is_fatal());
+        assert_eq!(err.reject_status(), None);
+        let converted: FrameError = io::Error::from(io::ErrorKind::TimedOut).into();
+        assert_eq!(converted, FrameError::Io(io::ErrorKind::TimedOut));
+    }
+
+    #[test]
+    fn status_names_are_distinct_for_every_defined_code() {
+        let names: Vec<&str> = (STATUS_OK..=STATUS_FAILED).map(status_name).collect();
+        assert!(names.iter().all(|&name| name != "unknown"), "{names:?}");
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "{names:?}");
+        assert_eq!(status_name(STATUS_FAILED + 1), "unknown");
+        assert_eq!(status_name(u8::MAX), "unknown");
+    }
+
+    #[test]
+    fn frame_errors_display_the_fields_they_carry() {
+        let cases = [
+            (
+                FrameError::Truncated {
+                    expected: 32,
+                    got: 7,
+                },
+                "7 of 32 bytes",
+            ),
+            (FrameError::UnsupportedVersion { got: 9 }, "version 9"),
+            (
+                FrameError::Oversized { len: 300, cap: 256 },
+                "300 B exceeds cap 256 B",
+            ),
+            (
+                FrameError::MalformedPayload {
+                    reason: "zero dimensionality",
+                },
+                "malformed payload: zero dimensionality",
+            ),
+            (
+                FrameError::HeaderCrcMismatch {
+                    claimed: 1,
+                    computed: 2,
+                },
+                "header crc 0x00000002 != claimed 0x00000001",
+            ),
+            (FrameError::Io(io::ErrorKind::BrokenPipe), "BrokenPipe"),
+        ];
+        for (err, needle) in cases {
+            let text = err.to_string();
+            assert!(text.contains(needle), "{text:?} lacks {needle:?}");
+        }
+    }
+
+    fn u32_at(bytes: &[u8], at: usize) -> u32 {
+        u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+    }
+
+    #[test]
+    fn request_fields_sit_at_their_documented_offsets() {
+        // The layout table in the module documentation, byte for byte.
+        let queries = sample_queries(130, 2);
+        let frame = encode_request(9, 0x0102, 0x1122_3344_5566_7788, 1_234, &queries);
+        assert_eq!(&frame[0..4], b"HAMQ");
+        assert_eq!(frame[4], WIRE_VERSION);
+        assert_eq!(frame[5], 9);
+        assert_eq!(&frame[6..8], &[0x02, 0x01]);
+        assert_eq!(&frame[8..16], &0x1122_3344_5566_7788u64.to_le_bytes());
+        assert_eq!(u32_at(&frame, 16), 1_234);
+        let payload = &frame[REQUEST_HEADER_LEN..];
+        assert_eq!(u32_at(&frame, 20) as usize, payload.len());
+        assert_eq!(u32_at(&frame, 24), crc32(payload));
+        assert_eq!(u32_at(&frame, 28), crc32(&frame[..28]));
+        // Payload: dim, count, then three little-endian words per query.
+        assert_eq!((u32_at(payload, 0), u32_at(payload, 4)), (130, 2));
+        assert_eq!(payload.len(), 8 + 2 * 3 * 8);
+        for (q, query) in queries.iter().enumerate() {
+            for (w, word) in query.as_bitvec().as_words().iter().enumerate() {
+                let at = 8 + (q * 3 + w) * 8;
+                assert_eq!(&payload[at..at + 8], &word.to_le_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn response_fields_sit_at_their_documented_offsets() {
+        let slots = [
+            SlotResult::Hit {
+                class: 7,
+                distance: 300,
+                margin: 12,
+            },
+            SlotResult::TimedOut,
+        ];
+        let frame = encode_response(STATUS_OK, 0x0A0B, 99, &slots);
+        assert_eq!(&frame[0..4], b"HAMR");
+        assert_eq!(frame[4], WIRE_VERSION);
+        assert_eq!(frame[5], STATUS_OK);
+        assert_eq!(&frame[6..8], &[0x0B, 0x0A]);
+        assert_eq!(&frame[8..16], &99u64.to_le_bytes());
+        let payload = &frame[RESPONSE_HEADER_LEN..];
+        assert_eq!(u32_at(&frame, 16) as usize, payload.len());
+        assert_eq!(u32_at(&frame, 20), crc32(payload));
+        assert_eq!(u32_at(&frame, 24), crc32(&frame[..24]));
+        // Count, then 13-byte slots: status, class, distance, margin.
+        assert_eq!(u32_at(payload, 0), 2);
+        assert_eq!(payload.len(), 4 + 2 * SLOT_LEN);
+        assert_eq!(payload[4], STATUS_OK);
+        assert_eq!(
+            (u32_at(payload, 5), u32_at(payload, 9), u32_at(payload, 13)),
+            (7, 300, 12)
+        );
+        assert_eq!(payload[4 + SLOT_LEN], STATUS_TIMED_OUT);
+        assert_eq!(
+            &payload[5 + SLOT_LEN..],
+            &[0u8; 12],
+            "non-OK slots carry zeros"
+        );
+    }
 }

@@ -513,4 +513,55 @@ mod tests {
             assert_eq!(wake_addr(bound.parse().unwrap()), wake.parse().unwrap());
         }
     }
+
+    fn spec(tenant: u16, rows: usize) -> TenantSpec {
+        use ham_core::explore::{random_memory, DesignKind};
+        TenantSpec::new(
+            tenant,
+            format!("t{tenant}"),
+            DesignKind::Digital,
+            random_memory(rows, 256, 40 + u64::from(tenant)),
+        )
+    }
+
+    #[test]
+    fn start_refuses_a_tenant_that_cannot_be_provisioned() {
+        use ham_core::explore::DesignKind;
+        let empty = TenantSpec::new(
+            2,
+            "empty",
+            DesignKind::Digital,
+            hdc::AssociativeMemory::new(hdc::Dimension::new(256).unwrap()),
+        );
+        let err = Server::start(ServeConfig::default(), vec![spec(1, 4), empty]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn an_idle_server_drains_with_every_thread_accounted_for() {
+        // Zero accept threads is clamped to one loop, not a dead server.
+        for (asked, loops) in [(0usize, 1usize), (3, 3)] {
+            let config = ServeConfig {
+                accept_threads: asked,
+                ..ServeConfig::default()
+            };
+            let server = Server::start(config, vec![spec(5, 6)]).unwrap();
+            assert_ne!(server.local_addr().port(), 0);
+            assert!(!server.is_draining());
+            assert_eq!(server.connections_accepted(), 0);
+            assert_eq!(server.tenants().len(), 1);
+            assert!(server.tenant_stats(5).is_some());
+            assert!(server.tenant_stats(6).is_none());
+            let report = server.drain();
+            assert_eq!(report.accept_loops_joined, loops);
+            assert_eq!(report.connections_at_drain, 0);
+            assert_eq!((report.drained_gracefully, report.forced_shutdowns), (0, 0));
+            assert_eq!(
+                report.accept_loops_joined + report.connection_threads_joined,
+                report.threads_spawned
+            );
+            assert_eq!(report.snapshots_flushed, 0, "no snapshot directory");
+            assert!(report.flush_failures.is_empty());
+        }
+    }
 }

@@ -191,6 +191,9 @@ impl TenantSpec {
         memory: AssociativeMemory,
         options: ResilientOptions,
     ) -> Result<ResilientServer, HamError> {
+        if memory.is_empty() {
+            return Err(HamError::NoClasses);
+        }
         let scrubber = Scrubber::from_memory(&memory);
         let policy = DegradationPolicy::for_dim(memory.dim().get());
         Ok(ResilientServer::new(self.kind, memory, scrubber, policy)?
@@ -838,5 +841,84 @@ mod tests {
             assert_eq!(replayed.row(class), Some(row));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn refill_never_exceeds_the_burst() {
+        let mut bucket = TokenBucket::new(QuotaPolicy {
+            burst: 2.0,
+            per_second: 1e9,
+        });
+        std::thread::sleep(Duration::from_millis(2));
+        // A second of refill at 1e9/s would be far more than the burst.
+        assert!(!bucket.try_take(3.0));
+        assert!(bucket.try_take(2.0));
+        assert!(QuotaPolicy::unlimited().burst.is_infinite());
+        assert_eq!(QuotaPolicy::default().burst, 10_000.0);
+    }
+
+    #[test]
+    fn spec_builders_replace_their_field_and_paths_are_per_tenant() {
+        let base = spec(7);
+        assert_eq!(base.quota, QuotaPolicy::default());
+        assert_eq!(base.budget_cap, QueryBudget::unbounded());
+        let quota = QuotaPolicy {
+            burst: 3.0,
+            per_second: 4.0,
+        };
+        let cap = QueryBudget::per_batch(Duration::from_millis(5));
+        let tuned = spec(7)
+            .with_quota(quota)
+            .with_max_inflight_ema(2.5)
+            .with_budget_cap(cap);
+        assert_eq!(tuned.quota, quota);
+        assert_eq!(tuned.max_inflight_ema, 2.5);
+        assert_eq!(tuned.budget_cap, cap);
+        assert_eq!((tuned.tenant, tuned.name.as_str()), (7, "t7"));
+
+        let dir = Path::new("snapshots");
+        assert_eq!(base.snapshot_path(dir), dir.join("tenant-7.ham"));
+        assert_eq!(base.wal_dir(dir), dir.join("tenant-7.wal"));
+        assert_ne!(spec(8).snapshot_path(dir), base.snapshot_path(dir));
+    }
+
+    #[test]
+    fn registry_routes_by_wire_tenant_id() {
+        let registry =
+            TenantRegistry::provision(vec![spec(3), spec(9)], ResilientOptions::serial(), None)
+                .unwrap();
+        assert_eq!(registry.len(), 2);
+        assert!(!registry.is_empty());
+        assert_eq!(registry.get(3).unwrap().spec().tenant, 3);
+        assert_eq!(registry.get(9).unwrap().spec().name, "t9");
+        assert!(registry.get(4).is_none());
+        let mut ids: Vec<u16> = registry.iter().map(|t| t.spec().tenant).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![3, 9]);
+        // Without a snapshot directory every tenant boots from its spec.
+        for tenant in registry.iter() {
+            assert_eq!(tenant.versioned().load().rows(), 6);
+        }
+        let empty =
+            TenantRegistry::provision(Vec::new(), ResilientOptions::serial(), None).unwrap();
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn an_empty_memory_fails_to_provision() {
+        let empty = TenantSpec::new(
+            1,
+            "empty",
+            DesignKind::Digital,
+            AssociativeMemory::new(Dimension::new(512).unwrap()),
+        );
+        assert!(matches!(
+            TenantState::provision(empty.clone(), ResilientOptions::serial(), None),
+            Err(HamError::NoClasses)
+        ));
+        assert!(
+            TenantRegistry::provision(vec![spec(2), empty], ResilientOptions::serial(), None)
+                .is_err()
+        );
     }
 }

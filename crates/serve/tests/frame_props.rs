@@ -159,6 +159,87 @@ proptest! {
     }
 }
 
+/// `count` response slots derived from `seed`, every kind represented.
+fn slots(count: usize, seed: u64) -> Vec<SlotResult> {
+    (0..count)
+        .map(|i| match (seed >> (i % 60)) & 3 {
+            0 => SlotResult::TimedOut,
+            1 => SlotResult::Shed,
+            2 => SlotResult::Failed,
+            _ => SlotResult::Hit {
+                class: i as u32,
+                distance: (seed >> 7) as u32,
+                margin: (seed >> 40) as u32,
+            },
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn response_corruption_never_panics_the_decoder(
+        count in 0usize..8,
+        flip_at in any::<u16>(),
+        flip_mask in 1u8..=255,
+        seed in any::<u64>(),
+    ) {
+        let mut frame = encode_response(STATUS_OK, 3, 17, &slots(count, seed));
+        let at = flip_at as usize % frame.len();
+        frame[at] ^= flip_mask;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            read_response(&mut Cursor::new(&frame), CAP).map(|_| ())
+        }));
+        prop_assert!(outcome.is_ok(), "decoder panicked on corrupted byte {}", at);
+        // Both CRCs cover every byte, so a flip never decodes silently.
+        prop_assert!(read_response(&mut Cursor::new(&frame), CAP).is_err());
+    }
+
+    #[test]
+    fn truncated_responses_are_errors_not_panics(
+        count in 0usize..8,
+        cut_fraction in 0u8..100,
+        seed in any::<u64>(),
+    ) {
+        let frame = encode_response(STATUS_OK, 3, 17, &slots(count, seed));
+        let cut = (frame.len() * cut_fraction as usize) / 100;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            read_response(&mut Cursor::new(&frame[..cut]), CAP).map(|_| ())
+        }));
+        prop_assert!(outcome.is_ok(), "decoder panicked at cut {}", cut);
+        match read_response(&mut Cursor::new(&frame[..cut]), CAP) {
+            Ok(None) => prop_assert_eq!(cut, 0),
+            Err(FrameError::Truncated { .. }) => prop_assert!(cut > 0),
+            other => prop_assert!(false, "cut {} decoded as {:?}", cut, other),
+        }
+    }
+
+    #[test]
+    fn back_to_back_requests_decode_frame_by_frame(
+        dims in prop::collection::vec(1usize..300, 1..5),
+        seed in any::<u64>(),
+    ) {
+        let batches: Vec<Vec<Hypervector>> = dims
+            .iter()
+            .enumerate()
+            .map(|(i, &dim)| queries(dim, i % 3, seed ^ i as u64))
+            .collect();
+        let mut stream = Vec::new();
+        for (i, batch) in batches.iter().enumerate() {
+            stream.extend(encode_request(0, 1, i as u64, 100, batch));
+        }
+        let mut cursor = Cursor::new(&stream);
+        for (i, batch) in batches.iter().enumerate() {
+            let header = read_request_header(&mut cursor, CAP).unwrap().unwrap();
+            prop_assert_eq!(header.request_id, i as u64);
+            let decoded = read_request_payload(&mut cursor, &header).unwrap();
+            prop_assert_eq!(&decoded.queries, batch);
+        }
+        prop_assert_eq!(read_request_header(&mut cursor, CAP), Ok(None));
+    }
+}
+
 /// The malformed-frame corpus: each entry is one specific way a frame
 /// can be wrong, and each maps to its own typed reject.
 #[test]

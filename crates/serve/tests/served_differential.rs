@@ -1,8 +1,8 @@
 //! Differential test of the whole served path over loopback.
 //!
-//! A real [`Server`] hosts four tenants over the same rows, each pinned
-//! to one scan strategy: `Direct`, `Cascade`, `Indexed` (index attached
-//! at provisioning) and `Auto`. A
+//! A real [`Server`] hosts three tenants over the same rows, each pinned
+//! to one scan strategy: `Direct`, `Indexed` (index attached at
+//! provisioning) and `Auto`. A
 //! seeded interleaving of wire query batches and online updates
 //! (`rethreshold_row`, `add_class`, `retire_class` through
 //! [`TenantState::updater`]) drives every tenant identically, with one
@@ -41,12 +41,11 @@ const ROWS: usize = 280;
 const STEPS: usize = 24;
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The four pinned tenants: wire id and strategy.
-const TENANTS: [(u16, ScanStrategy); 4] = [
+/// The three pinned tenants: wire id and strategy.
+const TENANTS: [(u16, ScanStrategy); 3] = [
     (1, ScanStrategy::Direct),
-    (2, ScanStrategy::Cascade),
-    (3, ScanStrategy::Indexed),
-    (4, ScanStrategy::Auto),
+    (2, ScanStrategy::Indexed),
+    (3, ScanStrategy::Auto),
 ];
 
 type Oracle = Vec<Option<(String, Hypervector)>>;
@@ -208,7 +207,6 @@ fn assert_pins_hold(server: &Server, context: &str) {
         let resolved = version.resolved_strategy();
         let expected = match strategy {
             ScanStrategy::Direct => Some(ResolvedScan::Direct),
-            ScanStrategy::Cascade => Some(ResolvedScan::Cascade),
             ScanStrategy::Indexed if version.index().is_some() => {
                 Some(ResolvedScan::Indexed { nprobe: None })
             }

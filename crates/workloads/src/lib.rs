@@ -1,5 +1,5 @@
 //! Multi-scenario workload harness: every layer of the stack — kernels,
-//! index, cascade, serving — scored against more than one task.
+//! index, serving — scored against more than one task.
 //!
 //! Until this crate, the repo's single scenario was the 21-language
 //! synthetic langid task from the source paper's reproduction. ROADMAP
@@ -13,10 +13,10 @@
 //!   weighted and majority-binarized accuracy *is* the multi-bit story.
 //! * **Near-duplicate similarity search** ([`neardup::NearDupWorkload`]) —
 //!   the RRAM in-memory similarity-search shape: a planted-near-duplicate
-//!   stream scored on recall@k, whose index stats are exactly the
-//!   [`cascade_friendly`](hdc::IndexStats::cascade_friendly) geometry
-//!   [`ScanStrategy::Auto`](hdc::ScanStrategy) selects the sampled
-//!   cascade for.
+//!   stream scored on recall@k, whose tight clusters make the index
+//!   stats [`pruning_friendly`](hdc::IndexStats::pruning_friendly), so
+//!   [`ScanStrategy::Auto`](hdc::ScanStrategy) selects the indexed
+//!   walk.
 //!
 //! All three scenarios (langid included, refactored behind the trait in
 //! [`langid_workload::LangidWorkload`]) implement one seeded,
@@ -181,7 +181,7 @@ pub struct WorkloadReport {
     /// The kernel backend that served the pass.
     pub backend: &'static str,
     /// The traversal the workload's strategy resolved to (the observable
-    /// `Auto` decision), e.g. `"Cascade"`.
+    /// `Auto` decision), e.g. `"Indexed"`.
     pub strategy: String,
 }
 
@@ -189,7 +189,6 @@ pub struct WorkloadReport {
 pub fn strategy_label(resolved: ResolvedScan) -> String {
     match resolved {
         ResolvedScan::Direct => "Direct".to_string(),
-        ResolvedScan::Cascade => "Cascade".to_string(),
         ResolvedScan::Indexed { nprobe: None } => "Indexed".to_string(),
         ResolvedScan::Indexed { nprobe: Some(n) } => format!("Probe({n})"),
     }
@@ -267,7 +266,6 @@ mod tests {
     #[test]
     fn strategy_labels_are_stable() {
         assert_eq!(strategy_label(ResolvedScan::Direct), "Direct");
-        assert_eq!(strategy_label(ResolvedScan::Cascade), "Cascade");
         assert_eq!(
             strategy_label(ResolvedScan::Indexed { nprobe: None }),
             "Indexed"
@@ -276,5 +274,94 @@ mod tests {
             strategy_label(ResolvedScan::Indexed { nprobe: Some(4) }),
             "Probe(4)"
         );
+    }
+
+    #[test]
+    fn score_counts_the_truth_only_within_the_first_k() {
+        let rankings: Vec<(usize, Vec<usize>)> = vec![
+            (3, vec![0, 1, 3]), // third: inside k = 3, outside k = 2
+            (4, vec![]),        // an empty ranking is a miss
+            (5, vec![5]),       // shorter than k, still a hit
+        ];
+        let at = |k| score(rankings.iter().map(|(t, r)| (*t, r.as_slice())), k);
+        assert_eq!(at(2).recall_at_k, 1.0 / 3.0);
+        assert_eq!(at(3).recall_at_k, 2.0 / 3.0);
+        assert_eq!(at(3).accuracy, 1.0 / 3.0);
+        // k = 0 counts nothing as recalled; accuracy does not depend on k.
+        assert_eq!(at(0).recall_at_k, 0.0);
+        assert_eq!(at(0).accuracy, at(3).accuracy);
+    }
+
+    /// A minimal workload: every stored row queried exactly, ranked by
+    /// the memory's own top-k.
+    struct Exact {
+        memory: AssociativeMemory,
+        queries: Vec<QueryRecord>,
+    }
+
+    impl Exact {
+        fn new(rows: usize) -> Self {
+            let dim = Dimension::new(256).unwrap();
+            let mut memory = AssociativeMemory::new(dim);
+            let mut queries = Vec::new();
+            for i in 0..rows {
+                let hv = Hypervector::random(dim, 40 + i as u64);
+                memory.insert(format!("r{i}"), hv.clone()).unwrap();
+                queries.push(QueryRecord {
+                    truth: i,
+                    query: hv,
+                });
+            }
+            Exact { memory, queries }
+        }
+    }
+
+    impl Workload for Exact {
+        fn name(&self) -> &'static str {
+            "exact"
+        }
+        fn seed(&self) -> u64 {
+            40
+        }
+        fn memory(&self) -> &AssociativeMemory {
+            &self.memory
+        }
+        fn queries(&self) -> &[QueryRecord] {
+            &self.queries
+        }
+        fn rank(&self, query: &Hypervector, counters: &mut ScanCounters) -> Vec<usize> {
+            let (ranked, scan) = self.memory.search_top_k_counted(query, 3).unwrap();
+            counters.absorb(scan);
+            ranked.into_iter().map(|(class, _)| class.0).collect()
+        }
+    }
+
+    #[test]
+    fn run_local_scores_and_counts_the_stream_it_ranked() {
+        let workload = Exact::new(6);
+        assert_eq!(workload.k(), 1, "top-1 scenarios keep the default k");
+        assert_eq!(workload.resolved_strategy(), ResolvedScan::Direct);
+        let report = run_local(&workload);
+        assert_eq!(report.workload, "exact");
+        assert_eq!(report.path, "local");
+        assert_eq!(report.seed, 40);
+        assert_eq!((report.queries, report.k), (6, 1));
+        assert_eq!((report.accuracy, report.recall_at_k), (1.0, 1.0));
+        // The direct scan scores every row for every query.
+        assert_eq!(report.rows_scanned, 36);
+        assert_eq!((report.rows_pruned, report.buckets_probed), (0, 0));
+        assert_eq!(report.strategy, "Direct");
+        assert_eq!(report.backend, hdc::active_backend_name());
+        assert!(report.mean_latency_ns >= 0.0 && report.throughput_qps >= 0.0);
+
+        // An empty stream reports zeros rather than dividing by zero.
+        let empty = Exact {
+            queries: Vec::new(),
+            ..Exact::new(2)
+        };
+        let report = run_local(&empty);
+        assert_eq!(report.queries, 0);
+        assert_eq!((report.accuracy, report.mean_latency_ns), (0.0, 0.0));
+        assert_eq!(report.rows_scanned, 0);
     }
 }

@@ -3,25 +3,24 @@
 //! smaller perturbations and scored on recall@k — the RRAM in-memory
 //! similarity-search shape.
 //!
-//! The stored geometry is deliberately the one the sampled cascade was
-//! built for and the bucket index's triangle bound is useless on:
-//! cluster radii are a few dozen bits (far under the `dim / 32`
-//! ceiling), but the cluster centers sit within a few hundred bits of a
-//! common base — well inside the `dim / 16` margin the triangle bound
-//! needs. That is exactly [`IndexStats::cascade_friendly`] — and *not*
-//! [`pruning_friendly`](IndexStats::pruning_friendly) — so
-//! [`ScanStrategy::Auto`] resolves to the cascade here, the decision
-//! `auto_pins_the_cascade_on_the_near_duplicate_geometry` pins.
+//! The stored geometry is packed tight: cluster radii are a few dozen
+//! bits (far under the `dim / 32` ceiling), and the cluster centers sit
+//! within a few hundred bits of a common base — inside the `dim / 16`
+//! margin that [`IndexStats::pruning_friendly`]'s separation arm asks
+//! for. Its tight-radius arm holds instead, so [`ScanStrategy::Auto`]
+//! resolves to the indexed walk here, the decision
+//! `auto_pins_the_indexed_walk_on_the_near_duplicate_geometry` pins.
 //!
-//! Why the cascade wins here: a query lands inside one cluster, so the
-//! runner-up distance collapses to an intra-cluster gap (a few dozen
-//! bits) while every other cluster's rows sit hundreds of bits away.
-//! Their sampled lower bound alone exceeds the runner-up, so pass 2
-//! skips ~`(clusters − 1) / clusters` of all complement work. The
-//! direct scan gets no such leverage: its abandonment bound is only
-//! checked every 128 words (AVX-512), and at the default `dim = 8192`
-//! a row is exactly 128 words — the direct scan pays the full row for
-//! every candidate, always.
+//! Why the indexed walk wins here: a query lands inside one cluster, so
+//! the runner-up distance collapses to an intra-cluster gap (a few
+//! dozen bits) while every other cluster's rows sit hundreds of bits
+//! away. The index recovers about one cluster per bucket, and a foreign
+//! bucket's bound `d(q, centroid) − radius` exceeds the runner-up, so
+//! the walk skips its members outright. The direct scan gets no such
+//! leverage: its abandonment bound is only checked every 128 words
+//! (AVX-512), and at the default `dim = 8192` a row is exactly 128
+//! words — the direct scan pays the full row for every candidate,
+//! always.
 
 use hdc::prelude::*;
 use hdc::{IndexBuildOptions, IndexStats};
@@ -44,9 +43,9 @@ pub struct NearDupParams {
     pub clusters: usize,
     /// Bits flipped from the common base to each cluster center. Sets
     /// the inter-cluster spacing (~`2 × center_flips` bits): large
-    /// enough that foreign clusters' sampled bounds clear the
-    /// runner-up, small enough to stay inside the triangle bound's
-    /// `dim / 16` separation margin.
+    /// enough that foreign buckets' triangle bounds clear the
+    /// runner-up, small enough to stay inside the `dim / 16`
+    /// separation margin.
     pub center_flips: usize,
     /// Largest perturbation of a stored row from its cluster center;
     /// row `i` flips `4 + (i mod max_row_flips)` bits, so duplicates
@@ -62,11 +61,11 @@ pub struct NearDupParams {
 impl Default for NearDupParams {
     /// The bench operating point: 512 rows in 23 clusters of an
     /// 8,192-bit space. Cluster radii stay within ~28 bits (far under
-    /// the `dim / 32 = 256` cascade-friendly ceiling) while centers sit
-    /// ~384 bits apart (inside the `dim / 16 = 512` triangle-bound
-    /// margin, so pruning stays off). At 8,192 bits a row is exactly
-    /// 128 words — the AVX-512 direct scan's bound-check stride — so
-    /// direct pays full rows while the cascade samples 32.
+    /// the `dim / 32 = 256` tight-radius ceiling) while centers sit
+    /// ~384 bits apart (inside the `dim / 16 = 512` separation margin).
+    /// At 8,192 bits a row is exactly 128 words — the AVX-512 direct
+    /// scan's bound-check stride — so direct pays full rows while the
+    /// indexed walk skips foreign buckets.
     fn default() -> Self {
         NearDupParams {
             dim: 8_192,
@@ -196,13 +195,22 @@ mod tests {
     use hdc::ResolvedScan;
 
     #[test]
-    fn clusters_are_cascade_friendly_and_auto_resolves_to_cascade() {
+    fn clusters_are_tight_and_auto_resolves_to_indexed() {
         let w = NearDupWorkload::build(NearDupParams::default(), 5);
         let stats = w.index_stats();
         let dim = w.params().dim;
-        assert!(stats.cascade_friendly(dim), "stats = {stats:?}");
-        assert!(!stats.pruning_friendly(dim), "stats = {stats:?}");
-        assert_eq!(w.resolved_strategy(), ResolvedScan::Cascade);
+        // The tight-radius arm selects the walk; the separation arm
+        // alone would not.
+        assert!(stats.mean_radius <= dim / 32, "stats = {stats:?}");
+        assert!(
+            stats.mean_separation < 2 * stats.mean_radius + dim / 16,
+            "stats = {stats:?}"
+        );
+        assert!(stats.pruning_friendly(dim), "stats = {stats:?}");
+        assert_eq!(
+            w.resolved_strategy(),
+            ResolvedScan::Indexed { nprobe: None }
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Before this module, the "random anchors + noisy planted copies"
 //! recipe lived in two places (`ham-bench`'s index-scaling sweep and its
-//! cascade shape) and the langid corpus-world build in a third
+//! near-duplicate shape) and the langid corpus-world build in a third
 //! (`ham-bench::context`); the two new workloads would have copied it a
 //! fourth and fifth time. Everything here is a pure function of its
 //! seed: two calls with the same arguments return bit-identical worlds,
@@ -210,5 +210,35 @@ mod tests {
         assert_eq!(world.queries.len(), LANGUAGE_COUNT * 2);
         assert_eq!(world.accumulators.classes(), LANGUAGE_COUNT);
         assert_eq!(world.classifier.memory().len(), LANGUAGE_COUNT);
+    }
+
+    #[test]
+    fn anchors_are_quasi_orthogonal() {
+        // Independent uniform rows sit near D/2 from each other: the
+        // unclustered shape no pruner can win on. σ = √D/2 = 32 here,
+        // so ±6σ bounds every pair of 12 anchors.
+        let dim = Dimension::new(4_096).unwrap();
+        let a = anchors(dim, 12, 0xA11);
+        for i in 0..a.len() {
+            for j in i + 1..a.len() {
+                let d = a[i].hamming(&a[j]).as_usize();
+                assert!((2_048 - 192..=2_048 + 192).contains(&d), "{i},{j}: {d}");
+            }
+        }
+        // Prefixes agree: anchor `i` depends on (seed, i) alone.
+        assert_eq!(anchors(dim, 5, 0xA11), a[..5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "planted clusters need anchors")]
+    fn planted_rows_need_anchors() {
+        planted_cluster_rows(&[], 3, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "clusters need at least one row")]
+    fn cluster_major_rows_need_a_positive_cluster_size() {
+        let dim = Dimension::new(64).unwrap();
+        cluster_major_row_at(&anchors(dim, 2, 1), 0, 0, 1, 0);
     }
 }

@@ -94,15 +94,14 @@ fn every_workload_is_deterministic_and_meets_its_floor() {
 }
 
 #[test]
-fn auto_pins_the_cascade_on_the_near_duplicate_geometry() {
+fn auto_pins_the_indexed_walk_on_the_near_duplicate_geometry() {
     let w = neardup();
     let dim = w.params().dim;
     let stats = w.index_stats();
-    // The regression pin: this geometry must read cascade-friendly and
-    // not pruning-friendly, and Auto must select the cascade — both at
-    // the decision-rule level and through the memory the tenant clones.
-    assert!(stats.cascade_friendly(dim), "stats = {stats:?}");
-    assert!(!stats.pruning_friendly(dim), "stats = {stats:?}");
+    // The regression pin: this geometry must read pruning-friendly, and
+    // Auto must select the indexed walk — both at the decision-rule
+    // level and through the memory the tenant clones.
+    assert!(stats.pruning_friendly(dim), "stats = {stats:?}");
     let plan = |strategy| {
         ScanPlan::new(
             hdc::active_backend(),
@@ -113,15 +112,16 @@ fn auto_pins_the_cascade_on_the_near_duplicate_geometry() {
         )
         .resolved()
     };
-    assert_eq!(plan(ScanStrategy::Auto), ResolvedScan::Cascade);
-    assert_eq!(w.resolved_strategy(), ResolvedScan::Cascade);
+    let indexed = ResolvedScan::Indexed { nprobe: None };
+    assert_eq!(plan(ScanStrategy::Auto), indexed);
+    assert_eq!(w.resolved_strategy(), indexed);
     assert_eq!(
         plan(ScanStrategy::Direct),
         ResolvedScan::Direct,
         "explicit strategies must not be second-guessed"
     );
-    // The Auto-selected cascade answers bit-identically to the direct
-    // scan on the real query stream.
+    // The Auto-selected walk answers bit-identically to the direct scan
+    // on the real query stream.
     let mut direct = w.memory().clone();
     direct.set_scan_strategy(ScanStrategy::Direct);
     for record in w.queries().iter().take(64) {
@@ -133,7 +133,7 @@ fn auto_pins_the_cascade_on_the_near_duplicate_geometry() {
     // And the served row carries the decision label.
     let state = serve::provision(&w, 7).expect("tenant provisions");
     let report = serve::run_served(&w, &state).expect("tenant serves");
-    assert_eq!(report.strategy, "Cascade");
+    assert_eq!(report.strategy, "Indexed");
     assert!(
         report.accuracy > 0.98,
         "served accuracy {}",
@@ -242,7 +242,7 @@ fn workloads_serve_over_the_real_wire() {
     // The near-duplicate stream's margins sit below the confidence bar
     // at every approximate rung, so the ladder always lands on the
     // exact engine: wire answers are bit-identical to a local search
-    // through the same Auto-resolved cascade.
+    // through the same Auto-resolved indexed walk.
     let queries: Vec<Hypervector> = neardup
         .queries()
         .iter()
@@ -293,37 +293,27 @@ fn served_neardup(rows: usize) -> (Arc<VersionedMemory>, OnlineUpdater) {
 
 /// How `Auto` resolves on perfbench's served shapes, across the updates
 /// its churn workload makes (one retire, then one random add). Both
-/// sizes provision cascade-friendly, so the cascade serves them, and a
-/// retire keeps it. At the churn size the random row then joins a
+/// sizes provision with tight buckets, so the indexed walk serves them,
+/// and a retire keeps it. At the churn size the random row then joins a
 /// bucket as a far outlier, lifting the mean radius past `dim / 32`, so
-/// the geometry stops reading cascade-friendly and the direct scan
+/// the geometry stops reading pruning-friendly and the direct scan
 /// takes over. Every plan is exact, so these flips move time, never
 /// answers.
 #[test]
 fn auto_resolution_follows_the_served_shapes_across_updates() {
-    for (rows, after_add) in [
-        (16_384, ResolvedScan::Cascade),
-        (4_096, ResolvedScan::Direct),
-    ] {
+    let indexed = ResolvedScan::Indexed { nprobe: None };
+    for (rows, after_add) in [(16_384, indexed), (4_096, ResolvedScan::Direct)] {
         let (versioned, updater) = served_neardup(rows);
         let resolved = || versioned.load().resolved_strategy();
         let mean_radius = || versioned.load().index().unwrap().stats().mean_radius;
-        assert_eq!(
-            resolved(),
-            ResolvedScan::Cascade,
-            "{rows} rows at provisioning"
-        );
+        assert_eq!(resolved(), indexed, "{rows} rows at provisioning");
         assert!(
             mean_radius() <= 8_192 / 32,
             "{rows} rows: {}",
             mean_radius()
         );
         updater.retire_class(ClassId(rows / 2)).unwrap();
-        assert_eq!(
-            resolved(),
-            ResolvedScan::Cascade,
-            "{rows} rows after one retire"
-        );
+        assert_eq!(resolved(), indexed, "{rows} rows after one retire");
         let dim = versioned.load().dim();
         updater
             .add_class("random", Hypervector::random(dim, 0xADD))
@@ -332,7 +322,7 @@ fn auto_resolution_follows_the_served_shapes_across_updates() {
         assert_eq!(
             mean_radius() <= 8_192 / 32,
             after_add != ResolvedScan::Direct,
-            "{rows} rows: the mean radius {} decides the cascade-friendly branch",
+            "{rows} rows: the mean radius {} decides the tight-radius arm",
             mean_radius()
         );
     }
