@@ -318,7 +318,7 @@ fn main() {
 
     // 1. Single query, paper operating point.
     let memory = random_memory(21, 10_000, 7);
-    let rows: Vec<Hypervector> = memory.iter().map(|(_, _, hv)| hv.clone()).collect();
+    let rows: Vec<Hypervector> = memory.iter().map(|(_, _, hv)| hv).collect();
     let query = noisy_query(&memory, 1);
     let single_query = compare(
         21,
@@ -375,7 +375,7 @@ fn main() {
 
     // 3. 1,000-query batch: seed scan vs engine, then serial vs sharded.
     let memory = random_memory(21, 10_000, 13);
-    let rows: Vec<Hypervector> = memory.iter().map(|(_, _, hv)| hv.clone()).collect();
+    let rows: Vec<Hypervector> = memory.iter().map(|(_, _, hv)| hv).collect();
     let queries: Vec<Hypervector> = (0..1_000).map(|i| noisy_query(&memory, i)).collect();
     let mut batch_1000 = Vec::new();
     let cmp = compare(

@@ -19,6 +19,12 @@
 //! are *unresolved*, and the deterministic bias of the LTA tree keeps the
 //! earlier row — which is what costs A-HAM its 0.5% accuracy at
 //! `D = 10,000` (paper Table III).
+//!
+//! The TCAM crossbar is the searched memory's own packed matrix, shared
+//! by `Arc`: the LTA resolution and variation are read-out settings, not
+//! a second array.
+
+use std::sync::Arc;
 
 use circuit_sim::analog::ResolutionModel;
 use circuit_sim::montecarlo::VariationModel;
@@ -51,13 +57,13 @@ use crate::units::Picojoules;
 /// assert_eq!(aham.lta_bits(), 14);
 /// assert!((12..=16).contains(&aham.min_detectable_distance()));
 ///
-/// let hit = aham.search(am.row(ClassId(5)).unwrap())?;
+/// let hit = aham.search(&am.row(ClassId(5)).unwrap())?;
 /// assert_eq!(hit.class, ClassId(5));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct AHam {
-    rows: PackedRows,
+    rows: Arc<PackedRows>,
     dim: Dimension,
     resolution: ResolutionModel,
     variation: VariationModel,
@@ -77,7 +83,9 @@ impl AHam {
         AHam::with_resolution(memory, resolution)
     }
 
-    /// Builds the design with an explicit stage/LTA configuration.
+    /// Builds the design with an explicit stage/LTA configuration. The
+    /// design searches `memory`'s rows through a shared handle, without
+    /// copying them.
     ///
     /// # Errors
     ///
@@ -89,12 +97,8 @@ impl AHam {
         if memory.is_empty() {
             return Err(HamError::NoClasses);
         }
-        let mut rows = PackedRows::with_capacity(memory.dim().get(), memory.len());
-        for (_, _, hv) in memory.iter() {
-            rows.push(hv.as_bitvec().as_words());
-        }
         let mut aham = AHam {
-            rows,
+            rows: memory.shared_rows(),
             dim: memory.dim(),
             resolution,
             variation: VariationModel::NOMINAL,
@@ -128,14 +132,14 @@ impl AHam {
     }
 
     /// The stored rows the TCAM crossbar holds.
-    pub fn rows(&self) -> &PackedRows {
+    pub fn rows(&self) -> &Arc<PackedRows> {
         &self.rows
     }
 
-    /// Reprograms the rows `patch` changes (callers keep at least one
-    /// row and the design's space).
-    pub(crate) fn apply_patch(&mut self, patch: &RowPatch<'_>) {
-        patch.apply_to_packed(&mut self.rows);
+    /// Points the crossbar at `rows` (callers keep the design's space,
+    /// and at least one row whenever it searches).
+    pub(crate) fn set_rows(&mut self, rows: Arc<PackedRows>) {
+        self.rows = rows;
     }
 
     fn recompute_resolution(&mut self) {

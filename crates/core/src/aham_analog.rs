@@ -36,7 +36,7 @@ const MIRROR_SIGMA_REL: f64 = 5.1e-3;
 ///
 /// let memory = ham_core::explore::random_memory(8, 1_024, 1);
 /// let mut sim = AhamAnalogSim::new(&memory, 42)?;
-/// let report = sim.run(memory.row(ClassId(4)).unwrap())?;
+/// let report = sim.run(&memory.row(ClassId(4)).unwrap())?;
 /// assert_eq!(report.result.class, ClassId(4));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -80,7 +80,7 @@ impl AhamAnalogSim {
         let full_scale = stabilizer.full_scale() * resolution.stages() as f64;
         let tree = LtaTree::new(LtaComparator::new(resolution.effective_bits(), full_scale));
         Ok(AhamAnalogSim {
-            rows: memory.iter().map(|(_, _, hv)| hv.clone()).collect(),
+            rows: memory.iter().map(|(_, _, hv)| hv).collect(),
             dim: memory.dim(),
             resolution,
             stabilizer,

@@ -10,6 +10,13 @@
 //! the maximum classification accuracy, up to 3,000 keeps the moderate
 //! level (paper Fig. 1), and energy scales linearly with `d`
 //! (Table I).
+//!
+//! The CAM array is the searched memory's own packed matrix, shared by
+//! `Arc`: like the hardware, which switches comparators off rather than
+//! storing a narrower array, the sampling knob is a mask over the one
+//! stored matrix.
+
+use std::sync::Arc;
 
 use hdc::prelude::*;
 
@@ -33,14 +40,14 @@ use crate::units::{Picojoules, SquareMillimeters};
 /// }
 ///
 /// let dham = DHam::new(&am)?;
-/// let hit = dham.search(am.row(ClassId(7)).unwrap())?;
+/// let hit = dham.search(&am.row(ClassId(7)).unwrap())?;
 /// assert_eq!(hit.class, ClassId(7));
 /// assert!(dham.cost().energy.get() > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct DHam {
-    rows: Vec<Hypervector>,
+    rows: Arc<PackedRows>,
     dim: Dimension,
     sampled: usize,
     mask: SampleMask,
@@ -59,7 +66,8 @@ impl DHam {
     }
 
     /// Builds the design with structured sampling: only the first `d`
-    /// dimensions enter the distance computation.
+    /// dimensions enter the distance computation. The design searches
+    /// `memory`'s rows through a shared handle, without copying them.
     ///
     /// # Errors
     ///
@@ -71,7 +79,7 @@ impl DHam {
         }
         let mask = SampleMask::keep_first(memory.dim(), d)?;
         Ok(DHam {
-            rows: memory.iter().map(|(_, _, hv)| hv.clone()).collect(),
+            rows: memory.shared_rows(),
             dim: memory.dim(),
             sampled: d,
             mask,
@@ -86,14 +94,35 @@ impl DHam {
     }
 
     /// The stored rows the CAM array holds.
-    pub fn rows(&self) -> &[Hypervector] {
+    pub fn rows(&self) -> &Arc<PackedRows> {
         &self.rows
     }
 
-    /// Reprograms the rows `patch` changes (callers keep at least one
-    /// row and the design's space).
-    pub(crate) fn apply_patch(&mut self, patch: &RowPatch<'_>) {
-        patch.apply_to_rows(&mut self.rows);
+    /// Points the CAM array at `rows` (callers keep the design's space,
+    /// and at least one row whenever it searches).
+    pub(crate) fn set_rows(&mut self, rows: Arc<PackedRows>) {
+        self.rows = rows;
+    }
+
+    /// The sampled nearest + runner-up scan over the shared matrix: the
+    /// kernel [`AssociativeMemory::search_sampled`] runs, so ties go to
+    /// the lowest row as in the comparator tree.
+    fn scan(&self, query: &Hypervector) -> Result<Min2, HamError> {
+        if query.dim() != self.dim {
+            return Err(HamError::DimensionMismatch {
+                expected: self.dim.get(),
+                actual: query.dim().get(),
+            });
+        }
+        Ok(self
+            .rows
+            .min2(
+                &ScanPlan::direct(),
+                query.as_bitvec().as_words(),
+                Some(self.mask.as_bitvec().as_words()),
+                None,
+            )
+            .expect("a D-HAM holds at least one row"))
     }
 
     /// The number of sampled dimensions `d`.
@@ -148,51 +177,19 @@ impl HamDesign for DHam {
     }
 
     fn search(&self, query: &Hypervector) -> Result<HamSearchResult, HamError> {
-        if query.dim() != self.dim {
-            return Err(HamError::DimensionMismatch {
-                expected: self.dim.get(),
-                actual: query.dim().get(),
-            });
-        }
-        let mut best = 0usize;
-        let mut best_distance = self.mask.sampled_distance(&self.rows[0], query);
-        for (i, row) in self.rows.iter().enumerate().skip(1) {
-            let d = self.mask.sampled_distance(row, query);
-            if d < best_distance {
-                best = i;
-                best_distance = d;
-            }
-        }
+        let hit = self.scan(query)?;
         Ok(HamSearchResult {
-            class: ClassId(best),
-            measured_distance: best_distance,
+            class: ClassId(hit.best),
+            measured_distance: Distance::new(hit.best_distance),
         })
     }
 
     fn search_with_margin(&self, query: &Hypervector) -> Result<MarginSearchResult, HamError> {
-        if query.dim() != self.dim {
-            return Err(HamError::DimensionMismatch {
-                expected: self.dim.get(),
-                actual: query.dim().get(),
-            });
-        }
-        let mut best = 0usize;
-        let mut best_distance = self.mask.sampled_distance(&self.rows[0], query);
-        let mut runner_up: Option<Distance> = None;
-        for (i, row) in self.rows.iter().enumerate().skip(1) {
-            let d = self.mask.sampled_distance(row, query);
-            if d < best_distance {
-                runner_up = Some(best_distance);
-                best = i;
-                best_distance = d;
-            } else if runner_up.is_none_or(|r| d < r) {
-                runner_up = Some(d);
-            }
-        }
+        let hit = self.scan(query)?;
         Ok(MarginSearchResult {
-            class: ClassId(best),
-            measured_distance: best_distance,
-            runner_up,
+            class: ClassId(hit.best),
+            measured_distance: Distance::new(hit.best_distance),
+            runner_up: hit.runner_up.map(Distance::new),
         })
     }
 

@@ -61,7 +61,7 @@ pub struct CycleReport {
 ///
 /// let memory = ham_core::explore::random_memory(21, 10_000, 1);
 /// let sim = DhamCycleSim::new(&memory, 64)?;
-/// let report = sim.run(memory.row(ClassId(3)).unwrap())?;
+/// let report = sim.run(&memory.row(ClassId(3)).unwrap())?;
 /// assert_eq!(report.result.class, ClassId(3));
 /// // 64 counter lanes: ⌈10,000 / 64⌉ = 157 count cycles dominate.
 /// assert_eq!(report.cycles.count, 157);
@@ -92,7 +92,7 @@ impl DhamCycleSim {
             return Err(HamError::NoClasses);
         }
         Ok(DhamCycleSim {
-            rows: memory.iter().map(|(_, _, hv)| hv.clone()).collect(),
+            rows: memory.iter().map(|(_, _, hv)| hv).collect(),
             dim: memory.dim(),
             lanes,
         })

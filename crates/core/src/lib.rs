@@ -39,7 +39,7 @@
 //! let aham = AHam::new(&memory)?;
 //!
 //! // All three agree with exact search on a clear-margin query…
-//! let query = memory.row(ClassId(7)).unwrap().clone();
+//! let query = memory.row(ClassId(7)).unwrap();
 //! assert_eq!(dham.search(&query)?.class, ClassId(7));
 //! assert_eq!(rham.search(&query)?.class, ClassId(7));
 //! assert_eq!(aham.search(&query)?.class, ClassId(7));

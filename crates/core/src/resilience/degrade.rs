@@ -16,9 +16,15 @@
 //!    backed off halfway toward the full array;
 //! 4. **Exact** — full-width Hamming search over the stored rows.
 //!
+//! Every rung searches the one packed matrix the controller's memory
+//! stores: the hardware models hold a shared handle to it and their
+//! knobs as configuration, never rows of their own.
+//!
 //! Whatever rung settles the query, the controller reports the full
 //! [`QueryOutcome`] telemetry: final classification, confidence class,
 //! escalation count, and the rung and margin that produced the answer.
+
+use std::sync::Arc;
 
 use hdc::prelude::*;
 
@@ -195,36 +201,31 @@ impl Engine {
         }
     }
 
-    fn rung_rows(&self) -> [Vec<&[u64]>; 2] {
-        fn words(rows: &[Hypervector]) -> Vec<&[u64]> {
-            rows.iter().map(|hv| hv.as_bitvec().as_words()).collect()
-        }
+    /// Points both rungs at `rows`.
+    fn set_rows(&mut self, rows: &Arc<PackedRows>) {
         match self {
-            Engine::Digital { primary, widened } => [words(primary.rows()), words(widened.rows())],
-            Engine::Resistive { primary, widened } => {
-                [words(primary.rows()), words(widened.rows())]
+            Engine::Digital { primary, widened } => {
+                primary.set_rows(Arc::clone(rows));
+                widened.set_rows(Arc::clone(rows));
             }
-            Engine::Analog { primary, widened } => [
-                primary.rows().iter_rows().collect(),
-                widened.rows().iter_rows().collect(),
-            ],
+            Engine::Resistive { primary, widened } => {
+                primary.set_rows(Arc::clone(rows));
+                widened.set_rows(Arc::clone(rows));
+            }
+            Engine::Analog { primary, widened } => {
+                primary.set_rows(Arc::clone(rows));
+                widened.set_rows(Arc::clone(rows));
+            }
         }
     }
 
-    fn apply_patch(&mut self, patch: &RowPatch<'_>) {
+    /// The matrices the primary and widened rungs search.
+    #[cfg(test)]
+    fn rows(&self) -> [&Arc<PackedRows>; 2] {
         match self {
-            Engine::Digital { primary, widened } => {
-                primary.apply_patch(patch);
-                widened.apply_patch(patch);
-            }
-            Engine::Resistive { primary, widened } => {
-                primary.apply_patch(patch);
-                widened.apply_patch(patch);
-            }
-            Engine::Analog { primary, widened } => {
-                primary.apply_patch(patch);
-                widened.apply_patch(patch);
-            }
+            Engine::Digital { primary, widened } => [primary.rows(), widened.rows()],
+            Engine::Resistive { primary, widened } => [primary.rows(), widened.rows()],
+            Engine::Analog { primary, widened } => [primary.rows(), widened.rows()],
         }
     }
 }
@@ -246,7 +247,7 @@ impl Engine {
 ///     DegradationPolicy::for_dim(2_000),
 /// )?;
 /// // A clean self-query settles on the primary engine with full trust.
-/// let outcome = controller.classify(memory.row(ClassId(3)).unwrap(), 0)?;
+/// let outcome = controller.classify(&memory.row(ClassId(3)).unwrap(), 0)?;
 /// assert_eq!(outcome.result.class, ClassId(3));
 /// assert_eq!(outcome.confidence, Confidence::Confident);
 /// assert_eq!(outcome.final_engine, EngineStage::Primary);
@@ -364,16 +365,9 @@ impl DegradationController {
     }
 
     /// The stored rows the controller searches (faulted, if an injector
-    /// ran before construction).
+    /// ran before construction) — the one matrix every rung scans.
     pub fn memory(&self) -> &AssociativeMemory {
         &self.memory
-    }
-
-    /// The packed words each rung's private row copy holds, primary then
-    /// widened — what [`advance`](Self::advance) keeps equal to the
-    /// searched memory's rows.
-    pub fn rung_rows(&self) -> [Vec<&[u64]>; 2] {
-        self.engine.rung_rows()
     }
 
     /// Switches the margin policy; the rungs do not depend on it.
@@ -385,13 +379,14 @@ impl DegradationController {
     /// `version`'s predecessor at epoch `since`: the rows and labels of
     /// every chunk replaced after `since`
     /// ([`MemoryVersion::patch_since`]) are written into the searched
-    /// memory and into each rung's private copy, the version's own
-    /// bucket index and scan strategy are attached, and `policy` takes
-    /// effect. The result is the controller [`for_kind`](Self::for_kind)
-    /// builds over `version.memory()`, at the cost of the changed chunks
-    /// — nothing is materialized and the index is shared, never copied.
-    /// Rows outside the
-    /// changed chunks are kept as served.
+    /// memory — the one matrix the rungs share, so they see the new rows
+    /// too — the version's own bucket index and scan strategy are
+    /// attached, and `policy` takes effect. The result is the controller
+    /// [`for_kind`](Self::for_kind) builds over `version.memory()`, at
+    /// the cost of the changed chunks: the rungs release their handles
+    /// before the write, so the matrix is patched in place rather than
+    /// copied, nothing is materialized, and the index is shared. Rows
+    /// outside the changed chunks are kept as served.
     ///
     /// # Errors
     ///
@@ -414,14 +409,17 @@ impl DegradationController {
             });
         }
         let patch = version.patch_since(since);
-        // `apply_patch` detaches the index before it writes, so no
-        // shared structure is copied on the way.
-        self.memory.apply_patch(&patch).map_err(HamError::Hdc)?;
+        // With the rungs' handles released and the index detached by
+        // `apply_patch`, the write finds nothing shared to copy.
+        self.engine
+            .set_rows(&Arc::new(PackedRows::new(self.memory.dim().get())));
+        let written = self.memory.apply_patch(&patch);
+        self.engine.set_rows(&self.memory.shared_rows());
+        written.map_err(HamError::Hdc)?;
         if let Some(index) = version.index_handle() {
             self.memory.attach_index(index).map_err(HamError::Hdc)?;
         }
         self.memory.set_scan_strategy(version.scan_strategy());
-        self.engine.apply_patch(&patch);
         self.policy = policy;
         Ok(())
     }
@@ -683,6 +681,60 @@ mod tests {
         assert_eq!(tiny.reject_margin, 1);
         assert_eq!(EngineStage::Primary.name(), "primary");
         assert_eq!(EngineStage::Exact.name(), "exact");
+    }
+
+    #[test]
+    fn advance_keeps_every_rung_on_the_one_served_matrix() {
+        use crate::shard::{OnlineUpdater, VersionedMemory};
+        use std::sync::Arc;
+
+        let memory = random_memory(40, 512, 3);
+        let versioned = Arc::new(VersionedMemory::new(memory.clone()));
+        let updater = OnlineUpdater::new(Arc::clone(&versioned));
+        for kind in DesignKind::ALL {
+            let mut controller =
+                DegradationController::for_kind(kind, memory.clone(), policy(512)).unwrap();
+            let shares = |c: &DegradationController| {
+                let served = c.memory().shared_rows();
+                c.engine
+                    .rows()
+                    .iter()
+                    .all(|rung| Arc::ptr_eq(rung, &served))
+            };
+            assert!(
+                shares(&controller),
+                "{kind}: built over the memory's matrix"
+            );
+            let matrix = Arc::as_ptr(&controller.memory().shared_rows());
+            let since = versioned.current_epoch();
+            let row = Hypervector::random(memory.dim(), 100 + since);
+            updater.rethreshold_row(ClassId(33), row.clone()).unwrap();
+            controller
+                .advance(&versioned.load(), since, policy(512))
+                .unwrap();
+            assert!(shares(&controller), "{kind}: rungs follow the advance");
+            assert_eq!(controller.memory().row(ClassId(33)), Some(row.clone()));
+            let outcome = controller.classify(&row, 0).unwrap();
+            assert_eq!(outcome.result.class, ClassId(33), "{kind}");
+            // `memory` still shares the matrix the controller was built
+            // over, so this first write copied it; a second advance,
+            // with no other owner left, patches in place.
+            let matrix_after_first = Arc::as_ptr(&controller.memory().shared_rows());
+            assert_ne!(matrix, matrix_after_first, "{kind}: copy-on-write");
+            let since = versioned.current_epoch();
+            updater
+                .rethreshold_row(ClassId(2), Hypervector::random(memory.dim(), 7))
+                .unwrap();
+            controller
+                .advance(&versioned.load(), since, policy(512))
+                .unwrap();
+            assert_eq!(
+                Arc::as_ptr(&controller.memory().shared_rows()),
+                matrix_after_first,
+                "{kind}: an advance with the rungs released patches in place"
+            );
+            assert!(shares(&controller), "{kind}");
+        }
     }
 
     #[test]

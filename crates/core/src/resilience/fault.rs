@@ -110,7 +110,7 @@ impl FaultInjector for StuckAtCells {
         for r in 0..classes {
             let class = ClassId(r);
             let row = memory.row(class).expect("row index in range");
-            let mut bits = row.as_bitvec().clone();
+            let mut bits = row.into_bitvec();
             let mut rng =
                 StdRng::seed_from_u64(self.seed ^ (r as u64).wrapping_mul(ROW_SEED_SPREAD));
             let mut touched = false;
@@ -349,7 +349,7 @@ mod tests {
         let corruption = |faulted: &AssociativeMemory| -> usize {
             memory
                 .iter()
-                .map(|(class, _, row)| faulted.row(class).unwrap().hamming(row).as_usize())
+                .map(|(class, _, row)| faulted.row(class).unwrap().hamming(&row).as_usize())
                 .sum()
         };
         assert_eq!(corruption(&a), corruption(&b), "same seed, same pattern");
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn transient_flips_zero_rate_returns_none() {
         let memory = random_memory(2, 500, 1);
-        let q = memory.row(ClassId(0)).unwrap();
+        let q = &memory.row(ClassId(0)).unwrap();
         let flips = TransientFlips::new(0.0, 9);
         assert!(flips.inject_query(q, 0).is_none());
     }
@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn transient_flips_are_per_query_deterministic() {
         let memory = random_memory(2, 2_000, 1);
-        let q = memory.row(ClassId(0)).unwrap();
+        let q = &memory.row(ClassId(0)).unwrap();
         let flips = TransientFlips::new(0.02, 9);
         let a = flips.inject_query(q, 3).unwrap();
         let b = flips.inject_query(q, 3).unwrap();
@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn query_fault_pipeline_composes() {
         let memory = random_memory(2, 1_000, 1);
-        let q = memory.row(ClassId(1)).unwrap();
+        let q = &memory.row(ClassId(1)).unwrap();
         let none: Vec<Box<dyn FaultInjector>> = vec![
             Box::new(StuckAtCells::new(0.1, 1)), // storage-only: no query hook
             Box::new(TransientFlips::new(0.0, 2)),

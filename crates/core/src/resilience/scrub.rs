@@ -7,12 +7,17 @@
 //! rewrite the rows that drifted. In an HD system the golden copies are
 //! essentially free: the trainer's class accumulators can re-binarize
 //! every learned hypervector exactly (see `langid`'s accumulator
-//! invariant), so the scrubber only needs the binarized rows handed to
-//! it at construction.
+//! invariant), and a served tenant already holds them — its published
+//! [`MemoryVersion`] is the state the engine must match, so the scrubber
+//! pins that version instead of keeping rows of its own.
 
+use std::sync::Arc;
+
+use hdc::kernel::hamming_words;
 use hdc::prelude::*;
 
 use crate::model::HamError;
+use crate::shard::MemoryVersion;
 
 /// The outcome of one scrub pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +43,8 @@ impl ScrubReport {
     }
 }
 
-/// Detects and repairs corrupted class rows against golden copies.
+/// Detects and repairs corrupted class rows against golden copies: the
+/// rows of a pinned [`MemoryVersion`].
 ///
 /// # Examples
 ///
@@ -61,13 +67,13 @@ impl ScrubReport {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scrubber {
-    golden: Vec<Hypervector>,
-    dim: Dimension,
+    golden: Arc<MemoryVersion>,
 }
 
 impl Scrubber {
     /// A scrubber holding explicit golden rows (typically re-binarized
-    /// from the trainer's class accumulators), in class order.
+    /// from the trainer's class accumulators), in class order, labelled
+    /// `golden-<class>`.
     ///
     /// # Errors
     ///
@@ -79,58 +85,79 @@ impl Scrubber {
             Some(hv) => hv.dim(),
             None => return Err(HamError::NoClasses),
         };
-        for hv in &golden {
+        let mut memory = AssociativeMemory::new(dim);
+        for (class, hv) in golden.into_iter().enumerate() {
             if hv.dim() != dim {
                 return Err(HamError::DimensionMismatch {
                     expected: dim.get(),
                     actual: hv.dim().get(),
                 });
             }
+            memory
+                .insert(format!("golden-{class}"), hv)
+                .map_err(HamError::Hdc)?;
         }
-        Ok(Scrubber { golden, dim })
+        Ok(Scrubber::from_memory(&memory))
     }
 
-    /// A scrubber whose golden rows are a snapshot of a healthy memory.
+    /// A scrubber whose golden rows are a snapshot of a healthy memory
+    /// (one copy of its rows, into a standalone [`MemoryVersion`]).
     ///
     /// # Panics
     ///
     /// Panics if the memory is empty (snapshot of nothing).
     pub fn from_memory(memory: &AssociativeMemory) -> Self {
-        let golden: Vec<Hypervector> = memory.iter().map(|(_, _, hv)| hv.clone()).collect();
-        Scrubber::new(golden).expect("a healthy memory holds consistent rows")
+        Scrubber::pinned(Arc::new(MemoryVersion::of(0, memory)))
+            .expect("a healthy memory holds at least one row")
+    }
+
+    /// A scrubber whose golden rows are `version`'s — a served tenant's
+    /// published version, pinned rather than copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HamError::NoClasses`] for an empty version.
+    pub fn pinned(version: Arc<MemoryVersion>) -> Result<Self, HamError> {
+        if version.rows() == 0 {
+            return Err(HamError::NoClasses);
+        }
+        Ok(Scrubber { golden: version })
+    }
+
+    /// The version whose rows are golden.
+    pub fn golden(&self) -> &Arc<MemoryVersion> {
+        &self.golden
     }
 
     /// Number of golden rows.
     pub fn classes(&self) -> usize {
-        self.golden.len()
+        self.golden.rows()
     }
 
     /// The golden row of a class, if held.
-    pub fn golden_row(&self, class: ClassId) -> Option<&Hypervector> {
-        self.golden.get(class.0)
+    pub fn golden_row(&self, class: ClassId) -> Option<Hypervector> {
+        self.golden
+            .row_words(class.0)
+            .map(|words| Hypervector::from_words(self.golden.dim(), words))
     }
 
-    /// Every golden row, in class order.
-    pub fn golden_rows(&self) -> &[Hypervector] {
-        &self.golden
-    }
-
-    /// Rewrites the golden rows `patch` changes (callers keep at least
-    /// one row and the scrubber's space).
-    pub(crate) fn apply_patch(&mut self, patch: &RowPatch<'_>) {
-        patch.apply_to_rows(&mut self.golden);
-    }
-
-    fn check(&self, memory: &AssociativeMemory) -> Result<(), HamError> {
-        if memory.len() != self.golden.len() {
+    /// Checks that `memory` holds as many rows as the golden state, in
+    /// its space.
+    ///
+    /// # Errors
+    ///
+    /// [`HamError::GoldenMismatch`] when the class counts differ and
+    /// [`HamError::DimensionMismatch`] when the spaces differ.
+    pub(crate) fn check(&self, memory: &AssociativeMemory) -> Result<(), HamError> {
+        if memory.len() != self.classes() {
             return Err(HamError::GoldenMismatch {
-                golden: self.golden.len(),
+                golden: self.classes(),
                 stored: memory.len(),
             });
         }
-        if memory.dim() != self.dim {
+        if memory.dim() != self.golden.dim() {
             return Err(HamError::DimensionMismatch {
-                expected: self.dim.get(),
+                expected: self.golden.dim().get(),
                 actual: memory.dim().get(),
             });
         }
@@ -146,15 +173,15 @@ impl Scrubber {
     pub fn scan(&self, memory: &AssociativeMemory) -> Result<ScrubReport, HamError> {
         self.check(memory)?;
         let corrupted: Vec<(ClassId, Distance)> = memory
-            .iter()
-            .zip(&self.golden)
-            .filter_map(|((class, _, row), golden)| {
-                let damage = row.hamming(golden);
+            .iter_words()
+            .zip(self.golden.records())
+            .filter_map(|((class, _, row), (_, golden))| {
+                let damage = Distance::new(hamming_words(row, golden));
                 (damage > Distance::ZERO).then_some((class, damage))
             })
             .collect();
         Ok(ScrubReport {
-            scanned: self.golden.len(),
+            scanned: self.classes(),
             corrupted,
             repaired: Vec::new(),
         })
@@ -169,7 +196,7 @@ impl Scrubber {
     pub fn repair(&self, memory: &mut AssociativeMemory) -> Result<ScrubReport, HamError> {
         let mut report = self.scan(memory)?;
         for &(class, _) in &report.corrupted {
-            let golden = self.golden[class.0].clone();
+            let golden = self.golden_row(class).expect("scan checked the row count");
             memory.replace_row(class, golden).map_err(HamError::Hdc)?;
         }
         report.repaired = report.corrupted.iter().map(|&(class, _)| class).collect();
@@ -204,7 +231,7 @@ mod tests {
         // Ground truth: which rows actually differ.
         let truly_corrupted: Vec<ClassId> = clean
             .iter()
-            .filter(|(class, _, row)| faulted.row(*class) != Some(row))
+            .filter(|(class, _, row)| faulted.row(*class).as_ref() != Some(row))
             .map(|(class, _, _)| class)
             .collect();
         assert!(!truly_corrupted.is_empty());
@@ -219,6 +246,7 @@ mod tests {
         for (class, _, row) in clean.iter() {
             assert_eq!(faulted.row(class), Some(row));
         }
+        assert_eq!(faulted.packed_rows(), clean.packed_rows());
         assert!(scrubber.scan(&faulted).unwrap().is_clean());
     }
 
@@ -260,7 +288,29 @@ mod tests {
                 actual: 512
             })
         ));
-        assert!(scrubber.golden_row(ClassId(0)).is_some());
+        assert_eq!(scrubber.golden_row(ClassId(0)), memory.row(ClassId(0)));
         assert!(scrubber.golden_row(ClassId(9)).is_none());
+    }
+
+    #[test]
+    fn a_pinned_version_is_the_golden_state_without_a_copy() {
+        let memory = random_memory(20, 512, 4);
+        let version = Arc::new(MemoryVersion::of(3, &memory));
+        let scrubber = Scrubber::pinned(Arc::clone(&version)).unwrap();
+        assert!(Arc::ptr_eq(scrubber.golden(), &version));
+        assert_eq!(scrubber.classes(), 20);
+        assert!(scrubber.scan(&memory).unwrap().is_clean());
+        let mut damaged = memory.clone();
+        let mut row = memory.row(ClassId(17)).unwrap();
+        row = row.with_flipped_bits(9, &mut rand::thread_rng());
+        damaged.replace_row(ClassId(17), row).unwrap();
+        let report = scrubber.repair(&mut damaged).unwrap();
+        assert_eq!(report.corrupted, vec![(ClassId(17), Distance::new(9))]);
+        assert_eq!(damaged.packed_rows(), memory.packed_rows());
+        let empty = AssociativeMemory::new(Dimension::new(512).unwrap());
+        assert!(matches!(
+            Scrubber::pinned(Arc::new(MemoryVersion::of(0, &empty))),
+            Err(HamError::NoClasses)
+        ));
     }
 }

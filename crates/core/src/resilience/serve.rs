@@ -26,6 +26,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hdc::prelude::*;
@@ -497,13 +498,20 @@ impl ResilientServer {
     ///
     /// # Errors
     ///
-    /// Returns [`HamError::NoClasses`] for an empty memory.
+    /// Returns [`HamError::NoClasses`] for an empty memory, and
+    /// [`HamError::GoldenMismatch`] or [`HamError::DimensionMismatch`]
+    /// when `scrubber`'s golden rows differ from `memory`'s in count or
+    /// space.
     pub fn new(
         kind: DesignKind,
         memory: AssociativeMemory,
         scrubber: Scrubber,
         policy: DegradationPolicy,
     ) -> Result<Self, HamError> {
+        if memory.is_empty() {
+            return Err(HamError::NoClasses);
+        }
+        scrubber.check(&memory)?;
         let controller = DegradationController::for_kind(kind, memory, policy)?;
         Ok(ResilientServer {
             kind,
@@ -569,22 +577,25 @@ impl ResilientServer {
     /// `version`'s predecessor at epoch `since` — the only way a served
     /// engine reaches a new epoch. The controller advances by the
     /// chunks replaced after `since`
-    /// ([`DegradationController::advance`]), the scrubber's golden rows
-    /// take the same patch, and everything [`new`](Self::new) starts
-    /// fresh starts fresh again: the health monitor (same policy), the
-    /// query stream index, and the base degradation policy. A configured
-    /// snapshot is rewritten with the new golden state. The advanced
-    /// server is the one `new` builds over `version.memory()` with a
-    /// [`Scrubber::from_memory`] of it, at the cost of the changed chunks.
+    /// ([`DegradationController::advance`]), the scrubber pins `version`
+    /// as its golden state ([`Scrubber::pinned`]), and everything
+    /// [`new`](Self::new) starts fresh starts fresh again: the health
+    /// monitor (same policy), the query stream index, and the base
+    /// degradation policy. A configured snapshot is rewritten with the
+    /// new golden state. The advanced server is the one `new` builds
+    /// over `version.memory()` with a scrubber pinning `version`, at the
+    /// cost of the changed chunks. Served rows outside those chunks are
+    /// kept as they were, damage included, and the next scrub finds it
+    /// against `version`.
     ///
     /// # Errors
     ///
     /// As [`DegradationController::advance`] (the server is unchanged
     /// then), plus [`HamError::Durability`] when the snapshot rewrite
     /// fails.
-    pub fn advance(&mut self, version: &MemoryVersion, since: u64) -> Result<(), HamError> {
+    pub fn advance(&mut self, version: &Arc<MemoryVersion>, since: u64) -> Result<(), HamError> {
         self.controller.advance(version, since, self.base_policy)?;
-        self.scrubber.apply_patch(&version.patch_since(since));
+        self.scrubber = Scrubber::pinned(Arc::clone(version))?;
         self.monitor = HealthMonitor::new(self.monitor.policy());
         self.next_index = 0;
         if let Some(path) = &self.snapshot_path {
@@ -713,9 +724,11 @@ impl ResilientServer {
         if restored.len() != memory.len() || restored.dim() != memory.dim() {
             return None;
         }
-        for (class, _, row) in restored.iter() {
-            if memory.row(class) != Some(row) {
-                memory.replace_row(class, row.clone()).ok()?;
+        for (class, _, row) in restored.iter_words() {
+            if memory.row_words(class) != Some(row) {
+                memory
+                    .replace_row(class, Hypervector::from_words(memory.dim(), row))
+                    .ok()?;
             }
         }
         // Rows corrupted on disk are repaired from the in-memory golden
@@ -724,9 +737,10 @@ impl ResilientServer {
         Some(memory)
     }
 
-    /// Rebuilds the controller over `memory` at `policy`. The engines
-    /// precompute from the memory at construction, so every repair or
-    /// restore must come through here to take effect.
+    /// Rebuilds the controller over `memory` at `policy`. A repair or
+    /// restore writes a clone of the served memory, which copies the
+    /// matrix the rungs share, so it must come through here to reach
+    /// them.
     fn rebuild(&mut self, memory: AssociativeMemory, policy: DegradationPolicy) {
         if let Ok(controller) = DegradationController::for_kind(self.kind, memory, policy) {
             self.controller = controller;
@@ -1427,6 +1441,102 @@ mod tests {
     }
 
     #[test]
+    fn a_scrubber_for_other_rows_is_refused_at_construction() {
+        let memory = random_memory(4, 1_000, 40);
+        let policy = DegradationPolicy::for_dim(1_000);
+        let fewer = Scrubber::from_memory(&random_memory(3, 1_000, 40));
+        assert!(matches!(
+            ResilientServer::new(DesignKind::Digital, memory.clone(), fewer, policy),
+            Err(HamError::GoldenMismatch {
+                golden: 3,
+                stored: 4
+            })
+        ));
+        let other_space = Scrubber::from_memory(&random_memory(4, 512, 40));
+        assert!(matches!(
+            ResilientServer::new(DesignKind::Analog, memory.clone(), other_space, policy),
+            Err(HamError::DimensionMismatch {
+                expected: 512,
+                actual: 1_000
+            })
+        ));
+        let empty = AssociativeMemory::new(memory.dim());
+        assert!(matches!(
+            ResilientServer::new(
+                DesignKind::Digital,
+                empty,
+                Scrubber::from_memory(&memory),
+                policy
+            ),
+            Err(HamError::NoClasses)
+        ));
+        // A matching scrubber still builds, and `with_snapshot` writes
+        // its golden state.
+        let path = std::env::temp_dir().join(format!("ham-golden-match-{}", std::process::id()));
+        let server = ResilientServer::new(
+            DesignKind::Digital,
+            memory.clone(),
+            Scrubber::from_memory(&memory),
+            policy,
+        )
+        .unwrap()
+        .with_snapshot(&path)
+        .unwrap();
+        assert_eq!(server.scrubber().classes(), 4);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_scrub_after_an_advance_repairs_against_the_published_version() {
+        use crate::shard::{OnlineUpdater, VersionedMemory};
+
+        let dim = 2_000;
+        let clean = random_memory(40, dim, 32);
+        let versioned = Arc::new(VersionedMemory::new(clean.clone()));
+        // Row 2 (chunk 0) is damaged in the served matrix only.
+        let mut faulted = clean.clone();
+        let mut rng = StdRng::seed_from_u64(33);
+        let damaged = clean
+            .row(ClassId(2))
+            .unwrap()
+            .with_flipped_bits(30, &mut rng);
+        faulted.replace_row(ClassId(2), damaged).unwrap();
+        let mut server = ResilientServer::new(
+            DesignKind::Digital,
+            faulted,
+            Scrubber::pinned(versioned.load()).unwrap(),
+            DegradationPolicy::for_dim(dim),
+        )
+        .unwrap()
+        .with_options(ResilientOptions::serial());
+        // A re-threshold of row 35 replaces the last chunk (rows 32..40)
+        // and nothing else, so the advance leaves row 2 as served.
+        let since = versioned.current_epoch();
+        let rethresholded = Hypervector::random(clean.dim(), 34);
+        OnlineUpdater::new(Arc::clone(&versioned))
+            .rethreshold_row(ClassId(35), rethresholded.clone())
+            .unwrap();
+        let version = versioned.load();
+        assert_eq!(version.patch_since(since).rows_written(), 8);
+        server.advance(&version, since).unwrap();
+        assert!(Arc::ptr_eq(server.scrubber().golden(), &version));
+        assert_eq!(server.memory().row(ClassId(35)), Some(rethresholded));
+        assert_ne!(server.memory().row_words(ClassId(2)), version.row_words(2));
+
+        let actions = server.scrub_now();
+        assert!(actions.contains(&HealthAction::Scrubbed {
+            corrupted: 1,
+            repaired: 1
+        }));
+        assert!(server
+            .memory()
+            .iter_words()
+            .map(|(_, _, words)| words)
+            .eq(version.records().map(|(_, words)| words)));
+        assert!(server.scrubber().scan(server.memory()).unwrap().is_clean());
+    }
+
+    #[test]
     fn chaos_design_panics_exactly_as_configured() {
         let memory = random_memory(3, 512, 32);
         let trigger = Hypervector::random(memory.dim(), 1);
@@ -1438,7 +1548,7 @@ mod tests {
         // …and non-trigger queries never panic.
         assert_eq!(design.name(), "chaos");
         assert_eq!(design.classes(), 3);
-        let other = memory.row(ClassId(0)).unwrap();
+        let other = &memory.row(ClassId(0)).unwrap();
         assert!(design.search(other).is_ok());
         assert!(design.search_with_margin(other).is_ok());
         assert!(!design.energy_components().is_empty());

@@ -18,9 +18,9 @@
 //!
 //! Row corruption is an expected condition, not a load failure: the rows
 //! that fail their CRC come back in [`SnapshotLoad::corrupted`] and feed
-//! straight into the [`Scrubber`](crate::resilience::scrub::Scrubber)
-//! repair path ([`load_snapshot_repaired`]), exactly like stuck-at damage
-//! found in a live array.
+//! straight into the [`Scrubber`] repair path
+//! ([`load_snapshot_repaired`]), exactly like stuck-at damage found in a
+//! live array.
 //!
 //! # Format versions
 //!
@@ -272,33 +272,38 @@ fn parse_header(header: &[u8]) -> Result<(Dimension, usize, u32), SnapshotError>
     Ok((dimension, classes, version))
 }
 
-/// Decodes one row record of `body` (label, row words, CRC verdict).
+/// Decodes one row record of `body` into its label, the row's words
+/// (written into `words`, bits past `dim` cleared) and its CRC verdict.
 /// `class` is the record's global row index; a record past the available
 /// bytes decodes as lost (zero row, `ok = false`).
-fn decode_record(body: &[u8], class: usize, start: usize, dim: usize) -> (String, Vec<u64>, bool) {
+fn decode_record(
+    body: &[u8],
+    class: usize,
+    start: usize,
+    dim: usize,
+    words: &mut [u64],
+) -> (String, bool) {
     let stride = row_stride(dim);
-    let wpr = words_per_row(dim);
-    if body.len() >= start + stride {
-        let record = &body[start..start + stride];
-        let stored = le_u32(&record[stride - 4..]);
-        let ok = crc32(&record[..stride - 4]) == stored;
-        let label_len = (record[0] as usize).min(MAX_LABEL_BYTES);
-        let label = String::from_utf8_lossy(&record[1..1 + label_len]).into_owned();
-        let words: Vec<u64> = (0..wpr)
-            .map(|w| le_u64(&record[LABEL_FIELD + w * 8..]))
-            .collect();
-        (label, words, ok)
-    } else {
+    if body.len() < start + stride {
         // Truncated mid-row: nothing trustworthy remains for this or any
         // later row.
-        (format!("lost-{class}"), vec![0u64; wpr], false)
+        words.fill(0);
+        return (format!("lost-{class}"), false);
     }
-}
-
-/// A stored row's words as a hypervector; bits past `dim` in the last
-/// word are cleared.
-pub(crate) fn words_to_hv(words: Vec<u64>, dim: usize) -> Hypervector {
-    Hypervector::from_bitvec(BitVec::from_words(words, dim)).expect("dim ≥ 1 checked by the header")
+    let record = &body[start..start + stride];
+    let stored = le_u32(&record[stride - 4..]);
+    let ok = crc32(&record[..stride - 4]) == stored;
+    let label_len = (record[0] as usize).min(MAX_LABEL_BYTES);
+    let label = String::from_utf8_lossy(&record[1..1 + label_len]).into_owned();
+    for (w, word) in words.iter_mut().enumerate() {
+        *word = le_u64(&record[LABEL_FIELD + w * 8..]);
+    }
+    if !dim.is_multiple_of(64) {
+        if let Some(last) = words.last_mut() {
+            *last &= (1u64 << (dim % 64)) - 1;
+        }
+    }
+    (label, ok)
 }
 
 /// What a snapshot is written from: a row space, its `(label, row)`
@@ -312,8 +317,8 @@ pub trait SnapshotSource {
     fn dim(&self) -> Dimension;
     /// Number of records.
     fn rows(&self) -> usize;
-    /// `(label, row)` per class, in row order.
-    fn records(&self) -> impl Iterator<Item = (&str, &Hypervector)>;
+    /// `(label, packed row words)` per class, in row order.
+    fn records(&self) -> impl Iterator<Item = (&str, &[u64])>;
     /// The bucket index covering the rows, if any.
     fn index(&self) -> Option<&hdc::BucketIndex>;
 }
@@ -327,8 +332,8 @@ impl SnapshotSource for AssociativeMemory {
         self.len()
     }
 
-    fn records(&self) -> impl Iterator<Item = (&str, &Hypervector)> {
-        self.iter().map(|(_, label, hv)| (label, hv))
+    fn records(&self) -> impl Iterator<Item = (&str, &[u64])> {
+        self.iter_words().map(|(_, label, words)| (label, words))
     }
 
     fn index(&self) -> Option<&hdc::BucketIndex> {
@@ -345,7 +350,7 @@ impl SnapshotSource for crate::shard::MemoryVersion {
         crate::shard::MemoryVersion::rows(self)
     }
 
-    fn records(&self) -> impl Iterator<Item = (&str, &Hypervector)> {
+    fn records(&self) -> impl Iterator<Item = (&str, &[u64])> {
         crate::shard::MemoryVersion::records(self)
     }
 
@@ -369,14 +374,14 @@ fn encode(source: &impl SnapshotSource) -> Vec<u8> {
     bytes.extend_from_slice(&(rows as u64).to_le_bytes());
     let header_crc = crc32(&bytes);
     bytes.extend_from_slice(&header_crc.to_le_bytes());
-    for (label, hv) in source.records() {
+    for (label, words) in source.records() {
         let record_start = bytes.len();
         let label_bytes = label.as_bytes();
         let kept = label_bytes.len().min(MAX_LABEL_BYTES);
         bytes.push(kept as u8);
         bytes.extend_from_slice(&label_bytes[..kept]);
         bytes.resize(record_start + LABEL_FIELD, 0);
-        for word in hv.as_bitvec().as_words() {
+        for word in words {
             bytes.extend_from_slice(&word.to_le_bytes());
         }
         let row_crc = crc32(&bytes[record_start..]);
@@ -576,18 +581,21 @@ pub fn load_snapshot(path: &Path) -> Result<SnapshotLoad, SnapshotError> {
 
     let dim = dimension.get();
     let stride = row_stride(dim);
-    let mut memory = AssociativeMemory::new(dimension);
+    let mut rows = PackedRows::with_capacity(dim, classes);
+    let mut labels = Vec::with_capacity(classes);
+    let mut words = vec![0u64; words_per_row(dim)];
     let mut corrupted = Vec::new();
     let body = &bytes[HEADER_BODY + 4..];
     for class in 0..classes {
-        let (label, row_words, ok) = decode_record(body, class, class * stride, dim);
-        memory
-            .insert(label, words_to_hv(row_words, dim))
-            .expect("row rebuilt in the memory's own space");
+        let (label, ok) = decode_record(body, class, class * stride, dim, &mut words);
+        rows.push(&words);
+        labels.push(label);
         if !ok {
             corrupted.push(ClassId(class));
         }
     }
+    let mut memory =
+        AssociativeMemory::from_packed(rows, labels).expect("one label per decoded row");
     // The v2 index section only attaches when every row came back
     // clean: the radius bound is a promise about the *saved* rows, and
     // a corrupt row's true distance could violate it, breaking the
@@ -636,19 +644,15 @@ pub fn load_snapshot_repaired(
 ///
 /// Propagates filesystem errors.
 pub fn save_golden(scrubber: &Scrubber, path: &Path) -> Result<(), SnapshotError> {
-    let first = scrubber
-        .golden_row(ClassId(0))
-        .expect("a scrubber holds at least one golden row");
-    let mut memory = AssociativeMemory::new(first.dim());
-    for class in 0..scrubber.classes() {
-        let row = scrubber
-            .golden_row(ClassId(class))
-            .expect("class index in range")
-            .clone();
-        memory
-            .insert(format!("golden-{class}"), row)
-            .expect("golden rows share one space");
+    let golden = scrubber.golden();
+    let mut rows = PackedRows::with_capacity(golden.dim().get(), golden.rows());
+    for (_, words) in golden.records() {
+        rows.push(words);
     }
+    let labels = (0..golden.rows())
+        .map(|class| format!("golden-{class}"))
+        .collect();
+    let memory = AssociativeMemory::from_packed(rows, labels).expect("one label per golden row");
     save_snapshot(&memory, path)
 }
 
@@ -668,8 +672,10 @@ pub fn load_golden(path: &Path) -> Result<Scrubber, SnapshotError> {
             rows: load.corrupted.len(),
         });
     }
-    let golden: Vec<Hypervector> = load.memory.iter().map(|(_, _, hv)| hv.clone()).collect();
-    Scrubber::new(golden).map_err(SnapshotError::Repair)
+    if load.memory.is_empty() {
+        return Err(SnapshotError::Repair(HamError::NoClasses));
+    }
+    Ok(Scrubber::from_memory(&load.memory))
 }
 
 #[cfg(test)]

@@ -94,7 +94,7 @@ use hdc::prelude::*;
 use hdc::IndexBuildOptions;
 
 use crate::resilience::snapshot::{
-    crc32, load_snapshot, save_snapshot_with_lsn, words_to_hv, SnapshotError, SnapshotSource,
+    crc32, load_snapshot, save_snapshot_with_lsn, SnapshotError, SnapshotSource,
 };
 use crate::shard::UpdateOp;
 use hdc::parallel::lock_unpoisoned;
@@ -288,7 +288,7 @@ impl Default for WalOptions {
 }
 
 /// One logged operation, the durable twin of
-/// [`UpdateOp`](crate::shard::UpdateOp) plus the index-rebuild marker.
+/// [`UpdateOp`] plus the index-rebuild marker.
 /// Rows are stored as raw packed words so replay reconstructs them
 /// bit-exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1199,8 +1199,8 @@ fn apply_record(
     lsn: u64,
     record: &WalRecord,
 ) -> Result<(), WalError> {
-    let dim = memory.dim().get();
-    let wpr = dim.div_ceil(64);
+    let dim = memory.dim();
+    let wpr = dim.get().div_ceil(64);
     let replay_err = |detail: String| WalError::Replay { lsn, detail };
     match record {
         WalRecord::AddClass { label, words } => {
@@ -1211,7 +1211,7 @@ fn apply_record(
                 )));
             }
             memory
-                .insert(label.clone(), words_to_hv(words.clone(), dim))
+                .insert(label.clone(), Hypervector::from_words(dim, words))
                 .map_err(|e| replay_err(e.to_string()))?;
         }
         WalRecord::ReplaceRow { row, words } => {
@@ -1222,7 +1222,7 @@ fn apply_record(
                 )));
             }
             memory
-                .replace_row(ClassId(*row as usize), words_to_hv(words.clone(), dim))
+                .replace_row(ClassId(*row as usize), Hypervector::from_words(dim, words))
                 .map_err(|e| replay_err(e.to_string()))?;
         }
         WalRecord::RetireClass { row } => {
@@ -1234,17 +1234,18 @@ fn apply_record(
             if stored == 1 {
                 return Err(replay_err("retire of the last class".into()));
             }
-            // Mirror the live retire exactly: survivors re-inserted into
-            // a fresh memory, the (stale) index dropped with it.
-            let mut survivor = AssociativeMemory::new(memory.dim());
-            for (id, label, hv) in memory.iter() {
+            // Mirror the live retire exactly: survivors packed into a
+            // fresh memory, the (stale) index dropped with it.
+            let mut rows = PackedRows::with_capacity(dim.get(), stored - 1);
+            let mut labels = Vec::with_capacity(stored - 1);
+            for (id, label, words) in memory.iter_words() {
                 if id.0 != row {
-                    survivor
-                        .insert(label, hv.clone())
-                        .expect("surviving rows share the space");
+                    rows.push(words);
+                    labels.push(label.to_string());
                 }
             }
-            *memory = survivor;
+            *memory =
+                AssociativeMemory::from_packed(rows, labels).expect("one label per surviving row");
         }
         WalRecord::IndexRebuilt { options } => {
             memory.build_index(*options);

@@ -21,9 +21,13 @@
 //! the circuit substrate* ([`circuit_sim::sense::SenseChain`]) at
 //! construction, and searches are deterministic per query (the error RNG
 //! is seeded from the query content).
+//!
+//! The crossbar is the searched memory's own packed matrix, shared by
+//! `Arc`: both knobs act on how blocks are read, never on what is stored.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use circuit_sim::device::Memristor;
 use circuit_sim::matchline::MatchLine;
@@ -150,13 +154,13 @@ pub struct TrainingWriteReport {
 ///
 /// // The paper's moderate-accuracy point: every block voltage-overscaled.
 /// let rham = RHam::new(&am)?.with_overscaled_blocks(2_500);
-/// let hit = rham.search(am.row(ClassId(3)).unwrap())?;
+/// let hit = rham.search(&am.row(ClassId(3)).unwrap())?;
 /// assert_eq!(hit.class, ClassId(3));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct RHam {
-    rows: Vec<Hypervector>,
+    rows: Arc<PackedRows>,
     dim: Dimension,
     total_blocks: usize,
     excluded_blocks: usize,
@@ -167,7 +171,9 @@ pub struct RHam {
 
 impl RHam {
     /// Builds the design from a trained associative memory with no
-    /// approximation (all blocks active at nominal voltage).
+    /// approximation (all blocks active at nominal voltage). The design
+    /// searches `memory`'s rows through a shared handle, without copying
+    /// them.
     ///
     /// # Errors
     ///
@@ -179,7 +185,7 @@ impl RHam {
         let tech = TechnologyModel::hpca17();
         let errors = BlockErrorModel::measured(Volts::new(tech.v_overscaled), 4_000, 0x0E44);
         Ok(RHam {
-            rows: memory.iter().map(|(_, _, hv)| hv.clone()).collect(),
+            rows: memory.shared_rows(),
             dim: memory.dim(),
             total_blocks: memory.dim().get().div_ceil(BLOCK_BITS),
             excluded_blocks: 0,
@@ -219,14 +225,14 @@ impl RHam {
     }
 
     /// The stored rows the crossbar holds.
-    pub fn rows(&self) -> &[Hypervector] {
+    pub fn rows(&self) -> &Arc<PackedRows> {
         &self.rows
     }
 
-    /// Reprograms the rows `patch` changes (callers keep at least one
-    /// row and the design's space).
-    pub(crate) fn apply_patch(&mut self, patch: &RowPatch<'_>) {
-        patch.apply_to_rows(&mut self.rows);
+    /// Points the crossbar at `rows` (callers keep the design's space,
+    /// and at least one row whenever it searches).
+    pub(crate) fn set_rows(&mut self, rows: Arc<PackedRows>) {
+        self.rows = rows;
     }
 
     /// Total blocks in the array, `⌈D / 4⌉`.
@@ -252,11 +258,21 @@ impl RHam {
     /// Per-block Hamming distances of `query` against one stored row
     /// (error-free, before overscaling noise), one entry per block.
     pub fn block_distances(row: &Hypervector, query: &Hypervector) -> Vec<u8> {
-        let d = row.dim().get();
-        let blocks = d.div_ceil(BLOCK_BITS);
-        let mut out = vec![0u8; blocks];
-        let a = row.as_bitvec().as_words();
-        let b = query.as_bitvec().as_words();
+        let mut out = Vec::new();
+        Self::block_distances_into(
+            row.as_bitvec().as_words(),
+            query.as_bitvec().as_words(),
+            row.dim().get().div_ceil(BLOCK_BITS),
+            &mut out,
+        );
+        out
+    }
+
+    /// [`block_distances`](Self::block_distances) of packed words, for
+    /// `blocks` blocks, into a reused buffer.
+    fn block_distances_into(a: &[u64], b: &[u64], blocks: usize, out: &mut Vec<u8>) {
+        out.clear();
+        out.resize(blocks, 0);
         for (w, (x, y)) in a.iter().zip(b).enumerate() {
             let mut diff = x ^ y;
             for nibble in 0..16 {
@@ -271,7 +287,6 @@ impl RHam {
                 }
             }
         }
-        out
     }
 
     /// The relative crossbar (CAM-array) energy saving of the current
@@ -311,8 +326,11 @@ impl RHam {
         use circuit_sim::units::Volts;
 
         let mut array = Crossbar::new(self.rows.len(), self.dim.get(), WriteScheme::Differential);
-        let patterns: Vec<hdc::BitVec> =
-            self.rows.iter().map(|hv| hv.as_bitvec().clone()).collect();
+        let patterns: Vec<hdc::BitVec> = self
+            .rows
+            .iter_rows()
+            .map(|words| hdc::BitVec::from_words(words.to_vec(), self.dim.get()))
+            .collect();
         let cells = array.program_all(patterns.iter());
         TrainingWriteReport {
             cells_written: cells,
@@ -346,10 +364,12 @@ impl RHam {
     /// block — the stream every search flavour shares.
     fn row_totals(&self, query: &Hypervector, rng: &mut StdRng) -> Vec<usize> {
         let active = self.active_blocks();
+        let query = query.as_bitvec().as_words();
+        let mut blocks = Vec::with_capacity(self.total_blocks);
         self.rows
-            .iter()
+            .iter_rows()
             .map(|row| {
-                let blocks = Self::block_distances(row, query);
+                Self::block_distances_into(row, query, self.total_blocks, &mut blocks);
                 let mut total = 0usize;
                 for (b, &t) in blocks.iter().take(active).enumerate() {
                     let t = t as usize;

@@ -64,7 +64,7 @@ pub struct PhaseReport {
 ///
 /// let memory = ham_core::explore::random_memory(8, 1_024, 1);
 /// let sim = RhamPhaseSim::new(&memory, 64)?;
-/// let report = sim.run(memory.row(ClassId(2)).unwrap())?;
+/// let report = sim.run(&memory.row(ClassId(2)).unwrap())?;
 /// assert_eq!(report.result.class, ClassId(2));
 /// assert_eq!(report.timing.reduce_cycles, 3); // ⌈log₂8⌉
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -128,7 +128,7 @@ impl RhamPhaseSim {
             .copied()
             .unwrap_or(Seconds::from_nanos(2.0));
         Ok(RhamPhaseSim {
-            rows: memory.iter().map(|(_, _, hv)| hv.clone()).collect(),
+            rows: memory.iter().map(|(_, _, hv)| hv).collect(),
             dim: memory.dim(),
             lanes,
             chain,

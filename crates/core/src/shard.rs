@@ -33,7 +33,7 @@
 //!
 //! let memory = random_memory(21, 1_000, 7);
 //! let versioned = Arc::new(VersionedMemory::new(memory.clone()));
-//! let query = memory.row(ClassId(5)).unwrap().clone();
+//! let query = memory.row(ClassId(5)).unwrap();
 //! let pinned = versioned.load();
 //!
 //! // Publish a new class while `pinned` keeps serving epoch 0.
@@ -71,14 +71,12 @@ use crate::resilience::wal::{strike, CrashInjector, CrashPoint, Wal, WalRecord};
 pub const CHUNK_ROWS: usize = 16;
 
 /// One immutable, `Arc`-shared slice of up to [`CHUNK_ROWS`] consecutive
-/// rows: the packed scan matrix plus the hypervectors and labels those
-/// rows were inserted with. Chunks are the unit of sharing between
-/// versions — an update clones the chunk `Arc` vector and replaces only
-/// the chunks it touches.
+/// rows: their packed words and labels. Chunks are the unit of sharing
+/// between versions — an update clones the chunk `Arc` vector and
+/// replaces only the chunks it touches.
 #[derive(Debug, Clone)]
 pub struct MemoryChunk {
     packed: PackedRows,
-    rows: Vec<Hypervector>,
     labels: Vec<String>,
 }
 
@@ -86,27 +84,48 @@ impl MemoryChunk {
     fn new(dim: Dimension) -> Self {
         MemoryChunk {
             packed: PackedRows::with_capacity(dim.get(), CHUNK_ROWS),
-            rows: Vec::with_capacity(CHUNK_ROWS),
             labels: Vec::with_capacity(CHUNK_ROWS),
         }
     }
 
-    fn push(&mut self, label: String, hv: Hypervector) {
-        self.packed.push(hv.as_bitvec().as_words());
-        self.rows.push(hv);
+    fn push(&mut self, label: String, words: &[u64]) {
+        self.packed.push(words);
         self.labels.push(label);
     }
 
     /// Rows stored in this chunk (≤ [`CHUNK_ROWS`]; only the last chunk
     /// of a version may be partial).
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.packed.len()
     }
 
     /// Returns `true` when the chunk holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.packed.is_empty()
     }
+}
+
+/// Packs `(label, words)` rows into full chunks of [`CHUNK_ROWS`] rows
+/// (the last one partial).
+fn chunked<'a>(
+    dim: Dimension,
+    rows: impl Iterator<Item = (&'a str, &'a [u64])>,
+) -> Vec<Arc<MemoryChunk>> {
+    let mut chunks = Vec::new();
+    let mut open = MemoryChunk::new(dim);
+    for (label, words) in rows {
+        open.push(label.to_string(), words);
+        if open.len() == CHUNK_ROWS {
+            chunks.push(Arc::new(std::mem::replace(
+                &mut open,
+                MemoryChunk::new(dim),
+            )));
+        }
+    }
+    if !open.is_empty() {
+        chunks.push(Arc::new(open));
+    }
+    chunks
 }
 
 /// [`RowSource`] view over a version's chunk list, presenting the
@@ -160,6 +179,17 @@ pub enum UpdateOp {
     },
 }
 
+/// `(label, words)` of every row of `chunks`, in row order.
+fn records(chunks: &[Arc<MemoryChunk>]) -> impl Iterator<Item = (&str, &[u64])> {
+    chunks.iter().flat_map(|chunk| {
+        chunk
+            .labels
+            .iter()
+            .map(String::as_str)
+            .zip(chunk.packed.iter_rows())
+    })
+}
+
 /// The chunked row storage behind a [`MemoryVersion`]: `Arc`-shared
 /// chunks plus the version's bucket index and scan strategy. Cloning is
 /// cheap (one `Arc` per chunk); mutation goes through
@@ -176,25 +206,13 @@ struct DeltaMemory {
 impl DeltaMemory {
     fn from_memory(memory: &AssociativeMemory) -> Self {
         let dim = memory.dim();
-        let mut chunks: Vec<Arc<MemoryChunk>> =
-            Vec::with_capacity(memory.len().div_ceil(CHUNK_ROWS.max(1)));
-        let mut open = MemoryChunk::new(dim);
-        for (_, label, hv) in memory.iter() {
-            open.push(label.to_string(), hv.clone());
-            if open.len() == CHUNK_ROWS {
-                chunks.push(Arc::new(std::mem::replace(
-                    &mut open,
-                    MemoryChunk::new(dim),
-                )));
-            }
-        }
-        if !open.is_empty() {
-            chunks.push(Arc::new(open));
-        }
         DeltaMemory {
             dim,
             rows: memory.len(),
-            chunks,
+            chunks: chunked(
+                dim,
+                memory.iter_words().map(|(_, label, words)| (label, words)),
+            ),
             index: memory.index_handle(),
             strategy: memory.scan_strategy(),
         }
@@ -209,14 +227,13 @@ impl DeltaMemory {
     /// Produces exactly what the legacy whole-copy update path would
     /// have published: same rows, labels, index `Arc`, and strategy.
     fn materialize(&self) -> AssociativeMemory {
-        let mut memory = AssociativeMemory::new(self.dim);
-        for chunk in &self.chunks {
-            for (label, hv) in chunk.labels.iter().zip(&chunk.rows) {
-                memory
-                    .insert(label.clone(), hv.clone())
-                    .expect("chunk rows share the version's space");
-            }
-        }
+        let labels = self
+            .chunks
+            .iter()
+            .flat_map(|chunk| chunk.labels.iter().cloned())
+            .collect();
+        let mut memory = AssociativeMemory::from_packed(self.contiguous_rows(), labels)
+            .expect("one label per chunk row");
         if let Some(index) = &self.index {
             memory
                 .attach_index(Arc::clone(index))
@@ -227,8 +244,8 @@ impl DeltaMemory {
     }
 
     /// The contiguous packed matrix of all rows — built on demand for
-    /// index rebuilds, which sample rows densely enough that copying
-    /// beats chunk-indirect access.
+    /// materialization and index rebuilds, which sample rows densely
+    /// enough that copying beats chunk-indirect access.
     fn contiguous_rows(&self) -> PackedRows {
         let mut packed = PackedRows::with_capacity(self.dim.get(), self.rows);
         for chunk in &self.chunks {
@@ -262,13 +279,14 @@ impl DeltaMemory {
             UpdateOp::Add { label, hv } => {
                 self.check_space(hv)?;
                 let row = self.rows;
+                let words = hv.as_bitvec().as_words();
                 if row / CHUNK_ROWS == self.chunks.len() {
                     let mut chunk = MemoryChunk::new(self.dim);
-                    chunk.push(label.clone(), hv.clone());
+                    chunk.push(label.clone(), words);
                     self.chunks.push(Arc::new(chunk));
                 } else {
                     let chunk = Arc::make_mut(self.chunks.last_mut().expect("partial tail chunk"));
-                    chunk.push(label.clone(), hv.clone());
+                    chunk.push(label.clone(), words);
                 }
                 self.rows += 1;
                 self.assign_index_row(row);
@@ -283,9 +301,9 @@ impl DeltaMemory {
                     }));
                 }
                 let chunk = Arc::make_mut(&mut self.chunks[class.0 / CHUNK_ROWS]);
-                let local = class.0 % CHUNK_ROWS;
-                chunk.packed.replace(local, hv.as_bitvec().as_words());
-                chunk.rows[local] = hv.clone();
+                chunk
+                    .packed
+                    .replace(class.0 % CHUNK_ROWS, hv.as_bitvec().as_words());
                 self.assign_index_row(class.0);
                 Ok(())
             }
@@ -303,37 +321,20 @@ impl DeltaMemory {
                 // chunks are rebuilt and the index is dropped (exactly
                 // like the legacy survivor rebuild); the index policy
                 // re-indexes inside the same publish when configured.
-                let mut survivor = DeltaMemory {
+                let chunks = chunked(
+                    self.dim,
+                    records(&self.chunks)
+                        .enumerate()
+                        .filter(|&(row, _)| row != class.0)
+                        .map(|(_, record)| record),
+                );
+                *self = DeltaMemory {
                     dim: self.dim,
-                    rows: 0,
-                    chunks: Vec::with_capacity(self.chunks.len()),
+                    rows: self.rows - 1,
+                    chunks,
                     index: None,
                     strategy: self.strategy,
                 };
-                let mut open = MemoryChunk::new(self.dim);
-                for (row, chunk) in self
-                    .chunks
-                    .iter()
-                    .flat_map(|c| c.labels.iter().zip(&c.rows))
-                    .enumerate()
-                {
-                    if row == class.0 {
-                        continue;
-                    }
-                    let (label, hv) = chunk;
-                    open.push(label.clone(), hv.clone());
-                    survivor.rows += 1;
-                    if open.len() == CHUNK_ROWS {
-                        survivor.chunks.push(Arc::new(std::mem::replace(
-                            &mut open,
-                            MemoryChunk::new(self.dim),
-                        )));
-                    }
-                }
-                if !open.is_empty() {
-                    survivor.chunks.push(Arc::new(open));
-                }
-                *self = survivor;
                 Ok(())
             }
         }
@@ -369,10 +370,12 @@ impl DeltaMemory {
 /// its predecessor, and [`chunk_epochs`](Self::chunk_epochs) records,
 /// per chunk, the epoch that last replaced it — epochs compose per
 /// chunk. The flat [`AssociativeMemory`] view is materialized lazily on
-/// first [`memory`](Self::memory) call (cold paths only: scrub repairs,
-/// whole-copy updates, in-process readers, tests); a served engine
-/// advances from [`patch_since`](Self::patch_since) and snapshots encode
-/// straight from the chunks, so neither pays for materialization.
+/// first [`memory`](Self::memory) call (cold paths only: whole-copy
+/// updates, in-process readers, tests); a served engine advances from
+/// [`patch_since`](Self::patch_since), its scrubber reads golden rows
+/// straight from the chunks ([`row_words`](Self::row_words)), and
+/// snapshots encode from them, so none of them pays for
+/// materialization.
 #[derive(Debug)]
 pub struct MemoryVersion {
     epoch: u64,
@@ -382,6 +385,22 @@ pub struct MemoryVersion {
 }
 
 impl MemoryVersion {
+    /// A version of `memory`'s rows, labels, index and strategy, every
+    /// chunk stamped `epoch` — one copy of the rows, into the chunks.
+    /// This is what a full publish installs; a standalone version (a
+    /// [`Scrubber`](crate::resilience::Scrubber)'s golden state, say) is
+    /// built the same way.
+    pub fn of(epoch: u64, memory: &AssociativeMemory) -> Self {
+        let delta = DeltaMemory::from_memory(memory);
+        let chunk_epochs = vec![epoch; delta.chunks.len()];
+        MemoryVersion {
+            epoch,
+            delta,
+            chunk_epochs,
+            full: OnceLock::new(),
+        }
+    }
+
     /// The publication epoch (0 for the initial version, +1 per publish).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -421,20 +440,26 @@ impl MemoryVersion {
     }
 
     /// Whether the flat [`memory`](Self::memory) view exists yet —
-    /// `true` for versions installed by a full
-    /// [`publish`](VersionedMemory::publish), `false` for a delta
-    /// publish until something calls [`memory`](Self::memory).
+    /// `false` until something calls [`memory`](Self::memory), for every
+    /// version however it was published.
     pub fn is_materialized(&self) -> bool {
         self.full.get().is_some()
     }
 
-    /// `(label, row)` of every stored class in row order, read from the
-    /// chunks without materializing.
-    pub fn records(&self) -> impl Iterator<Item = (&str, &Hypervector)> {
-        self.delta
-            .chunks
-            .iter()
-            .flat_map(|chunk| chunk.labels.iter().map(String::as_str).zip(&chunk.rows))
+    /// `(label, packed words)` of every stored class in row order, read
+    /// from the chunks without materializing.
+    pub fn records(&self) -> impl Iterator<Item = (&str, &[u64])> {
+        records(&self.delta.chunks)
+    }
+
+    /// The packed words of row `row`, read from its chunk without
+    /// materializing; `None` past the last row.
+    pub fn row_words(&self, row: usize) -> Option<&[u64]> {
+        (row < self.delta.rows).then(|| {
+            self.delta.chunks[row / CHUNK_ROWS]
+                .packed
+                .row_words(row % CHUNK_ROWS)
+        })
     }
 
     /// The [`RowPatch`] that carries a copy of this version's
@@ -447,7 +472,7 @@ impl MemoryVersion {
         let mut patch = RowPatch::new(self.delta.rows);
         for (i, (chunk, &stamp)) in self.delta.chunks.iter().zip(&self.chunk_epochs).enumerate() {
             if stamp > epoch {
-                patch.push_run(i * CHUNK_ROWS, &chunk.labels, &chunk.rows);
+                patch.push_run(i * CHUNK_ROWS, &chunk.labels, &chunk.packed);
             }
         }
         patch
@@ -516,24 +541,9 @@ impl VersionedMemory {
     /// Wraps `memory` as epoch 0.
     pub fn new(memory: AssociativeMemory) -> Self {
         VersionedMemory {
-            current: RwLock::new(Arc::new(Self::version_of(0, memory))),
+            current: RwLock::new(Arc::new(MemoryVersion::of(0, &memory))),
             updates: Mutex::new(()),
             retired: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A version wrapping a full memory: chunked for delta publishes,
-    /// with the materialized view pre-seeded (it already exists).
-    fn version_of(epoch: u64, memory: AssociativeMemory) -> MemoryVersion {
-        let delta = DeltaMemory::from_memory(&memory);
-        let chunk_epochs = vec![epoch; delta.chunks.len()];
-        let full = OnceLock::new();
-        let _ = full.set(memory);
-        MemoryVersion {
-            epoch,
-            delta,
-            chunk_epochs,
-            full,
         }
     }
 
@@ -558,7 +568,7 @@ impl VersionedMemory {
     /// [`update`](Self::update) path pays. Delta publishes go through
     /// [`update_delta`](Self::update_delta) instead.
     pub fn publish(&self, memory: AssociativeMemory) -> u64 {
-        self.install(|epoch, _| Self::version_of(epoch, memory))
+        self.install(|epoch, _| MemoryVersion::of(epoch, &memory))
     }
 
     /// Swap in the version `make(next_epoch, old_version)` builds,
@@ -621,7 +631,7 @@ impl VersionedMemory {
         F: FnOnce(&mut AssociativeMemory) -> Result<(), HamError>,
     {
         let _guard = lock_unpoisoned(&self.updates);
-        let mut memory = self.load().memory().clone();
+        let mut memory = self.load().delta.materialize();
         mutate(&mut memory)?;
         Ok(self.publish(memory))
     }

@@ -260,7 +260,7 @@ proptest! {
         prop_assert_eq!(report.scanned, c);
         for (class, _, row) in memory.iter() {
             let repaired = faulted.row(class).unwrap();
-            prop_assert_eq!(repaired.hamming(row), Distance::ZERO);
+            prop_assert_eq!(repaired.hamming(&row), Distance::ZERO);
         }
         prop_assert!(scrubber.scan(&faulted).unwrap().is_clean());
     }

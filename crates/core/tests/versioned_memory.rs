@@ -67,9 +67,11 @@ fn seeded_op(dim: Dimension, rows: usize, seed: u64, step: u64) -> UpdateOp {
 fn assert_matches_mirror(version: &MemoryVersion, mirror: &AssociativeMemory) {
     assert_eq!(version.rows(), mirror.len(), "row count");
     assert_eq!(version.dim(), mirror.dim(), "space");
-    let stored: Vec<(&str, &Hypervector)> = version.records().collect();
-    let expected: Vec<(&str, &Hypervector)> =
-        mirror.iter().map(|(_, label, hv)| (label, hv)).collect();
+    let stored: Vec<(&str, &[u64])> = version.records().collect();
+    let expected: Vec<(&str, &[u64])> = mirror
+        .iter_words()
+        .map(|(_, label, words)| (label, words))
+        .collect();
     assert_eq!(stored, expected, "records follow the mirror");
     let chunks = version.chunks();
     assert_eq!(
@@ -340,11 +342,16 @@ proptest! {
         let dim = Dimension::new(128).unwrap();
         let versioned = Arc::new(VersionedMemory::new(random_memory(classes, 128, seed)));
         let updater = OnlineUpdater::new(Arc::clone(&versioned));
-        let copy_of = |version: &MemoryVersion| -> (Vec<String>, Vec<Hypervector>) {
-            version
+        let copy_of = |version: &MemoryVersion| -> (Vec<String>, PackedRows) {
+            let mut rows = PackedRows::new(version.dim().get());
+            let labels = version
                 .records()
-                .map(|(label, hv)| (label.to_string(), hv.clone()))
-                .unzip()
+                .map(|(label, words)| {
+                    rows.push(words);
+                    label.to_string()
+                })
+                .collect();
+            (labels, rows)
         };
         let mut copies = vec![copy_of(&versioned.load())];
 
@@ -370,7 +377,7 @@ proptest! {
             let patch = current.patch_since(epoch as u64);
             let (mut labels, mut rows) = (labels, rows);
             patch.apply_to_labels(&mut labels);
-            patch.apply_to_rows(&mut rows);
+            patch.apply_to_packed(&mut rows);
             prop_assert_eq!(&labels, &labels_now, "labels from epoch {}", epoch);
             prop_assert_eq!(&rows, &rows_now, "rows from epoch {}", epoch);
         }
@@ -700,15 +707,15 @@ fn a_refused_whole_copy_update_publishes_nothing() {
     assert_eq!(refused, Err(HamError::NoClasses));
     assert_eq!(versioned.current_epoch(), 0);
     assert_matches_mirror(&versioned.load(), &memory);
-    assert_ne!(versioned.load().memory().row(ClassId(0)), Some(&edited));
+    assert_ne!(versioned.load().memory().row(ClassId(0)), Some(edited));
 }
 
 /// A full publish rebuilds every chunk: all stamps become the new
-/// epoch, no chunk is shared with the predecessor, the flat view exists
-/// from the start, and a patch from the previous epoch rewrites every
-/// row.
+/// epoch, no chunk is shared with the predecessor, the published memory
+/// is not kept as a second flat copy, and a patch from the previous
+/// epoch rewrites every row.
 #[test]
-fn a_full_publish_restamps_every_chunk_and_starts_materialized() {
+fn a_full_publish_restamps_every_chunk_and_keeps_no_flat_copy() {
     let mut mirror = random_memory(3 * CHUNK_ROWS + 2, 256, 14);
     let dim = mirror.dim();
     let versioned = Arc::new(VersionedMemory::new(mirror.clone()));
@@ -724,7 +731,7 @@ fn a_full_publish_restamps_every_chunk_and_starts_materialized() {
         .unwrap();
     assert_eq!(versioned.publish(mirror.clone()), 2);
     let after = versioned.load();
-    assert!(after.is_materialized());
+    assert!(!after.is_materialized());
     assert_matches_mirror(&after, &mirror);
     assert_eq!(after.chunk_epochs(), &[2, 2, 2, 2]);
     for (old, new) in before.chunks().iter().zip(after.chunks()) {
@@ -743,8 +750,8 @@ fn delta_versions_materialize_lazily_from_their_chunks() {
     let versioned = Arc::new(VersionedMemory::new(mirror.clone()));
     let updater = OnlineUpdater::new(Arc::clone(&versioned));
     assert!(
-        versioned.load().is_materialized(),
-        "epoch 0 wraps a full memory"
+        !versioned.load().is_materialized(),
+        "epoch 0 keeps only its chunks"
     );
 
     let hv = Hypervector::random(dim, 18);
@@ -836,7 +843,7 @@ fn concurrent_updaters_serialize_without_losing_an_update() {
     let version = versioned.load();
     assert_eq!(version.epoch(), 2 * rounds);
     assert_eq!(version.rows(), memory.len() + rounds as usize);
-    assert_eq!(version.memory().row(ClassId(0)), Some(&last_row0));
+    assert_eq!(version.memory().row(ClassId(0)), Some(last_row0));
     let added: Vec<&str> = version
         .records()
         .skip(memory.len())

@@ -78,12 +78,13 @@ impl SearchResult {
 #[derive(Debug, Clone)]
 pub struct AssociativeMemory {
     dim: Dimension,
-    /// The search storage: all rows contiguous in one row-major word
-    /// matrix, scanned by the fused kernel of [`crate::kernel`].
-    packed: PackedRows,
-    /// Per-row `Hypervector` views kept in sync with `packed`, backing the
-    /// borrowing accessors ([`row`](Self::row), [`iter`](Self::iter)).
-    rows: Vec<Hypervector>,
+    /// The only copy of the rows: one row-major word matrix, scanned by
+    /// the fused kernel of [`crate::kernel`]. Behind an `Arc` so the
+    /// hardware models searching it ([`shared_rows`](Self::shared_rows))
+    /// and clones share it; every write goes through `Arc::make_mut`,
+    /// so a clone that writes copies the matrix instead of changing the
+    /// one others search.
+    packed: Arc<PackedRows>,
     labels: Vec<String>,
     /// Optional two-level bucket index over `packed`
     /// ([`build_index`](Self::build_index)). Behind an `Arc` so cloning
@@ -102,12 +103,35 @@ impl AssociativeMemory {
     pub fn new(dim: Dimension) -> Self {
         AssociativeMemory {
             dim,
-            packed: PackedRows::new(dim.get()),
-            rows: Vec::new(),
+            packed: Arc::new(PackedRows::new(dim.get())),
             labels: Vec::new(),
             index: None,
             strategy: ScanStrategy::Auto,
         }
+    }
+
+    /// A memory over an already-packed matrix, one label per row — how
+    /// loaders and versioned storage hand over rows without a
+    /// per-row copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::DimensionMismatch`] when `labels` does not
+    /// hold one label per row (`left` is the row count).
+    pub fn from_packed(packed: PackedRows, labels: Vec<String>) -> Result<Self, HdcError> {
+        if labels.len() != packed.len() {
+            return Err(HdcError::DimensionMismatch {
+                left: packed.len(),
+                right: labels.len(),
+            });
+        }
+        Ok(AssociativeMemory {
+            dim: Dimension::new(packed.dim())?,
+            packed: Arc::new(packed),
+            labels,
+            index: None,
+            strategy: ScanStrategy::Auto,
+        })
     }
 
     /// The dimensionality of stored rows.
@@ -117,12 +141,12 @@ impl AssociativeMemory {
 
     /// Number of stored classes, `C`.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.packed.len()
     }
 
     /// Returns `true` when no class is stored.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.packed.is_empty()
     }
 
     /// Stores a learned hypervector under a label and returns its class id.
@@ -142,12 +166,11 @@ impl AssociativeMemory {
                 right: hv.dim().get(),
             });
         }
-        let id = ClassId(self.rows.len());
-        self.packed.push(hv.as_bitvec().as_words());
-        self.rows.push(hv);
+        let id = ClassId(self.len());
+        Arc::make_mut(&mut self.packed).push(hv.as_bitvec().as_words());
         self.labels.push(label.into());
         if let Some(index) = self.index.as_mut() {
-            Arc::make_mut(index).assign_row(&self.packed, active_backend(), id.0);
+            Arc::make_mut(index).assign_row(&*self.packed, active_backend(), id.0);
         }
         Ok(id)
     }
@@ -155,6 +178,24 @@ impl AssociativeMemory {
     /// Borrow of the contiguous packed row matrix the searches scan.
     pub fn packed_rows(&self) -> &PackedRows {
         &self.packed
+    }
+
+    /// Releases matrix storage reserved past the stored rows — for a
+    /// memory that grew by appends and is about to be kept. A matrix
+    /// shared with a clone or a hardware model is left as it is (it was
+    /// not grown through this memory).
+    pub fn shrink_to_fit(&mut self) {
+        if let Some(packed) = Arc::get_mut(&mut self.packed) {
+            packed.shrink_to_fit();
+        }
+    }
+
+    /// A shared handle to the packed row matrix — what a hardware model
+    /// searching these rows holds instead of a copy. While a handle is
+    /// alive, the next write to this memory copies the matrix, so
+    /// release handles before writing.
+    pub fn shared_rows(&self) -> Arc<PackedRows> {
+        Arc::clone(&self.packed)
     }
 
     /// How searches traverse the packed matrix. The default
@@ -251,9 +292,16 @@ impl AssociativeMemory {
         self.packed.min2(&self.plan(), query, mask, counters)
     }
 
-    /// The learned hypervector of a class, if stored.
-    pub fn row(&self, class: ClassId) -> Option<&Hypervector> {
-        self.rows.get(class.0)
+    /// The learned hypervector of a class, if stored, copied out of the
+    /// packed matrix ([`row_words`](Self::row_words) borrows it).
+    pub fn row(&self, class: ClassId) -> Option<Hypervector> {
+        self.row_words(class)
+            .map(|words| Hypervector::from_words(self.dim, words))
+    }
+
+    /// The packed words of a class's row, if stored.
+    pub fn row_words(&self, class: ClassId) -> Option<&[u64]> {
+        (class.0 < self.len()).then(|| self.packed.row_words(class.0))
     }
 
     /// Replaces the stored hypervector of a class in place, keeping its
@@ -272,21 +320,17 @@ impl AssociativeMemory {
                 right: hv.dim().get(),
             });
         }
-        let stored = self.rows.len();
-        match self.rows.get_mut(class.0) {
-            Some(slot) => {
-                self.packed.replace(class.0, hv.as_bitvec().as_words());
-                *slot = hv;
-                if let Some(index) = self.index.as_mut() {
-                    Arc::make_mut(index).assign_row(&self.packed, active_backend(), class.0);
-                }
-                Ok(())
-            }
-            None => Err(HdcError::UnknownClass {
+        if class.0 >= self.len() {
+            return Err(HdcError::UnknownClass {
                 class: class.0,
-                stored,
-            }),
+                stored: self.len(),
+            });
         }
+        Arc::make_mut(&mut self.packed).replace(class.0, hv.as_bitvec().as_words());
+        if let Some(index) = self.index.as_mut() {
+            Arc::make_mut(index).assign_row(&*self.packed, active_backend(), class.0);
+        }
+        Ok(())
     }
 
     /// Rewrites the stored rows and labels by `patch`. The bucket index
@@ -305,15 +349,14 @@ impl AssociativeMemory {
     /// Panics when the patch was made for a longer memory (a run starts
     /// past the stored rows).
     pub fn apply_patch(&mut self, patch: &RowPatch<'_>) -> Result<(), HdcError> {
-        if let Some(hv) = patch.written().find(|hv| hv.dim() != self.dim) {
+        if let Some(dim) = patch.run_dims().find(|&dim| dim != self.dim.get()) {
             return Err(HdcError::DimensionMismatch {
                 left: self.dim.get(),
-                right: hv.dim().get(),
+                right: dim,
             });
         }
         self.index = None;
-        patch.apply_to_packed(&mut self.packed);
-        patch.apply_to_rows(&mut self.rows);
+        patch.apply_to_packed(Arc::make_mut(&mut self.packed));
         patch.apply_to_labels(&mut self.labels);
         Ok(())
     }
@@ -323,13 +366,21 @@ impl AssociativeMemory {
         self.labels.get(class.0).map(String::as_str)
     }
 
-    /// Iterates over `(class, label, hypervector)` in row order.
-    pub fn iter(&self) -> impl Iterator<Item = (ClassId, &str, &Hypervector)> {
-        self.rows
-            .iter()
+    /// Iterates over `(class, label, hypervector)` in row order, each
+    /// row copied out of the packed matrix
+    /// ([`iter_words`](Self::iter_words) borrows them instead).
+    pub fn iter(&self) -> impl Iterator<Item = (ClassId, &str, Hypervector)> {
+        self.iter_words()
+            .map(|(class, label, words)| (class, label, Hypervector::from_words(self.dim, words)))
+    }
+
+    /// Iterates over `(class, label, packed words)` in row order.
+    pub fn iter_words(&self) -> impl Iterator<Item = (ClassId, &str, &[u64])> {
+        self.packed
+            .iter_rows()
             .zip(&self.labels)
             .enumerate()
-            .map(|(i, (hv, label))| (ClassId(i), label.as_str(), hv))
+            .map(|(i, (words, label))| (ClassId(i), label.as_str(), words))
     }
 
     /// Exact distances from `query` to every stored row, in row order.
@@ -497,10 +548,10 @@ impl AssociativeMemory {
     /// for s in 0..5u64 {
     ///     am.insert(format!("c{s}"), Hypervector::random(d, s))?;
     /// }
-    /// let top = am.search_top_k(am.row(ClassId(2)).unwrap(), 3)?;
+    /// let top = am.search_top_k(&am.row(ClassId(2)).unwrap(), 3)?;
     /// assert_eq!(top[0].0, ClassId(2));
     /// assert!(top[0].1 < top[1].1);
-    /// assert!(am.search_top_k(am.row(ClassId(2)).unwrap(), 0)?.is_empty());
+    /// assert!(am.search_top_k(&am.row(ClassId(2)).unwrap(), 0)?.is_empty());
     /// # Ok::<(), hdc::HdcError>(())
     /// ```
     pub fn search_top_k(
@@ -569,7 +620,7 @@ impl AssociativeMemory {
                 right: query.dim().get(),
             });
         }
-        if self.rows.is_empty() {
+        if self.is_empty() {
             return Err(HdcError::EmptyMemory);
         }
         Ok(())
@@ -683,7 +734,12 @@ mod tests {
     fn labels_and_rows_are_retrievable() {
         let (am, rows) = memory_with(512, 3);
         assert_eq!(am.label(ClassId(2)), Some("c2"));
-        assert_eq!(am.row(ClassId(1)), Some(&rows[1]));
+        assert_eq!(am.row(ClassId(1)), Some(rows[1].clone()));
+        assert_eq!(
+            am.row_words(ClassId(2)),
+            Some(rows[2].as_bitvec().as_words())
+        );
+        assert_eq!(am.row_words(ClassId(3)), None);
         assert_eq!(am.label(ClassId(3)), None);
         assert_eq!(am.iter().count(), 3);
     }
@@ -737,9 +793,9 @@ mod tests {
         let (mut am, rows) = memory_with(256, 3);
         let new = Hypervector::random(dim(256), 99);
         am.replace_row(ClassId(1), new.clone()).unwrap();
-        assert_eq!(am.row(ClassId(1)), Some(&new));
+        assert_eq!(am.row(ClassId(1)), Some(new.clone()));
         assert_eq!(am.label(ClassId(1)), Some("c1"));
-        assert_eq!(am.row(ClassId(0)), Some(&rows[0]));
+        assert_eq!(am.row(ClassId(0)), Some(rows[0].clone()));
         assert!(am
             .replace_row(ClassId(0), Hypervector::random(dim(64), 1))
             .is_err());
@@ -939,17 +995,25 @@ mod tests {
         let written: Vec<Hypervector> = (0..3u64)
             .map(|s| Hypervector::random(dim(512), 500 + s))
             .collect();
+        let packed = |rows: &[Hypervector]| {
+            let mut out = PackedRows::new(rows[0].dim().get());
+            for hv in rows {
+                out.push(hv.as_bitvec().as_words());
+            }
+            out
+        };
         let mut target = AssociativeMemory::new(dim(512));
         for (class, label, hv) in am.iter() {
             match class.0 {
                 3 => target.insert("r3", written[0].clone()).unwrap(),
-                _ => target.insert(label, hv.clone()).unwrap(),
+                _ => target.insert(label, hv).unwrap(),
             };
         }
         target.insert("a", written[1].clone()).unwrap();
+        let (run3, run20) = (packed(&written[..1]), packed(&written[1..2]));
         let mut patch = RowPatch::new(21);
-        patch.push_run(3, &labels[..1], &written[..1]);
-        patch.push_run(20, &labels[1..2], &written[1..2]);
+        patch.push_run(3, &labels[..1], &run3);
+        patch.push_run(20, &labels[1..2], &run20);
         am.apply_patch(&patch).unwrap();
         assert!(am.index().is_none(), "a patch detaches the index");
         assert_eq!(am.scan_strategy(), ScanStrategy::Indexed);
@@ -968,7 +1032,7 @@ mod tests {
         );
         assert_eq!(am.search(&written[1]).unwrap().class, ClassId(20));
         // A patch from another space changes nothing.
-        let foreign = vec![Hypervector::random(dim(256), 1)];
+        let foreign = packed(&[Hypervector::random(dim(256), 1)]);
         let mut bad = RowPatch::new(21);
         bad.push_run(0, &labels[..1], &foreign);
         assert!(am.apply_patch(&bad).is_err());
@@ -1133,6 +1197,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_packed_matrix_becomes_a_memory_and_is_shared_until_written() {
+        let (am, rows) = memory_with(300, 6);
+        let labels: Vec<String> = (0..6).map(|i| format!("c{i}")).collect();
+        let rebuilt = AssociativeMemory::from_packed(am.packed_rows().clone(), labels).unwrap();
+        assert!(rebuilt.iter().eq(am.iter()));
+        assert_eq!(
+            rebuilt.search(&rows[4]).unwrap(),
+            am.search(&rows[4]).unwrap()
+        );
+        assert_eq!(
+            AssociativeMemory::from_packed(am.packed_rows().clone(), vec!["one".into()])
+                .unwrap_err(),
+            HdcError::DimensionMismatch { left: 6, right: 1 }
+        );
+
+        // A handle shares the matrix; the next write copies it, and the
+        // handle keeps the rows it was taken over.
+        let mut written = am.clone();
+        let handle = written.shared_rows();
+        assert!(Arc::ptr_eq(&handle, &am.shared_rows()));
+        written.shrink_to_fit();
+        assert!(
+            Arc::ptr_eq(&handle, &written.shared_rows()),
+            "shared: left alone"
+        );
+        let new = Hypervector::random(dim(300), 60);
+        written.replace_row(ClassId(2), new.clone()).unwrap();
+        assert!(!Arc::ptr_eq(&handle, &written.shared_rows()));
+        assert_eq!(handle.row_words(2), rows[2].as_bitvec().as_words());
+        assert_eq!(written.row(ClassId(2)), Some(new));
+        // Unshared, a write keeps the matrix where it is.
+        let matrix = Arc::as_ptr(&written.shared_rows());
+        written
+            .insert("late", Hypervector::random(dim(300), 61))
+            .unwrap();
+        written.shrink_to_fit();
+        assert_eq!(Arc::as_ptr(&written.shared_rows()), matrix);
+        assert_eq!(written.len(), 7);
     }
 
     #[test]

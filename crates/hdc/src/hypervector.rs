@@ -142,6 +142,14 @@ pub struct Hypervector {
     dim: Dimension,
 }
 
+/// Lets a row materialized by [`AssociativeMemory::iter`](crate::AssociativeMemory::iter)
+/// compare against a borrowed one.
+impl PartialEq<&Hypervector> for Hypervector {
+    fn eq(&self, other: &&Hypervector) -> bool {
+        self == *other
+    }
+}
+
 impl Hypervector {
     /// The all-zeros hypervector.
     pub fn zeros(dim: Dimension) -> Self {
@@ -212,6 +220,20 @@ impl Hypervector {
     pub fn from_bitvec(bits: BitVec) -> Result<Self, HdcError> {
         let dim = Dimension::new(bits.len())?;
         Ok(Hypervector { bits, dim })
+    }
+
+    /// Copies packed words (as a [`PackedRows`](crate::PackedRows) row
+    /// stores them) into a hypervector of `dim` components; bits past
+    /// `dim` in the last word are cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != ⌈dim / 64⌉`.
+    pub fn from_words(dim: Dimension, words: &[u64]) -> Self {
+        Hypervector {
+            bits: BitVec::from_words(words.to_vec(), dim.get()),
+            dim,
+        }
     }
 
     /// The dimensionality of this hypervector.

@@ -7,7 +7,7 @@
 //! host — so the kernel routes every distance through a
 //! [`DistanceBackend`] object selected once per process:
 //!
-//! * [`select`]ion probes the host with `is_x86_feature_detected!` /
+//! * selection (`select`) probes the host with `is_x86_feature_detected!` /
 //!   `is_aarch64_feature_detected!` and picks the widest available
 //!   datapath: AVX-512 `VPOPCNTDQ` ≻ AVX2 nibble-LUT ≻ NEON `CNT` ≻ the
 //!   portable scalar carry-save kernel;

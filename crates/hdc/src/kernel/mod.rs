@@ -459,6 +459,12 @@ impl PackedRows {
         }
     }
 
+    /// Releases storage reserved past the stored rows (what appends
+    /// leave behind when the matrix grows by doubling).
+    pub fn shrink_to_fit(&mut self) {
+        self.words.shrink_to_fit();
+    }
+
     /// Borrow of the packed words of row `index`.
     ///
     /// # Panics

@@ -1,14 +1,13 @@
-//! Row patches: carry a copy of a row space forward to a newer state by
-//! rewriting only the runs of rows that changed.
+//! Row patches: carry a row space forward to a newer state by rewriting
+//! only the runs of rows that changed.
 //!
-//! A served associative memory keeps several private copies of its rows
-//! (the search matrix, each hardware model's array, the scrubber's golden
-//! rows). When the rows change by a few runs — a re-thresholded class, an
-//! appended one — every copy applies the same [`RowPatch`], so the work
-//! is proportional to the rows changed, the way an in-memory HAM
-//! reprograms one crossbar row at a time.
+//! A served associative memory keeps one copy of its rows, the packed
+//! matrix its engine searches. When the published rows change by a few
+//! runs — a re-thresholded class, an appended one — the engine applies
+//! the version's [`RowPatch`] to that matrix, so the work is
+//! proportional to the rows changed, the way an in-memory HAM reprograms
+//! one crossbar row at a time.
 
-use crate::hypervector::Hypervector;
 use crate::kernel::PackedRows;
 
 /// One run of consecutive rows to write, starting at row `start`.
@@ -16,13 +15,13 @@ use crate::kernel::PackedRows;
 struct Run<'a> {
     start: usize,
     labels: &'a [String],
-    rows: &'a [Hypervector],
+    rows: &'a PackedRows,
 }
 
 /// The changes that take a row space of some length to a target state
-/// of `len` rows: runs of rows (with their labels) written in ascending
-/// order — overwriting rows already stored, appending past the end —
-/// followed by truncation to `len`.
+/// of `len` rows: runs of packed rows (with their labels) written in
+/// ascending order — overwriting rows already stored, appending past the
+/// end — followed by truncation to `len`.
 ///
 /// # Examples
 ///
@@ -31,14 +30,22 @@ struct Run<'a> {
 /// use hdc::RowPatch;
 ///
 /// let dim = Dimension::new(64)?;
-/// let rows: Vec<Hypervector> = (0..3).map(|s| Hypervector::random(dim, s)).collect();
-/// let labels: Vec<String> = vec!["a".into(), "b".into(), "c".into()];
+/// let mut target = PackedRows::new(64);
+/// for s in 0..3 {
+///     target.push(Hypervector::random(dim, s).as_bitvec().as_words());
+/// }
+/// let labels: Vec<String> = vec!["b".into(), "c".into()];
+/// let mut tail = PackedRows::new(64);
+/// tail.push(target.row_words(1));
+/// tail.push(target.row_words(2));
 ///
-/// let mut stored = vec![rows[0].clone(), rows[0].clone()];
+/// let mut stored = PackedRows::new(64);
+/// stored.push(target.row_words(0));
+/// stored.push(target.row_words(0));
 /// let mut patch = RowPatch::new(3);
-/// patch.push_run(1, &labels[1..], &rows[1..]); // overwrite row 1, append row 2
-/// patch.apply_to_rows(&mut stored);
-/// assert_eq!(stored, rows);
+/// patch.push_run(1, &labels, &tail); // overwrite row 1, append row 2
+/// patch.apply_to_packed(&mut stored);
+/// assert_eq!(stored, target);
 /// # Ok::<(), hdc::HdcError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -57,14 +64,15 @@ impl<'a> RowPatch<'a> {
         }
     }
 
-    /// Adds a run writing `rows` (labelled `labels`) from row `start` on.
+    /// Adds a run writing every row of `rows` (labelled `labels`) from
+    /// row `start` on.
     ///
     /// # Panics
     ///
     /// Panics when `labels` and `rows` differ in length, when the run
     /// starts before the end of the previous one, or when it reaches
     /// past the target length.
-    pub fn push_run(&mut self, start: usize, labels: &'a [String], rows: &'a [Hypervector]) {
+    pub fn push_run(&mut self, start: usize, labels: &'a [String], rows: &'a PackedRows) {
         assert_eq!(labels.len(), rows.len(), "one label per row");
         let previous_end = self.runs.last().map_or(0, |run| run.start + run.rows.len());
         assert!(start >= previous_end, "runs are written in ascending order");
@@ -84,33 +92,25 @@ impl<'a> RowPatch<'a> {
         self.runs.iter().map(|run| run.rows.len()).sum()
     }
 
-    /// Every row the runs write, in order.
-    pub(crate) fn written(&self) -> impl Iterator<Item = &Hypervector> {
-        self.runs.iter().flat_map(|run| run.rows)
-    }
-
-    /// Applies the patch to a row vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a run starts past the end of the rows written so far
-    /// (the patch was made for a longer row space).
-    pub fn apply_to_rows(&self, rows: &mut Vec<Hypervector>) {
-        for run in &self.runs {
-            write_run(rows, run.start, run.rows);
-        }
-        rows.truncate(self.len);
+    /// The row width, in bits, of every run, in order.
+    pub(crate) fn run_dims(&self) -> impl Iterator<Item = usize> + '_ {
+        self.runs.iter().map(|run| run.rows.dim())
     }
 
     /// Applies the patch's labels to a label vector (the same runs and
-    /// truncation as [`apply_to_rows`](Self::apply_to_rows)).
+    /// truncation as [`apply_to_packed`](Self::apply_to_packed)).
     ///
     /// # Panics
     ///
-    /// As [`apply_to_rows`](Self::apply_to_rows).
+    /// Panics when a run starts past the end of the labels written so
+    /// far (the patch was made for a longer row space).
     pub fn apply_to_labels(&self, labels: &mut Vec<String>) {
         for run in &self.runs {
-            write_run(labels, run.start, run.labels);
+            let start = run.start;
+            assert!(start <= labels.len(), "run starts past the rows");
+            let overlap = (labels.len() - start).min(run.labels.len());
+            labels[start..start + overlap].clone_from_slice(&run.labels[..overlap]);
+            labels.extend_from_slice(&run.labels[overlap..]);
         }
         labels.truncate(self.len);
     }
@@ -119,14 +119,13 @@ impl<'a> RowPatch<'a> {
     ///
     /// # Panics
     ///
-    /// As [`apply_to_rows`](Self::apply_to_rows), and when a row's width
-    /// differs from the matrix's.
+    /// As [`apply_to_labels`](Self::apply_to_labels), and when a run's
+    /// row width differs from the matrix's.
     pub fn apply_to_packed(&self, packed: &mut PackedRows) {
         for run in &self.runs {
             assert!(run.start <= packed.len(), "run starts past the rows");
-            for (offset, hv) in run.rows.iter().enumerate() {
+            for (offset, words) in run.rows.iter_rows().enumerate() {
                 let row = run.start + offset;
-                let words = hv.as_bitvec().as_words();
                 if row < packed.len() {
                     packed.replace(row, words);
                 } else {
@@ -138,23 +137,24 @@ impl<'a> RowPatch<'a> {
     }
 }
 
-/// Overwrites `dst[start..]` with `src`, appending what reaches past the
-/// end.
-fn write_run<T: Clone>(dst: &mut Vec<T>, start: usize, src: &[T]) {
-    assert!(start <= dst.len(), "run starts past the rows");
-    let overlap = (dst.len() - start).min(src.len());
-    dst[start..start + overlap].clone_from_slice(&src[..overlap]);
-    dst.extend_from_slice(&src[overlap..]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hypervector::Dimension;
+    use crate::hypervector::{Dimension, Hypervector};
+
+    const DIM: usize = 130;
 
     fn rows(n: u64) -> Vec<Hypervector> {
-        let dim = Dimension::new(130).unwrap();
+        let dim = Dimension::new(DIM).unwrap();
         (0..n).map(|s| Hypervector::random(dim, s)).collect()
+    }
+
+    fn packed(rows: &[Hypervector]) -> PackedRows {
+        let mut out = PackedRows::new(DIM);
+        for hv in rows {
+            out.push(hv.as_bitvec().as_words());
+        }
+        out
     }
 
     fn labels(n: usize) -> Vec<String> {
@@ -173,9 +173,13 @@ mod tests {
             // Same length, two disjoint runs.
             (40, vec![(0..16), (32..40)]),
         ] {
+            let run_rows: Vec<PackedRows> = runs
+                .iter()
+                .map(|run| packed(&target[run.clone()]))
+                .collect();
             let mut patch = RowPatch::new(40);
-            for run in &runs {
-                patch.push_run(run.start, &target_labels[run.clone()], &target[run.clone()]);
+            for (run, words) in runs.iter().zip(&run_rows) {
+                patch.push_run(run.start, &target_labels[run.clone()], words);
             }
             // Rows outside the runs already match the target (up to the
             // stored length); rows inside start out stale.
@@ -188,27 +192,18 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut vec_rows = seed_rows.clone();
-            patch.apply_to_rows(&mut vec_rows);
-            assert_eq!(vec_rows, target);
-
             let mut vec_labels: Vec<String> = (0..stored).map(|i| format!("r{i}")).collect();
             patch.apply_to_labels(&mut vec_labels);
             assert_eq!(vec_labels, target_labels);
 
-            let mut packed = PackedRows::new(130);
-            for hv in &seed_rows {
-                packed.push(hv.as_bitvec().as_words());
-            }
-            patch.apply_to_packed(&mut packed);
-            assert_eq!(packed.len(), 40);
-            for (i, hv) in target.iter().enumerate() {
-                assert_eq!(packed.row_words(i), hv.as_bitvec().as_words());
-            }
+            let mut matrix = packed(&seed_rows);
+            patch.apply_to_packed(&mut matrix);
+            assert_eq!(matrix, packed(&target));
             assert_eq!(
                 patch.rows_written(),
                 runs.iter().map(|r| r.len()).sum::<usize>()
             );
+            assert!(patch.run_dims().all(|d| d == DIM));
         }
     }
 
@@ -217,9 +212,10 @@ mod tests {
     fn overlapping_runs_are_rejected() {
         let target = rows(8);
         let names = labels(8);
+        let (first, second) = (packed(&target[2..6]), packed(&target[4..8]));
         let mut patch = RowPatch::new(8);
-        patch.push_run(2, &names[2..6], &target[2..6]);
-        patch.push_run(4, &names[4..8], &target[4..8]);
+        patch.push_run(2, &names[2..6], &first);
+        patch.push_run(4, &names[4..8], &second);
     }
 
     #[test]
@@ -227,8 +223,9 @@ mod tests {
     fn runs_need_one_label_per_row() {
         let target = rows(4);
         let names = labels(4);
+        let words = packed(&target[..3]);
         let mut patch = RowPatch::new(4);
-        patch.push_run(0, &names[..2], &target[..3]);
+        patch.push_run(0, &names[..2], &words);
     }
 
     #[test]
@@ -236,8 +233,9 @@ mod tests {
     fn runs_past_the_target_length_are_rejected() {
         let target = rows(6);
         let names = labels(6);
+        let words = packed(&target[2..6]);
         let mut patch = RowPatch::new(5);
-        patch.push_run(2, &names[2..6], &target[2..6]);
+        patch.push_run(2, &names[2..6], &words);
     }
 
     #[test]
@@ -245,34 +243,50 @@ mod tests {
     fn a_patch_for_a_longer_row_space_is_refused() {
         let target = rows(8);
         let names = labels(8);
+        let words = packed(&target[6..8]);
         let mut patch = RowPatch::new(8);
-        patch.push_run(6, &names[6..8], &target[6..8]);
+        patch.push_run(6, &names[6..8], &words);
         // Only four rows stored: row 6 would leave a gap at 4 and 5.
-        let mut stored = target[..4].to_vec();
-        patch.apply_to_rows(&mut stored);
+        let mut stored = packed(&target[..4]);
+        patch.apply_to_packed(&mut stored);
+    }
+
+    #[test]
+    #[should_panic(expected = "run starts past the rows")]
+    fn a_patch_for_a_longer_label_space_is_refused() {
+        let target = rows(8);
+        let names = labels(8);
+        let words = packed(&target[6..8]);
+        let mut patch = RowPatch::new(8);
+        patch.push_run(6, &names[6..8], &words);
+        patch.apply_to_labels(&mut labels(4));
     }
 
     #[test]
     fn adjacent_runs_write_like_one_run() {
         let target = rows(12);
         let names = labels(12);
+        let (left, right, all) = (
+            packed(&target[3..7]),
+            packed(&target[7..12]),
+            packed(&target[3..12]),
+        );
         let mut split = RowPatch::new(12);
-        split.push_run(3, &names[3..7], &target[3..7]);
-        split.push_run(7, &names[7..12], &target[7..12]);
+        split.push_run(3, &names[3..7], &left);
+        split.push_run(7, &names[7..12], &right);
         let mut whole = RowPatch::new(12);
-        whole.push_run(3, &names[3..12], &target[3..12]);
+        whole.push_run(3, &names[3..12], &all);
         assert_eq!(split.rows_written(), whole.rows_written());
-        assert!(split.written().eq(whole.written()));
         let stale: Vec<Hypervector> = target[..3]
             .iter()
             .cloned()
             .chain((3..9).map(|i| Hypervector::random(target[0].dim(), 500 + i)))
             .collect();
-        let (mut a, mut b) = (stale.clone(), stale);
-        split.apply_to_rows(&mut a);
-        whole.apply_to_rows(&mut b);
-        assert_eq!(a, target);
-        assert_eq!(b, target);
+        let (mut a, mut b) = (packed(&stale), packed(&stale));
+        split.apply_to_packed(&mut a);
+        whole.apply_to_packed(&mut b);
+        assert_eq!(a, packed(&target));
+        assert_eq!(b, packed(&target));
     }
 
     #[test]
@@ -280,26 +294,19 @@ mod tests {
         let stored = rows(9);
         let patch = RowPatch::new(5);
         assert_eq!(patch.rows_written(), 0);
-        assert_eq!(patch.written().count(), 0);
+        assert_eq!(patch.run_dims().count(), 0);
 
-        let mut vec_rows = stored.clone();
-        patch.apply_to_rows(&mut vec_rows);
-        assert_eq!(vec_rows, stored[..5]);
         let mut vec_labels = labels(9);
         patch.apply_to_labels(&mut vec_labels);
         assert_eq!(vec_labels, labels(5));
-        let mut packed = PackedRows::new(130);
-        for hv in &stored {
-            packed.push(hv.as_bitvec().as_words());
-        }
-        patch.apply_to_packed(&mut packed);
-        assert_eq!(packed.len(), 5);
-        assert_eq!(packed.row_words(4), stored[4].as_bitvec().as_words());
+        let mut matrix = packed(&stored);
+        patch.apply_to_packed(&mut matrix);
+        assert_eq!(matrix, packed(&stored[..5]));
 
         // A target longer than the stored rows cuts nothing and, with
         // no runs, writes nothing.
-        let mut short = stored[..3].to_vec();
-        RowPatch::new(7).apply_to_rows(&mut short);
-        assert_eq!(short, stored[..3]);
+        let mut short = packed(&stored[..3]);
+        RowPatch::new(7).apply_to_packed(&mut short);
+        assert_eq!(short, packed(&stored[..3]));
     }
 }

@@ -97,7 +97,7 @@ impl Serialize for AssociativeMemory {
         let mut rows = Vec::with_capacity(self.len());
         for (_, label, row) in self.iter() {
             labels.push(label.to_owned());
-            rows.push(row.clone());
+            rows.push(row);
         }
         MemoryRepr {
             dim: self.dim(),
@@ -189,7 +189,7 @@ mod tests {
             assert_eq!(back.row(class), Some(row));
         }
         // The packed search matrix was rebuilt, not just the views.
-        let hit = back.search(am.row(ClassId(2)).unwrap()).unwrap();
+        let hit = back.search(&am.row(ClassId(2)).unwrap()).unwrap();
         assert_eq!(hit.class, ClassId(2));
 
         // A row from another space is rejected at deserialization.

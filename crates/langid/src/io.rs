@@ -145,10 +145,10 @@ pub fn save_model(classifier: &LanguageClassifier, path: &Path) -> io::Result<()
     push_u64(&mut bytes, encoder.n() as u64);
     push_u64(&mut bytes, encoder.item_memory().seed());
     push_u64(&mut bytes, memory.len() as u64);
-    for (class, _, row) in memory.iter() {
+    for (class, _, row) in memory.iter_words() {
         let language = classifier.language_of(class);
         push_u64(&mut bytes, language.index() as u64);
-        for word in row.as_bitvec().as_words() {
+        for word in row {
             push_u64(&mut bytes, *word);
         }
     }

@@ -275,7 +275,7 @@ mod tests {
         for (c, golden) in acc.binarize_all().into_iter().enumerate() {
             assert_eq!(
                 classifier.memory().row(ClassId(c)),
-                Some(&golden),
+                Some(golden),
                 "accumulator {c} must reproduce its stored row"
             );
         }

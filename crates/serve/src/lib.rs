@@ -42,7 +42,7 @@
 //! )?;
 //!
 //! let mut client = HamClient::connect(server.local_addr(), Duration::from_secs(5))?;
-//! let query = memory.row(hdc::ClassId(3)).unwrap().clone();
+//! let query = memory.row(hdc::ClassId(3)).unwrap();
 //! let response = client.request(1, 128, Some(Duration::from_millis(250)), &[query])?;
 //! assert_eq!(response.status, ham_serve::frame::STATUS_OK);
 //!

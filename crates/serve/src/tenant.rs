@@ -8,13 +8,17 @@
 //! * a [`VersionedMemory`] namespace — online updates publish new epochs,
 //!   and the next request that observes a newer epoch *advances* the
 //!   serving engine in place ([`ResilientServer::advance`]): only the
-//!   row chunks the new epoch replaced are copied into the engine's row
-//!   copies, and the version's own bucket index is attached by `Arc`,
-//!   so an epoch change costs the rows it changed, not `C · D`, and
-//!   never materializes the version;
+//!   row chunks the new epoch replaced are written into the engine's
+//!   one matrix, which every rung of its ladder searches, and the
+//!   version's own bucket index is attached by `Arc`, so an epoch change
+//!   costs the rows it changed, not `C · D`, and never materializes the
+//!   version;
 //! * a [`ResilientServer`] engine (degradation ladder, scrubber, health
 //!   monitor) built over that memory once at provisioning — one
-//!   tenant's quarantine never touches another's engine;
+//!   tenant's quarantine never touches another's engine. Its scrubber
+//!   pins the published version as the golden state, so a tenant keeps
+//!   two copies of its rows: the version's chunks and the served
+//!   matrix;
 //! * a token-bucket request quota refilled in wall-clock time — the
 //!   hard per-tenant rate cap ([`HamError::QuotaExceeded`]);
 //! * an EMA-of-inflight admission gate — the soft overload valve that
@@ -38,7 +42,9 @@ use ham_core::resilience::{
     DegradationPolicy, HealthState, QueryBudget, ResilientOptions, ResilientServer, Scrubber,
     ServeReport, PRIORITY_HIGH,
 };
-use ham_core::{ensure_indexed, HamError, IndexPolicy, OnlineUpdater, VersionedMemory};
+use ham_core::{
+    ensure_indexed, HamError, IndexPolicy, MemoryVersion, OnlineUpdater, VersionedMemory,
+};
 use hdc::parallel::lock_unpoisoned;
 use hdc::prelude::*;
 
@@ -113,8 +119,11 @@ pub struct TenantSpec {
     pub name: String,
     /// Which HAM design serves this tenant.
     pub kind: DesignKind,
-    /// The tenant's learned memory — also the golden copy its scrubber
-    /// repairs against.
+    /// The tenant's learned memory. Provisioning serves it, or repairs
+    /// from it the rows a warm restart's snapshot lost, and then releases
+    /// it: a provisioned tenant's [`spec`](TenantState::spec) holds an
+    /// empty memory of the same space and scan strategy, and the rows
+    /// live in the tenant's versioned memory.
     pub memory: AssociativeMemory,
     /// Hard request-rate cap.
     pub quota: QuotaPolicy,
@@ -176,28 +185,28 @@ impl TenantSpec {
         dir.join(format!("tenant-{}.wal", self.tenant))
     }
 
-    /// Builds this tenant's serving engine from scratch over `memory`:
-    /// the golden-copy scrubber, the design's ladder at the
-    /// dimension's standard policy, and `options` under the spec's
-    /// budget cap. A tenant builds it once, at provisioning; later
-    /// epochs advance it in place, and the advanced engine equals this
-    /// build over the new version's memory.
+    /// Builds this tenant's serving engine from scratch over `memory`,
+    /// the rows of the published version `golden`: a scrubber pinning
+    /// `golden`, the design's ladder at the dimension's standard policy,
+    /// and `options` under the spec's budget cap. A tenant builds it
+    /// once, at provisioning; later epochs advance it in place, and the
+    /// advanced engine equals this build over the new version.
     ///
     /// # Errors
     ///
-    /// [`HamError::NoClasses`] for an empty memory.
+    /// [`HamError::NoClasses`] for an empty memory, and the mismatch
+    /// errors of [`ResilientServer::new`] when `golden` holds other rows.
     pub fn build_engine(
         &self,
         memory: AssociativeMemory,
+        golden: Arc<MemoryVersion>,
         options: ResilientOptions,
     ) -> Result<ResilientServer, HamError> {
-        if memory.is_empty() {
-            return Err(HamError::NoClasses);
-        }
-        let scrubber = Scrubber::from_memory(&memory);
         let policy = DegradationPolicy::for_dim(memory.dim().get());
-        Ok(ResilientServer::new(self.kind, memory, scrubber, policy)?
-            .with_options(options.with_budget(self.budget_cap)))
+        Ok(
+            ResilientServer::new(self.kind, memory, Scrubber::pinned(golden)?, policy)?
+                .with_options(options.with_budget(self.budget_cap)),
+        )
     }
 }
 
@@ -301,19 +310,29 @@ fn health_code(state: HealthState) -> u8 {
 impl TenantState {
     /// Provisions a tenant. When `snapshot_dir` holds a loadable
     /// snapshot for this tenant id, the served memory is warm-restarted
-    /// from it: rows corrupted on disk fall back to the spec's golden
-    /// rows (the [`Scrubber`] fallback), everything else replays exactly
-    /// as flushed. Write-ahead-log records past the snapshot's covered
-    /// LSN — online updates a crash kept from reaching a checkpoint —
-    /// replay on top (a damaged LSN trailer falls back to the
-    /// checkpoint watermark in the segment headers, never to silently
-    /// skipping the log); with no snapshot at all, a complete log
-    /// (oldest segment at LSN 0) replays onto the spec memory.
+    /// from it: rows corrupted on disk fall back to the spec's learned
+    /// rows, everything else replays exactly as flushed. Write-ahead-log
+    /// records past the snapshot's covered LSN — online updates a crash
+    /// kept from reaching a checkpoint — replay on top (a damaged LSN
+    /// trailer falls back to the checkpoint watermark in the segment
+    /// headers, never to silently skipping the log); with no snapshot at
+    /// all, a complete log (oldest segment at LSN 0) replays onto the
+    /// spec memory.
+    ///
+    /// The spec's memory is released once provisioning is done (see
+    /// [`TenantSpec::memory`]). A provisioned tenant keeps its published
+    /// version's chunks plus the engine's one served matrix; on the way
+    /// there at most one more copy of the rows is alive at a time (a
+    /// write-ahead-log replay's copy-on-write, or the snapshot file's
+    /// bytes).
     pub fn provision(
-        spec: TenantSpec,
+        mut spec: TenantSpec,
         options: ResilientOptions,
         snapshot_dir: Option<&Path>,
     ) -> Result<Self, HamError> {
+        let released = AssociativeMemory::new(spec.memory.dim())
+            .with_scan_strategy(spec.memory.scan_strategy());
+        let learned = std::mem::replace(&mut spec.memory, released);
         let paths = snapshot_dir.map(|dir| (spec.snapshot_path(dir), spec.wal_dir(dir)));
         // replay_from = the log LSN updates resume from; None = the log
         // is not replayable over this base.
@@ -323,9 +342,9 @@ impl TenantState {
                 Ok(load) => {
                     let mut memory = load.memory;
                     let mut repaired = 0;
-                    for class in &load.corrupted {
-                        if let Some(golden) = spec.memory.row(*class) {
-                            if memory.replace_row(*class, golden.clone()).is_ok() {
+                    for &class in &load.corrupted {
+                        if let Some(row) = learned.row(class) {
+                            if memory.replace_row(class, row).is_ok() {
                                 repaired += 1;
                             }
                         }
@@ -347,10 +366,13 @@ impl TenantState {
                 }
                 // A structurally unreadable snapshot (bad header, bad
                 // geometry) falls back to the spec memory wholesale.
-                Err(_) => (spec.memory.clone(), BootSource::Fresh),
+                Err(_) => (learned.clone(), BootSource::Fresh),
             },
-            _ => (spec.memory.clone(), BootSource::Fresh),
+            _ => (learned.clone(), BootSource::Fresh),
         };
+        // A fresh boot shares the learned rows (cloning a memory shares
+        // its matrix); a warm one no longer needs them.
+        drop(learned);
         // Crash before the first checkpoint: no (usable) snapshot, but a
         // log whose oldest segment starts at LSN 0 is the complete
         // update history since provisioning and replays onto the spec
@@ -383,6 +405,8 @@ impl TenantState {
             }
         }
         if let (Some(from), Some((_, wal_dir))) = (replay_from, &paths) {
+            // Shares `memory`'s matrix until the first replayed write
+            // copies it.
             let mut caught_up = memory.clone();
             // A replay error means damaged acknowledged history
             // (mid-log corruption): discard the partial replay and
@@ -406,6 +430,9 @@ impl TenantState {
                 }
             }
         }
+        // A replayed add grew the matrix by doubling; the engine keeps
+        // it, so drop the spare capacity.
+        memory.shrink_to_fit();
         // Attach (or rebuild) the bucket index before the memory fans
         // out to the versioned cell and the engine: large tenants get
         // the triangle-bound pruned scan transparently, small ones stay
@@ -431,10 +458,13 @@ impl TenantState {
             )),
             None => None,
         };
+        // The version copies the rows into its chunks; the engine serves
+        // `memory` itself, and its scrubber pins the version.
         let versioned = Arc::new(VersionedMemory::new(memory.clone()));
+        let golden = versioned.load();
         let engine = Engine {
-            epoch: versioned.current_epoch(),
-            server: spec.build_engine(memory, options)?,
+            epoch: golden.epoch(),
+            server: spec.build_engine(memory, golden, options)?,
         };
         let health = AtomicU8::new(health_code(engine.server.health().state()));
         let bucket = Mutex::new(TokenBucket::new(spec.quota));
@@ -452,7 +482,8 @@ impl TenantState {
         })
     }
 
-    /// The spec this tenant was provisioned from.
+    /// The spec this tenant was provisioned from, its memory released
+    /// (see [`TenantSpec::memory`]).
     pub fn spec(&self) -> &TenantSpec {
         &self.spec
     }

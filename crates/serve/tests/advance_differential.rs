@@ -8,15 +8,15 @@
 //! random interleavings of re-thresholds, adds, retires and full
 //! publishes, with 0–3 publishes between reads, run over tenants with no
 //! index and with the bucket index, for all three design kinds. After
-//! every read the two engines must hold the same rows, labels, rung
-//! copies and golden rows, share the version's index, and return the
-//! same report.
+//! every read the two engines must hold the same rows and labels, pin
+//! the version as their golden state, share the version's index, and
+//! return the same report.
 
 use std::sync::Arc;
 
 use ham_core::explore::DesignKind;
 use ham_core::resilience::{QueryBudget, ResilientOptions, ResilientServer, PRIORITY_NORMAL};
-use ham_core::IndexPolicy;
+use ham_core::{IndexPolicy, MemoryVersion};
 use ham_serve::{TenantSpec, TenantState};
 use hdc::prelude::*;
 use rand::rngs::StdRng;
@@ -64,11 +64,7 @@ fn random_write(tenant: &TenantState, rng: &mut StdRng, next_label: &mut usize) 
     let rows = current.rows();
     let row = |rng: &mut StdRng| {
         let class = ClassId(rng.gen_range(0..rows));
-        let base = current
-            .records()
-            .nth(class.0)
-            .map(|(_, hv)| hv.clone())
-            .unwrap();
+        let base = Hypervector::from_words(current.dim(), current.row_words(class.0).unwrap());
         (class, base.with_flipped_bits(rng.gen_range(1..40), rng))
     };
     match rng.gen_range(0..10) {
@@ -113,7 +109,10 @@ fn random_write(tenant: &TenantState, rng: &mut StdRng, next_label: &mut usize) 
 
 fn queries(tenant: &TenantState, rng: &mut StdRng) -> Vec<Hypervector> {
     let version = tenant.versioned().load();
-    let rows: Vec<&Hypervector> = version.records().map(|(_, hv)| hv).collect();
+    let rows: Vec<Hypervector> = version
+        .records()
+        .map(|(_, words)| Hypervector::from_words(version.dim(), words))
+        .collect();
     (0..6)
         .map(|i| {
             if i == 5 {
@@ -134,25 +133,31 @@ fn ptr_eq<T>(a: Option<Arc<T>>, b: Option<Arc<T>>) -> bool {
     }
 }
 
-fn assert_same_engine(advanced: &ResilientServer, fresh: &ResilientServer, context: &str) {
+fn assert_same_engine(
+    advanced: &ResilientServer,
+    fresh: &ResilientServer,
+    version: &Arc<MemoryVersion>,
+    context: &str,
+) {
     let (a, f) = (advanced.memory(), fresh.memory());
     assert_eq!(a.len(), f.len(), "{context}: row count");
-    assert!(a.iter().eq(f.iter()), "{context}: rows and labels");
+    assert!(
+        a.iter_words().eq(f.iter_words()),
+        "{context}: rows and labels"
+    );
     assert_eq!(a.scan_strategy(), f.scan_strategy(), "{context}: strategy");
     assert_eq!(
         a.resolved_strategy(),
         f.resolved_strategy(),
         "{context}: resolved strategy"
     );
-    assert_eq!(
-        advanced.controller().rung_rows(),
-        fresh.controller().rung_rows(),
-        "{context}: rung row copies"
+    assert!(
+        Arc::ptr_eq(advanced.scrubber().golden(), version),
+        "{context}: the advanced scrubber pins the published version"
     );
-    assert_eq!(
-        advanced.scrubber().golden_rows(),
-        fresh.scrubber().golden_rows(),
-        "{context}: golden rows"
+    assert!(
+        Arc::ptr_eq(fresh.scrubber().golden(), version),
+        "{context}: the fresh scrubber pins the published version"
     );
     assert_eq!(advanced.policy(), fresh.policy(), "{context}: policy");
     assert_eq!(
@@ -192,7 +197,7 @@ fn run(kind: DesignKind, shape: Shape, seed: u64) {
         // materialized version whenever the epoch moves.
         if reference.as_ref().map(|(epoch, _)| *epoch) != Some(version.epoch()) {
             let fresh = spec
-                .build_engine(version.memory().clone(), options)
+                .build_engine(version.memory().clone(), Arc::clone(&version), options)
                 .unwrap();
             reference = Some((version.epoch(), fresh));
         }
@@ -205,7 +210,7 @@ fn run(kind: DesignKind, shape: Shape, seed: u64) {
         assert_eq!(served.actions, expected.actions, "{context}: actions");
         tenant.with_engine(|epoch, engine| {
             assert_eq!(epoch, version.epoch(), "{context}: engine epoch");
-            assert_same_engine(engine, fresh, &context);
+            assert_same_engine(engine, fresh, &version, &context);
             assert!(
                 ptr_eq(engine.memory().index_handle(), version.index_handle()),
                 "{context}: the engine must share the version's index"
@@ -276,7 +281,11 @@ fn single_row_rethreshold_at_4096_rows_never_materializes() {
     assert!(!version.is_materialized());
     tenant.with_engine(|served_epoch, engine| {
         assert_eq!(served_epoch, epoch);
-        assert_eq!(engine.memory().row(ClassId(1_234)), Some(&hv));
-        assert_eq!(engine.scrubber().golden_row(ClassId(1_234)), Some(&hv));
+        assert_eq!(engine.memory().row(ClassId(1_234)), Some(hv.clone()));
+        assert_eq!(
+            engine.scrubber().golden_row(ClassId(1_234)),
+            Some(hv.clone())
+        );
+        assert!(Arc::ptr_eq(engine.scrubber().golden(), &version));
     });
 }

@@ -418,7 +418,7 @@ fn drain_right_after_an_online_update_is_never_lossy() {
         assert_eq!(replayed.label(class), Some(label), "{class:?}");
         assert_eq!(replayed.row(class), Some(row), "{class:?}");
     }
-    assert_eq!(replayed.row(ClassId(1)), Some(&replacement));
+    assert_eq!(replayed.row(ClassId(1)), Some(replacement));
     assert_eq!(replayed.label(added), Some("late-arrival"));
     restarted.drain();
     let _ = std::fs::remove_dir_all(&dir);
@@ -553,7 +553,7 @@ fn damaged_snapshot_trailer_still_replays_acknowledged_updates() {
         assert_eq!(replayed.label(class), Some(label), "{class:?}");
         assert_eq!(replayed.row(class), Some(row), "{class:?}");
     }
-    assert_eq!(replayed.row(ClassId(4)), Some(&replacement));
+    assert_eq!(replayed.row(ClassId(4)), Some(replacement));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -117,8 +117,9 @@ fn config(dir: &Path) -> ServeConfig {
 /// index.
 fn reference(oracle: &Oracle) -> ResilientServer {
     let memory = memory_of(oracle).with_scan_strategy(ScanStrategy::Direct);
+    let golden = std::sync::Arc::new(ham_core::MemoryVersion::of(0, &memory));
     specs(oracle)[0]
-        .build_engine(memory, ResilientOptions::serial())
+        .build_engine(memory, golden, ResilientOptions::serial())
         .unwrap()
 }
 
